@@ -97,6 +97,13 @@ def _payload_nbytes(payload: Any) -> int:
     return int(sys.getsizeof(payload))
 
 
+def _link_keys(links, num_nodes: int) -> np.ndarray:
+    """``src * num_nodes + dst`` for each ``(src, dst)`` link, in order."""
+    return np.fromiter(
+        (src * num_nodes + dst for src, dst in links), np.int64, len(links)
+    )
+
+
 class Network:
     """A set of nodes exchanging tagged messages over lossy links.
 
@@ -218,10 +225,117 @@ class Network:
             self._tag_keys[tag].add((dst, src, tag))
         return True
 
+    def send_batch(
+        self,
+        srcs,
+        dsts,
+        tag: str,
+        nbytes,
+        received: str | None = None,
+    ) -> np.ndarray:
+        """Send one message on every link of the ``srcs × dsts`` grid at once.
+
+        Equivalent, draw for draw, to calling :meth:`send` for each
+        ``(src, dst)`` pair in row-major order on a network without a
+        latency model: the same drops (``Generator.random(k)`` yields the
+        same doubles as ``k`` scalar draws), the same drop-log order, byte
+        tallies and ``comm.*`` counter totals, with counters first touched
+        in the order the per-message loop touches them. Ranks are checked
+        before anything is sent.
+
+        Nothing is queued: the caller holds the payloads, and ``nbytes``
+        (per destination column, or one size for all) gives each message's
+        wire size. ``received`` says how the destinations consume their
+        messages, which is what :meth:`recv` would have counted as
+        delivered: ``None`` — never (a protocol-fidelity broadcast);
+        ``"after"`` — once every message is sent; ``"each"`` — as soon as
+        each one is sent (a zero-delay simulated round).
+
+        Returns the ``(len(srcs), len(dsts))`` delivered mask.
+        """
+        if self.latency is not None:
+            raise RuntimeError("send_batch needs instant links; use send()")
+        if received not in (None, "after", "each"):
+            raise ValueError(
+                f"received must be None, 'after' or 'each', got {received!r}"
+            )
+        n = self.num_nodes
+        srcs = np.asarray(srcs, dtype=np.int64).reshape(-1)
+        dsts = np.asarray(dsts, dtype=np.int64).reshape(-1)
+        for ranks in (srcs, dsts):
+            if ranks.size and (ranks.min() < 0 or ranks.max() >= n):
+                bad = ranks[(ranks < 0) | (ranks >= n)][0]
+                raise ValueError(f"rank {int(bad)} outside [0, {n})")
+        total = srcs.size * dsts.size
+        if total == 0:
+            return np.zeros((srcs.size, dsts.size), dtype=bool)
+        # one entry per message, in the per-message loop's row-major order
+        src_of = np.repeat(srcs, dsts.size)
+        dst_of = np.tile(dsts, srcs.size)
+        p = float(self.default_drop_prob)
+        if self._blocked or self._link_drop:
+            keys = src_of * n + dst_of
+            blocked = np.isin(keys, _link_keys(self._blocked, n))
+            prob = np.full(total, p)
+            if self._link_drop:
+                link_keys = _link_keys(self._link_drop, n)
+                order = np.argsort(link_keys)
+                link_keys = link_keys[order]
+                link_prob = np.fromiter(self._link_drop.values(), np.float64)
+                pos = np.searchsorted(link_keys, keys).clip(max=link_keys.size - 1)
+                hit = link_keys[pos] == keys
+                prob[hit] = link_prob[order][pos[hit]]
+            draws = ~blocked & (prob > 0.0)
+            dropped = blocked
+            k = int(np.count_nonzero(draws))
+            if k:
+                dropped[draws] = self._rng.random(k) < prob[draws]
+        elif p > 0.0:
+            dropped = self._rng.random(total) < p
+        else:
+            dropped = np.zeros(total, dtype=bool)
+
+        self.messages_sent += total
+        lost = np.flatnonzero(dropped)
+        self.drop_log.drops.extend(
+            zip(src_of[lost].tolist(), dst_of[lost].tolist(), [tag] * lost.size)
+        )
+        sent = np.flatnonzero(~dropped)
+        sizes = np.broadcast_to(np.asarray(nbytes, dtype=np.int64), dsts.shape)
+        sent_bytes = sizes[sent % dsts.size].tolist()
+        tally = self.bytes_sent
+        for link, size in zip(
+            zip(src_of[sent].tolist(), dst_of[sent].tolist()), sent_bytes
+        ):
+            tally[link] += size
+        if received is not None:
+            self.messages_delivered += sent.size
+
+        # One count per counter, in the order the per-message loop would
+        # first touch each (key order is visible in profile snapshots).
+        # Entries are (message index, step within that message's send).
+        counts = [((0, 0), "comm.messages_sent", total)]
+        if lost.size:
+            counts.append(((int(lost[0]), 1), "comm.drops", int(lost.size)))
+        if sent.size:
+            first = int(sent[0])
+            counts.append(((first, 1), "comm.bytes_sent", sum(sent_bytes)))
+            if received is not None:
+                at = (first, 2) if received == "each" else (total, 0)
+                counts.append((at, "comm.messages_delivered", int(sent.size)))
+        tele = get_telemetry()
+        for _, name, count in sorted(counts):
+            tele.count(name, count)
+        return ~dropped.reshape(srcs.size, dsts.size)
+
     def _deliver(self, msg: Message) -> None:
         """Delivery event: the in-flight message lands in its queue."""
         self.in_flight -= 1
-        if msg.tag in self._dead_tags:
+        dead = msg.tag in self._dead_tags
+        if self.in_flight == 0:
+            # nothing left that could land on a closed tag
+            self._dead_tags.clear()
+        if dead:
             return  # round already closed; late arrival is discarded
         self._queues[(msg.dst, msg.src, msg.tag)].append(msg)
         self._tag_keys[msg.tag].add((msg.dst, msg.src, msg.tag))
@@ -230,9 +344,12 @@ class Network:
         """Close a tag: purge its queues and discard late arrivals.
 
         Round tags are unique (``slice:<t>``), so closing them when the
-        round ends keeps straggling deliveries from accumulating.
+        round ends keeps straggling deliveries from accumulating. The
+        tag's tombstone lives only while messages are in flight: with
+        nothing in flight, nothing can arrive late on it.
         """
-        self._dead_tags.add(tag)
+        if self.in_flight:
+            self._dead_tags.add(tag)
         for key in self._tag_keys.pop(tag, ()):
             self._queues.pop(key, None)
 

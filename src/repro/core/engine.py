@@ -50,20 +50,16 @@ class RoundBatch:
     _row_sqnorms: np.ndarray | None = None  # lazy ||G_i||² cache
 
     @classmethod
-    def from_context(
-        cls, ctx: RoundContext, shared: bool = False
-    ) -> "RoundBatch | None":
+    def from_context(cls, ctx: RoundContext) -> "RoundBatch | None":
         """Stack ``ctx.slices`` into the batched layout (None if empty).
 
         Workers in ``ctx.slices`` delivered a complete slice set (the
         trainer routes partial deliveries to ``ctx.uncertain`` instead),
         so each row is the worker's full gradient reassembled in server
-        order — exactly ``recombine(slices)`` of the scalar path.
-
-        ``shared=True`` places the stacked matrix in a
-        ``multiprocessing`` shared-memory segment (when the platform
-        allows), so worker-shard consumers in other processes can map
-        the same round batch zero-copy.
+        order — exactly ``recombine(slices)`` of the scalar path. When
+        the context carries the trainer's matrix of delivered gradients
+        it is used as is (read-only, no copy); hand-built contexts are
+        restacked.
         """
         ids = sorted(ctx.slices)
         if not ids:
@@ -72,16 +68,23 @@ class RoundBatch:
         first = ctx.slices[ids[0]]
         dim = sum(first[srv].size for srv in server_ranks)
         offsets = slice_offsets(dim, len(server_ranks))
-        if shared:
-            from ..population.sharding import allocate_gradient_matrix
 
-            gradients, _ = allocate_gradient_matrix(len(ids), dim, shared=True)
+        if ctx.uploads is not None and len(ctx.uploads) == len(ids):
+            # The trainer already stacked the delivered rows: take the
+            # matrix as is, reordered only if the upload order was not
+            # ascending, rather than restack N×M slices.
+            upload_order = list(ctx.slices)
+            if upload_order == ids:
+                gradients = ctx.uploads
+            else:
+                rows = np.argsort(np.asarray(upload_order), kind="stable")
+                gradients = ctx.uploads[rows]
         else:
             gradients = np.empty((len(ids), dim))
-        for j, srv in enumerate(server_ranks):
-            block = gradients[:, offsets[j] : offsets[j + 1]]
-            for i, wid in enumerate(ids):
-                block[i] = ctx.slices[wid][srv]
+            for j, srv in enumerate(server_ranks):
+                block = gradients[:, offsets[j] : offsets[j + 1]]
+                for i, wid in enumerate(ids):
+                    block[i] = ctx.slices[wid][srv]
         return cls(
             worker_ids=np.asarray(ids, dtype=np.int64),
             gradients=gradients,

@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "split_gradient",
     "split_views",
+    "stack_gradients",
     "recombine",
     "fedavg",
     "slice_bounds",
@@ -91,6 +92,26 @@ def split_views(grad: np.ndarray, num_slices: int) -> list[np.ndarray]:
         v.flags.writeable = False
         views.append(v)
     return views
+
+
+def stack_gradients(
+    grads: list[np.ndarray], num_slices: int, dim: int
+) -> np.ndarray:
+    """Stack flat gradients row-wise into one read-only ``(N, dim)`` matrix.
+
+    Server ``j``'s slice of row ``i`` is the column block
+    ``[offsets[j], offsets[j+1])`` of :func:`slice_offsets`, so per-server
+    slices are views into the matrix, bit-identical to
+    :func:`split_views` of each gradient. ``dim`` sizes the empty matrix
+    when there are no gradients.
+    """
+    if not grads:
+        matrix = np.empty((0, dim))
+    else:
+        _check_splittable(np.asarray(grads[0]), num_slices)
+        matrix = np.stack([np.asarray(g, dtype=np.float64) for g in grads])
+    matrix.flags.writeable = False
+    return matrix
 
 
 def recombine(slices: list[np.ndarray]) -> np.ndarray:

@@ -50,7 +50,15 @@ from ..profiling import get_profiler, profile_delta
 from ..sim import FaultScenario, SimRoundRunner, Simulator, make_latency
 from .evaluation import evaluate
 from .fleet_compute import FleetLocalEngine
-from .gradients import fedavg, recombine, split_views
+# split_views is no longer called here but stays importable from this
+# module: profilers wrap the trainer's kernels by name (perfbench/spans.py).
+from .gradients import (  # noqa: F401
+    fedavg,
+    recombine,
+    slice_offsets,
+    split_views,
+    stack_gradients,
+)
 from .workers import Worker, WorkerUpdate
 
 __all__ = [
@@ -94,6 +102,10 @@ class RoundContext:
     # workers whose upload was (partly) lost this round: uncertain events
     uncertain: set[int]
     sample_counts: dict[int, int]
+    # delivered gradients stacked row-wise, row i from the i-th worker of
+    # ``slices``, whose slices are column-block views of it. None in
+    # hand-built contexts, where RoundBatch restacks the slices.
+    uploads: np.ndarray | None = None
 
 
 @dataclass
@@ -493,40 +505,92 @@ class FederatedTrainer:
     # -- one communication round ----------------------------------------------
 
     def _upload_slices(
-        self, updates: dict[int, WorkerUpdate], round_idx: int
-    ) -> tuple[dict[int, dict[int, np.ndarray]], set[int]]:
-        """Workers split gradients and send slice j to server j (step 1.3).
+        self,
+        updates: dict[int, WorkerUpdate],
+        round_idx: int,
+        received: str = "after",
+    ) -> tuple[list[int], set[int], np.ndarray]:
+        """Workers send slice j of their gradient to server j (step 1.3).
 
-        Slicing uses the memoized boundary table and read-only views —
-        no per-worker copies; the bytes-on-the-wire accounting of the
-        network substrate is unchanged.
+        One batched exchange over the instant-link network: each worker's
+        slice for server ``j`` travels as a ``(j, slice)`` message, in
+        upload order. Returns ``(delivered ids, uncertain ids, mask)``
+        with the ``(N, M)`` per-link delivery mask.
         """
-        tag = f"slice:{round_idx}"
-        for wid, upd in updates.items():
-            parts = split_views(upd.gradient, self.num_servers)
-            for j, srv in enumerate(self.server_ranks):
-                self.network.send(wid, srv, tag, (j, parts[j]))
-        delivered: dict[int, dict[int, np.ndarray]] = {}
+        ids = list(updates)
+        servers = self.server_ranks
+        dim = np.asarray(updates[ids[0]].gradient).size if ids else 0
+        # a (j, slice) payload: the 8-byte slot index plus float64 values
+        nbytes = 8 + 8 * np.diff(slice_offsets(dim, len(servers)))
+        mask = self.network.send_batch(
+            ids, servers, f"slice:{round_idx}", nbytes, received=received
+        )
+        delivered: list[int] = []
         uncertain: set[int] = set()
-        for wid in updates:
-            got: dict[int, np.ndarray] = {}
-            for srv in self.server_ranks:
-                msg = self.network.recv(srv, wid, tag)
-                if msg is not None:
-                    _, part = msg.payload
-                    got[srv] = part
-            if len(got) == self.num_servers:
-                delivered[wid] = got
+        for wid, complete in zip(ids, mask.all(axis=1).tolist()):
+            if complete:
+                delivered.append(wid)
             else:
                 # Any lost slice -> the round is unidentifiable for this
                 # worker: an SLM uncertain event, excluded from aggregation.
                 uncertain.add(wid)
-        return delivered, uncertain
+        return delivered, uncertain, mask
+
+    def _delivered_slices(
+        self, updates: dict[int, WorkerUpdate], delivered: list[int], dim: int
+    ) -> tuple[np.ndarray, dict[int, dict[int, np.ndarray]]]:
+        """The delivered gradients as one matrix, and per-server views of it.
+
+        Row ``i`` of the read-only ``(K, D)`` matrix is worker
+        ``delivered[i]``'s gradient; its slice for each server is a
+        column-block view, bit-identical to the slice it sent.
+        """
+        servers = self.server_ranks
+        uploads = stack_gradients(
+            [updates[wid].gradient for wid in delivered], len(servers), dim
+        )
+        offsets = slice_offsets(uploads.shape[1], len(servers)).tolist()
+        bounds = list(zip(servers, offsets[:-1], offsets[1:]))
+        slices = {
+            wid: {srv: row[lo:hi] for srv, lo, hi in bounds}
+            for wid, row in zip(delivered, uploads)
+        }
+        return uploads, slices
+
+    def _broadcast(
+        self, dests, agg_slices: list[np.ndarray], round_idx: int
+    ) -> None:
+        """Servers send their global slice to every other worker (step 1.4).
+
+        The trainer holds the global model authoritatively, so this pass
+        exists for protocol fidelity — byte accounting and drop
+        statistics per link (the per-node communication load is what
+        S3.2's scalability argument is about). Nothing ever receives it.
+        Instant links take it as one batched exchange per server; a
+        latency model schedules every message on the virtual clock.
+        """
+        tag = f"global:{round_idx}"
+        net = self.network
+        dests = np.fromiter(dests, dtype=np.int64)
+        for srv, part in zip(self.server_ranks, agg_slices):
+            others = dests[dests != srv]
+            if net.latency is None:
+                net.send_batch([srv], others, tag, part.nbytes)
+            else:
+                for wid in others.tolist():
+                    net.send(srv, wid, tag, part)
 
     def run_round(self, round_idx: int) -> RoundRecord:
         """Execute one synchronous round and update the global model."""
         with self.profiler.span("trainer.round", kind="round", round=round_idx):
-            return self._run_round(round_idx)
+            try:
+                return self._run_round(round_idx)
+            finally:
+                # Close the round's tags: nothing ever receives the
+                # broadcast, and slices still in flight on the virtual
+                # clock must be discarded, not queued forever.
+                self.network.cancel_tag(f"slice:{round_idx}")
+                self.network.cancel_tag(f"global:{round_idx}")
 
     def _run_round(self, round_idx: int) -> RoundRecord:
         prof = self.profiler
@@ -567,15 +631,16 @@ class FederatedTrainer:
         sim_info = None
         with prof.phase("trainer.upload"):
             if self._sim_runner is not None:
-                sends = [
-                    (wid, split_views(upd.gradient, self.num_servers))
-                    for wid, upd in updates.items()
-                ]
-                delivered, uncertain, sim_info = self._sim_runner.collect(
-                    sends, round_idx, plan
+                delivered_ids, uncertain, sim_info = self._sim_runner.collect(
+                    updates, round_idx, plan
                 )
             else:
-                delivered, uncertain = self._upload_slices(updates, round_idx)
+                delivered_ids, uncertain, _ = self._upload_slices(
+                    updates, round_idx
+                )
+            uploads, delivered = self._delivered_slices(
+                updates, delivered_ids, theta.size
+            )
         prof.count("trainer.rounds")
         prof.count("trainer.uncertain_workers", len(uncertain))
 
@@ -587,6 +652,7 @@ class FederatedTrainer:
             updates=updates,
             uncertain=uncertain,
             sample_counts={w.worker_id: w.num_samples for w in active},
+            uploads=uploads,
         )
         with prof.phase("trainer.mechanism"):
             decision = self.mechanism.process_round(ctx)
@@ -617,21 +683,12 @@ class FederatedTrainer:
             prof.gauge("trainer.grad_norm", grad_norm)
             lr = self._round_lr(round_idx)
             self.model.set_flat_params(theta - lr * global_grad)
-            # Step 1.4: servers broadcast their global slice to every
-            # worker. The trainer holds the global model authoritatively,
-            # so this pass exists for protocol fidelity — byte accounting
-            # and drop statistics per link (the per-node communication
-            # load is what S3.2's scalability argument is about).
-            tag = f"global:{round_idx}"
             dests = (
                 [w.worker_id for w in active]
                 if self._dynamic
                 else range(self.num_workers)
             )
-            for j, srv in enumerate(self.server_ranks):
-                for wid in dests:
-                    if wid != srv:
-                        self.network.send(srv, wid, tag, agg_slices[j])
+            self._broadcast(dests, agg_slices, round_idx)
             # FedAvg-BN: average accepted workers' running statistics into
             # the global model so evaluation normalizes with live stats.
             buffer_vecs = [
@@ -646,11 +703,6 @@ class FederatedTrainer:
                     if updates[w].buffers is not None
                 ]
                 self.model.set_flat_buffers(fedavg(buffer_vecs, weights_b))
-
-        if self._sim_runner is not None:
-            # Close the downlink tag: broadcast slices still in flight on
-            # the virtual clock are discarded, not queued forever.
-            self._sim_runner.end_round(round_idx)
 
         test_loss = test_acc = None
         if self.test_data is not None:

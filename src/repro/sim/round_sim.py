@@ -29,16 +29,18 @@ to stay within 5% of the direct loop (``benchmarks/bench_sim.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..fl.gradients import split_views
 from .faults import FaultScenario
 from .kernel import Simulator
 from .latency import make_latency
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fl.trainer import FederatedTrainer
+    from ..fl.workers import WorkerUpdate
 
 __all__ = ["SimRoundRunner"]
 
@@ -173,15 +175,16 @@ class SimRoundRunner:
 
     def collect(
         self,
-        sends: Iterable[tuple[int, list[np.ndarray]]],
+        updates: dict[int, "WorkerUpdate"],
         round_idx: int,
         plan: _RoundPlan,
-    ) -> tuple[dict[int, dict[int, np.ndarray]], set[int], dict]:
+    ) -> tuple[list[int], set[int], dict]:
         """Run the round's upload/collection on the virtual clock.
 
-        ``sends`` is ``(worker_id, slice parts)`` in the same order the
-        direct path would send — with zero faults the event schedule
-        replays exactly that order, draw for draw.
+        ``updates`` iterate in the same order the direct path sends —
+        with zero faults the event schedule replays exactly that order,
+        draw for draw. Returns ``(delivered ids, uncertain ids, sim
+        info)``: a worker is delivered once every slice arrived.
         """
         sim = self.sim
         trainer = self.trainer
@@ -206,18 +209,18 @@ class SimRoundRunner:
             and sim.idle()
             and all(v == 0.0 for v in plan.compute_s.values())
         ):
-            return self._collect_fast(sends, round_idx, plan, state)
+            return self._collect_fast(updates, round_idx, plan, state)
 
-        worker_ids: list[int] = []
-        for wid, parts in sends:
-            worker_ids.append(wid)
+        for wid, upd in updates.items():
             sim.spawn(
-                self._upload_proc(wid, parts, servers, state),
+                self._upload_proc(
+                    wid, split_views(upd.gradient, len(servers)), servers, state
+                ),
                 delay=plan.compute_s.get(wid, 0.0),
             )
 
-        outstanding = {(wid, srv) for wid in worker_ids for srv in servers}
-        got: dict[int, dict[int, np.ndarray]] = {wid: {} for wid in worker_ids}
+        outstanding = {(wid, srv) for wid in updates for srv in servers}
+        got: dict[int, set[int]] = {wid: set() for wid in updates}
         resolve_at: dict[int, float] = {}
         while outstanding:
             outstanding -= state.abandoned
@@ -230,26 +233,23 @@ class SimRoundRunner:
                 break  # deadline cut: whatever is left is late
             sim.run_batch()
             for wid, srv in sorted(outstanding):
-                msg = trainer.network.recv(srv, wid, state.tag)
-                if msg is not None:
-                    j, part = msg.payload
-                    got[wid][srv] = part
+                if trainer.network.recv(srv, wid, state.tag) is not None:
+                    got[wid].add(srv)
                     resolve_at[wid] = sim.now
                     outstanding.discard((wid, srv))
 
         outstanding -= state.abandoned
         late_pairs = sorted(outstanding)
         state.closed = True
-        trainer.network.cancel_tag(state.tag)
         if deadline is not None and late_pairs:
             sim.advance_to(deadline)
         duration = sim.now - t0
 
-        delivered: dict[int, dict[int, np.ndarray]] = {}
+        delivered: list[int] = []
         uncertain: set[int] = set()
-        for wid in worker_ids:
+        for wid in updates:
             if len(got[wid]) == len(servers):
-                delivered[wid] = got[wid]
+                delivered.append(wid)
             else:
                 uncertain.add(wid)
 
@@ -270,41 +270,30 @@ class SimRoundRunner:
 
     def _collect_fast(
         self,
-        sends: Iterable[tuple[int, list[np.ndarray]]],
+        updates: dict[int, "WorkerUpdate"],
         round_idx: int,
         plan: _RoundPlan,
         state: _RoundState,
-    ) -> tuple[dict[int, dict[int, np.ndarray]], set[int], dict]:
+    ) -> tuple[list[int], set[int], dict]:
         """Synchronous replay of a zero-delay round.
 
         Every slice is sent and received at ``t0`` in the same order the
-        upload actors would fire, making the same drop draws — identical
-        results to :meth:`collect`, minus the event heap. Per-round sim
-        telemetry is skipped too: a degenerate round has nothing to
-        report (zero duration, no faults), and the ``comm.*`` counters
-        still account every byte and drop.
+        upload actors would fire, making the same drop draws — the
+        trainer's batched exchange, with each delivered slice received as
+        soon as it is sent. Identical results to :meth:`collect`, minus
+        the event heap. Per-round sim telemetry is skipped too: a
+        degenerate round has nothing to report (zero duration, no
+        faults), and the ``comm.*`` counters still account every byte
+        and drop.
         """
-        trainer = self.trainer
-        net = trainer.network
-        servers = list(trainer.server_ranks)
         t0 = self.sim.now
-        delivered: dict[int, dict[int, np.ndarray]] = {}
-        uncertain: set[int] = set()
-        resolved: list[int] = []
-        for wid, parts in sends:
-            got: dict[int, np.ndarray] = {}
-            for j, srv in enumerate(servers):
-                if net.send(wid, srv, state.tag, (j, parts[j])):
-                    msg = net.recv(srv, wid, state.tag)
-                    got[srv] = msg.payload[1]
-            if got:
-                resolved.append(wid)
-            if len(got) == len(servers):
-                delivered[wid] = got
-            else:
-                uncertain.add(wid)
+        delivered, uncertain, mask = self.trainer._upload_slices(
+            updates, round_idx, received="each"
+        )
+        resolved = [
+            wid for wid, hit in zip(updates, mask.any(axis=1).tolist()) if hit
+        ]
         state.closed = True
-        net.cancel_tag(state.tag)
         sim_info = {
             "t_start_s": t0,
             "duration_s": 0.0,
@@ -315,10 +304,6 @@ class SimRoundRunner:
             "worker_time_s": {wid: 0.0 for wid in sorted(resolved)},
         }
         return delivered, uncertain, sim_info
-
-    def end_round(self, round_idx: int) -> None:
-        """Close the downlink tag so late broadcast deliveries are dropped."""
-        self.trainer.network.cancel_tag(f"global:{round_idx}")
 
     # -- telemetry -------------------------------------------------------------
 

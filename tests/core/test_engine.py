@@ -135,6 +135,21 @@ class TestRoundBatch:
             for i, wid in enumerate(batch.worker_ids):
                 np.testing.assert_array_equal(block[i], ctx.slices[wid][srv])
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_upload_matrix_is_taken_as_is(self, reverse):
+        """A context carrying the trainer's delivered-gradient matrix
+        batches to the same rows as restacking its slices, without a
+        copy when the upload order is already ascending."""
+        ctx = make_ctx(num_workers=7, num_servers=3, uncertain=(2, 5))
+        restacked = RoundBatch.from_context(ctx)
+        order = sorted(ctx.slices, reverse=reverse)
+        ctx.slices = {w: ctx.slices[w] for w in order}
+        ctx.uploads = np.stack([ctx.updates[w].gradient for w in order])
+        batch = RoundBatch.from_context(ctx)
+        np.testing.assert_array_equal(batch.worker_ids, restacked.worker_ids)
+        np.testing.assert_array_equal(batch.gradients, restacked.gradients)
+        assert (batch.gradients is ctx.uploads) == (not reverse)
+
     def test_empty_round_stacks_to_none(self):
         ctx = make_ctx(num_workers=4, uncertain=(0, 1, 2, 3))
         assert RoundBatch.from_context(ctx) is None
