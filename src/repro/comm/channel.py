@@ -263,19 +263,20 @@ class Network:
         srcs = np.asarray(srcs, dtype=np.int64).reshape(-1)
         dsts = np.asarray(dsts, dtype=np.int64).reshape(-1)
         for ranks in (srcs, dsts):
-            if ranks.size and (ranks.min() < 0 or ranks.max() >= n):
-                bad = ranks[(ranks < 0) | (ranks >= n)][0]
-                raise ValueError(f"rank {int(bad)} outside [0, {n})")
-        total = srcs.size * dsts.size
+            # negative ranks wrap to huge unsigned values
+            bad = ranks.view(np.uint64) >= n
+            if bad.any():
+                raise ValueError(f"rank {int(ranks[bad][0])} outside [0, {n})")
+        nd = dsts.size
+        total = srcs.size * nd
         if total == 0:
-            return np.zeros((srcs.size, dsts.size), dtype=bool)
-        # one entry per message, in the per-message loop's row-major order
-        src_of = np.repeat(srcs, dsts.size)
-        dst_of = np.tile(dsts, srcs.size)
+            return np.zeros((srcs.size, nd), dtype=bool)
+        # message i (row-major, as the per-message loop sends them) goes
+        # from srcs[i // nd] to dsts[i % nd]
         p = float(self.default_drop_prob)
         if self._blocked or self._link_drop:
-            keys = src_of * n + dst_of
-            blocked = np.isin(keys, _link_keys(self._blocked, n))
+            keys = (srcs[:, None] * n + dsts[None, :]).reshape(-1)
+            dropped = np.isin(keys, _link_keys(self._blocked, n))
             prob = np.full(total, p)
             if self._link_drop:
                 link_keys = _link_keys(self._link_drop, n)
@@ -285,8 +286,7 @@ class Network:
                 pos = np.searchsorted(link_keys, keys).clip(max=link_keys.size - 1)
                 hit = link_keys[pos] == keys
                 prob[hit] = link_prob[order][pos[hit]]
-            draws = ~blocked & (prob > 0.0)
-            dropped = blocked
+            draws = ~dropped & (prob > 0.0)
             k = int(np.count_nonzero(draws))
             if k:
                 dropped[draws] = self._rng.random(k) < prob[draws]
@@ -298,14 +298,21 @@ class Network:
         self.messages_sent += total
         lost = np.flatnonzero(dropped)
         self.drop_log.drops.extend(
-            zip(src_of[lost].tolist(), dst_of[lost].tolist(), [tag] * lost.size)
+            zip(
+                srcs[lost // nd].tolist(),
+                dsts[lost % nd].tolist(),
+                [tag] * lost.size,
+            )
         )
         sent = np.flatnonzero(~dropped)
-        sizes = np.broadcast_to(np.asarray(nbytes, dtype=np.int64), dsts.shape)
-        sent_bytes = sizes[sent % dsts.size].tolist()
+        col = sent % nd
+        sizes = np.asarray(nbytes, dtype=np.int64)
+        sent_bytes = (
+            sizes[col] if sizes.ndim else np.full(sent.size, sizes)
+        ).tolist()
         tally = self.bytes_sent
         for link, size in zip(
-            zip(src_of[sent].tolist(), dst_of[sent].tolist()), sent_bytes
+            zip(srcs[sent // nd].tolist(), dsts[col].tolist()), sent_bytes
         ):
             tally[link] += size
         if received is not None:
