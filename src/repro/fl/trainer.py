@@ -50,8 +50,8 @@ from ..profiling import get_profiler, profile_delta
 from ..sim import FaultScenario, SimRoundRunner, Simulator, make_latency
 from .evaluation import evaluate
 from .fleet_compute import FleetLocalEngine
-# split_views is no longer called here but stays importable from this
-# module: profilers wrap the trainer's kernels by name (perfbench/spans.py).
+# split_views stays in this namespace for profilers that wrap the
+# trainer's kernels by name (perfbench/spans.py).
 from .gradients import (  # noqa: F401
     fedavg,
     recombine,
