@@ -108,8 +108,16 @@ def stack_gradients(
     if not grads:
         matrix = np.empty((0, dim))
     else:
-        _check_splittable(np.asarray(grads[0]), num_slices)
-        matrix = np.stack([np.asarray(g, dtype=np.float64) for g in grads])
+        first = np.asarray(grads[0])
+        _check_splittable(first, num_slices)
+        matrix = np.empty((len(grads), first.size))
+        for row, grad in zip(matrix, grads):
+            grad = np.asarray(grad)
+            if grad.shape != first.shape:
+                raise ValueError(
+                    f"gradient shapes differ: {grad.shape} vs {first.shape}"
+                )
+            row[:] = grad
     matrix.flags.writeable = False
     return matrix
 

@@ -55,6 +55,7 @@ from .fleet_compute import FleetLocalEngine
 from .gradients import (  # noqa: F401
     fedavg,
     recombine,
+    slice_bounds,
     slice_offsets,
     split_views,
     stack_gradients,
@@ -549,11 +550,11 @@ class FederatedTrainer:
         uploads = stack_gradients(
             [updates[wid].gradient for wid in delivered], len(servers), dim
         )
-        offsets = slice_offsets(uploads.shape[1], len(servers)).tolist()
-        bounds = list(zip(servers, offsets[:-1], offsets[1:]))
+        bounds = slice_bounds(uploads.shape[1], len(servers))
+        blocks = [uploads[:, lo:hi] for lo, hi in bounds]
         slices = {
-            wid: {srv: row[lo:hi] for srv, lo, hi in bounds}
-            for wid, row in zip(delivered, uploads)
+            wid: dict(zip(servers, parts))
+            for wid, parts in zip(delivered, zip(*blocks))
         }
         return uploads, slices
 
