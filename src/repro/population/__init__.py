@@ -21,9 +21,8 @@ from .sampler import (
     ReputationWeightedSampler,
     UniformSampler,
     make_sampler,
-    reputation_weighted_reference,
 )
-from .sharding import SharedGradientBuffer, allocate_gradient_matrix, iter_row_shards
+from .sharding import SharedGradientBuffer, iter_row_shards
 from .store import ReputationStore
 
 __all__ = [
@@ -33,10 +32,8 @@ __all__ = [
     "UniformSampler",
     "ReputationWeightedSampler",
     "AvailabilityAwareSampler",
-    "reputation_weighted_reference",
     "make_sampler",
     "SAMPLER_NAMES",
     "iter_row_shards",
     "SharedGradientBuffer",
-    "allocate_gradient_matrix",
 ]

@@ -5,8 +5,8 @@ derived from ``(salt, sampler_seed, round_idx)`` with
 ``np.random.default_rng``, so the cohort id sequence is identical across
 process restarts — resuming a federation at round ``t`` re-draws exactly
 the cohort a fresh process would (see
-``tests/population/test_sampler_determinism.py``, which replays in a
-subprocess).
+``TestRestartDeterminism`` in ``tests/population/test_sampler.py``,
+which replays in a subprocess).
 
 Memory contract: sampling ``k`` ids from a population of ``n`` costs
 O(k) (uniform, availability-aware; rejection sampling with a dense
@@ -14,6 +14,14 @@ fallback when ``k`` approaches ``n``) or O(chunk + k)
 (reputation-weighted; Efraimidis–Spirakis exponential keys streamed
 chunk-by-chunk from the :class:`~repro.population.ReputationStore` with
 a running top-k) — never O(n) for small cohorts.
+
+Time cost: the reputation-weighted sampler still draws one key per
+worker, O(n) per round, but merges into the running top-k only the keys
+above its current k-th key. Once the top-k fills, that is a handful of
+rows per chunk, so the per-round cost is the key arithmetic (per-chunk
+``default_rng`` seeding, ``random`` and ``pow``) plus O(chunks) small
+sorts: about 20 ms for n = 10^6, k = 62 on a 2-core Xeon, against
+about 150 ms when every chunk was sorted in full.
 
 ``required`` ids (the server cluster — they produce the detection
 benchmarks) are always included and never count against availability.
@@ -30,7 +38,6 @@ __all__ = [
     "UniformSampler",
     "ReputationWeightedSampler",
     "AvailabilityAwareSampler",
-    "reputation_weighted_reference",
     "make_sampler",
     "SAMPLER_NAMES",
 ]
@@ -82,7 +89,8 @@ def _draw_without_replacement(
     if k > avail:
         raise ValueError(f"cannot draw {k} distinct ids from {avail}")
     if k * 2 >= avail:
-        pool = np.setdiff1d(rng.permutation(n), exclude, assume_unique=False)
+        # assume_unique keeps the permutation order (the default sorts it)
+        pool = np.setdiff1d(rng.permutation(n), exclude, assume_unique=True)
         return pool[:k]
     seen = set(int(e) for e in exclude)
     chosen: list[int] = []
@@ -131,8 +139,9 @@ class ReputationWeightedSampler:
     computed chunk-by-chunk over the population's reputation store with
     a running top-k, so the full weight vector never materializes. The
     per-chunk rng is derived from ``(seed, round_idx, chunk_start)``,
-    which is what makes the scalar reference
-    (:func:`reputation_weighted_reference`) replay the identical draws.
+    which is what lets a scalar oracle replay the identical draws.
+    Once the running top-k is full, only a chunk's keys above its k-th
+    key are merged, so most chunks cost one comparison pass.
     """
 
     name = "reputation"
@@ -160,55 +169,32 @@ class ReputationWeightedSampler:
         store = population.reputation_store
         best_ids = np.empty(0, dtype=np.int64)
         best_keys = np.empty(0)
+        tau = None  # k-th best key once the running top-k is full and finite
         for start, reps in store.iter_chunks():
             keys = self._chunk_keys(round_idx, start, reps)
-            ids = np.arange(start, start + reps.size, dtype=np.int64)
-            if req.size:
-                keep = ~np.isin(ids, req)
-                ids, keys = ids[keep], keys[keep]
+            if tau is None:
+                rows = np.arange(keys.size)
+            else:
+                # Exact pruning: chunks arrive in ascending id order, so a
+                # later id with key == tau loses the id tiebreak to every
+                # incumbent, and NaN keys never pass ``>``.
+                rows = np.flatnonzero(keys > tau)
+                if not rows.size:
+                    continue
+            ids = rows + start
+            lo, hi = np.searchsorted(req, (start, start + keys.size))
+            if hi > lo:
+                keep = ~np.isin(ids, req[lo:hi])
+                ids, rows = ids[keep], rows[keep]
             all_ids = np.concatenate([best_ids, ids])
-            all_keys = np.concatenate([best_keys, keys])
+            all_keys = np.concatenate([best_keys, keys[rows]])
             # top-k by (key desc, id asc) — the id tiebreak keeps the
             # selection deterministic even on (improbable) equal keys
             order = np.lexsort((all_ids, -all_keys))[:k]
             best_ids, best_keys = all_ids[order], all_keys[order]
+            if best_keys.size == k and not np.isnan(best_keys[-1]):
+                tau = best_keys[-1]
         return _with_required(req, best_ids)
-
-
-def reputation_weighted_reference(
-    seed: int,
-    round_idx: int,
-    population,
-    cohort_size: int,
-    required=(),
-    floor: float = 0.05,
-) -> np.ndarray:
-    """Per-worker Python-loop reference for the weighted sampler.
-
-    Replays the identical per-chunk uniform draws, computes every key
-    with scalar ``math``-level arithmetic, and sorts the full key list —
-    O(n) memory, kept only as the differential oracle for the streamed
-    top-k implementation.
-    """
-    n = population.size
-    req = _required_array(required, n)
-    k = min(cohort_size, n) - req.size
-    if k <= 0:
-        return req
-    req_set = set(int(r) for r in req)
-    keyed: list[tuple[float, int]] = []
-    for start, reps in population.reputation_store.iter_chunks():
-        rng = _round_rng(_SALT_WEIGHTED, seed, round_idx, start)
-        u = rng.random(len(reps))
-        for i in range(len(reps)):
-            wid = start + i
-            if wid in req_set:
-                continue
-            w = floor + max(float(reps[i]), 0.0)
-            keyed.append((float(u[i]) ** (1.0 / w), wid))
-    keyed.sort(key=lambda kv: (-kv[0], kv[1]))
-    extras = np.asarray([wid for _, wid in keyed[:k]], dtype=np.int64)
-    return _with_required(req, extras)
 
 
 class AvailabilityAwareSampler:

@@ -24,7 +24,6 @@ __all__ = [
     "iter_row_shards",
     "balanced_shards",
     "SharedGradientBuffer",
-    "allocate_gradient_matrix",
 ]
 
 
@@ -116,13 +115,3 @@ class SharedGradientBuffer:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def allocate_gradient_matrix(
-    rows: int, dim: int, shared: bool = False
-) -> tuple[np.ndarray, SharedGradientBuffer | None]:
-    """The round batch's backing store: plain array or shared segment."""
-    if not shared:
-        return np.empty((rows, dim), dtype=np.float64), None
-    buf = SharedGradientBuffer(rows, dim, shared=True)
-    return buf.array, buf

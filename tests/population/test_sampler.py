@@ -1,10 +1,14 @@
 """Cohort samplers: determinism (incl. process restarts), differentials."""
 
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.population import (
     AvailabilityAwareSampler,
@@ -13,8 +17,9 @@ from repro.population import (
     UniformSampler,
     WorkerPopulation,
     make_sampler,
-    reputation_weighted_reference,
 )
+
+from .reference import reputation_weighted_reference
 
 
 def make_population(size=1000, **kwargs):
@@ -50,6 +55,21 @@ class TestUniform:
         cohort = UniformSampler(seed=0).sample(0, pop, 18, required=(3,))
         assert len(cohort) == 18
         assert len(set(cohort.tolist())) == 18
+
+    def test_dense_fallback_is_random(self):
+        """With 2k >= available the permutation order survives the exclusion.
+
+        The fallback used to sort its pool, so it always returned the
+        lowest ids.
+        """
+        pop = make_population(size=20)
+        sampler = UniformSampler(seed=0)
+        cohorts = [sampler.sample(rnd, pop, 12, required=(3,)) for rnd in range(20)]
+        assert len({c.tobytes() for c in cohorts}) > 1
+        drawn = set(np.concatenate(cohorts).tolist())
+        assert drawn == set(range(20))
+        for c in cohorts:
+            assert len(c) == 12 and 3 in c.tolist()
 
     def test_required_out_of_range(self):
         pop = make_population(size=10)
@@ -123,6 +143,22 @@ class TestReputationWeighted:
             ref = reputation_weighted_reference(9, rnd, pop, 40)
             assert np.array_equal(fast, ref)
 
+    def test_nan_reputation_never_chosen_over_finite_keys(self):
+        """NaN keys rank last: a NaN-reputation worker is only drawn when
+        fewer than k finite-key workers remain."""
+        pop = WorkerPopulation(500, reputation_chunk=37)
+        nan_ids = list(range(0, 500, 3))
+        pop.reputation_store.write_round({w: float("nan") for w in nan_ids})
+        finite = sorted(set(range(500)) - set(nan_ids))
+        sampler = ReputationWeightedSampler(seed=4)
+        for rnd in range(6):
+            cohort = sampler.sample(rnd, pop, 60, required=(1,))
+            assert not set(cohort.tolist()) & set(nan_ids)
+            # k above the finite count: every finite worker, topped up
+            full = sampler.sample(rnd, pop, len(finite) + 5)
+            assert set(finite) <= set(full.tolist())
+            assert len(full) == len(finite) + 5
+
     def test_high_reputation_oversampled(self):
         pop = make_population(size=400)
         # one block of workers with overwhelming reputation weight
@@ -144,6 +180,56 @@ class TestReputationWeighted:
     def test_floor_validation(self):
         with pytest.raises(ValueError):
             ReputationWeightedSampler(floor=0.0)
+
+
+_REPUTATIONS = st.sampled_from([0.0, -2.5, 0.3, 0.3, 7.0, 1e300, float("inf")])
+
+
+@st.composite
+def weighted_cases(draw):
+    n = draw(st.integers(1, 3000))
+    written = draw(
+        st.dictionaries(st.integers(0, n - 1), _REPUTATIONS, max_size=min(n, 64))
+    )
+    required = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    if draw(st.booleans()):
+        required.append(n - 1)  # a required id in the (partial) last chunk
+    return dict(
+        n=n,
+        chunk=draw(st.integers(1, 257)),
+        memmap=draw(st.booleans()),
+        initial=draw(_REPUTATIONS),
+        written=written,
+        required=tuple(required),
+        k=draw(st.integers(0, n)),
+        seed=draw(st.integers(0, 2**16)),
+        round_idx=draw(st.integers(0, 50)),
+    )
+
+
+class TestPrunedTopKProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(case=weighted_cases())
+    def test_matches_scalar_reference(self, case):
+        with tempfile.TemporaryDirectory() as tmp:
+            pop = WorkerPopulation(
+                case["n"],
+                reputation_chunk=case["chunk"],
+                initial_reputation=case["initial"],
+                reputation_path=(
+                    os.path.join(tmp, "rep.npy") if case["memmap"] else None
+                ),
+            )
+            pop.reputation_store.write_round(case["written"])
+            fast = ReputationWeightedSampler(seed=case["seed"]).sample(
+                case["round_idx"], pop, case["k"], required=case["required"]
+            )
+            ref = reputation_weighted_reference(
+                case["seed"], case["round_idx"], pop, case["k"],
+                required=case["required"],
+            )
+            del pop  # release the memmap before the directory goes
+        assert np.array_equal(fast, ref)
 
 
 class TestAvailabilityAware:

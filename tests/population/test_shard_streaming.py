@@ -9,7 +9,6 @@ from repro.fl.gradients import slice_offsets
 from repro.core.engine import RoundBatch
 from repro.population.sharding import (
     SharedGradientBuffer,
-    allocate_gradient_matrix,
     iter_row_shards,
 )
 
@@ -80,10 +79,6 @@ class TestRoundBatchShards:
 
 
 class TestSharedGradientBuffer:
-    def test_plain_allocation(self):
-        arr, buf = allocate_gradient_matrix(4, 8, shared=False)
-        assert arr.shape == (4, 8) and buf is None
-
     def test_shared_allocation_and_close(self):
         with SharedGradientBuffer(4, 8, shared=True) as buf:
             buf.array[:] = 1.5
