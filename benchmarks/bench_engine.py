@@ -40,7 +40,6 @@ from repro.fl.gradients import split_gradient
 from repro.fl.trainer import RoundContext
 from repro.fl.workers import WorkerUpdate
 from repro.parallel import blas_limits
-from repro.profiling import Profiler
 from repro.telemetry import Telemetry, run_manifest, write_manifest
 
 #: phases whose vectorization the tentpole targets
@@ -104,7 +103,7 @@ def time_engine(
     ``telemetry`` overrides the per-run hub — the overhead check passes
     a disabled hub here to time the mechanism with instrumentation off.
     """
-    profiler = telemetry if telemetry is not None else Profiler()
+    profiler = telemetry if telemetry is not None else Telemetry()
     mech = make_mechanism(
         "fifl", threshold=0.0, gamma=0.2, engine=engine
     )
@@ -116,7 +115,7 @@ def time_engine(
     # Warm up BLAS threads / allocator on a throwaway mechanism so the
     # first timed round isn't paying one-off setup costs.
     warm = make_mechanism("fifl", threshold=0.0, gamma=0.2, engine=engine)
-    warm.profiler = Profiler()
+    warm.profiler = Telemetry()
     warm.process_round(contexts[0])
     # pin the BLAS pool so a multi-threaded BLAS can't skew the
     # engine-vs-engine comparison machine by machine
@@ -302,7 +301,7 @@ def resource_overhead(
     ]
     mech = make_mechanism("fifl", threshold=0.0, gamma=0.2,
                           engine="vectorized")
-    mech.profiler = Profiler()
+    mech.profiler = Telemetry()
     round_times: list[float] = []
     sample_times: list[float] = []
     with ResourceProbe() as probe, blas_limits(1):

@@ -6,7 +6,7 @@ classes, one hidden layer of 64) at several federation sizes, once with
 ``local_engine="fleet"`` (all workers' SGD stacked into single batched
 kernels, see ``repro.nn.fleet``) and once with ``local_engine="scalar"``
 (the per-worker reference loop), and reports per-phase wall-clock from
-the profiling module plus the speedup.
+the telemetry hub plus the speedup.
 
 Also reports the evaluation throughput of ``repro.fl.evaluation`` (the
 preallocated-scratch batched evaluator) in samples/second, and the
@@ -48,7 +48,6 @@ from repro.datasets import iid_partition, make_blobs, train_test_split
 from repro.fl import FederatedTrainer, HonestWorker, SignFlippingWorker, evaluate
 from repro.nn import build_mlp
 from repro.parallel import blas_limits
-from repro.profiling import Profiler
 from repro.telemetry import Telemetry, run_manifest, write_manifest
 
 #: the phase whose fleet-batching the tentpole targets
@@ -121,7 +120,7 @@ def make_trainer(
         local_engine=engine,
     )
     # isolate timings from the global profiler
-    trainer.profiler = telemetry if telemetry is not None else Profiler()
+    trainer.profiler = telemetry if telemetry is not None else Telemetry()
     return trainer
 
 

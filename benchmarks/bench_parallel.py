@@ -2,14 +2,14 @@
 
 Times the ``trainer.local_compute`` phase of :class:`FederatedTrainer`
 on a fig09-style MLP federation (synthetic blobs, 16 features, 4
-classes, one hidden layer of 128) across execution backends
-(``serial`` / ``thread`` / ``process``, see :mod:`repro.parallel`) and
-worker counts, and reports the scaling curve. The timed regions run
+classes, one hidden layer of 128) on the ``serial`` and ``thread``
+execution backends (see :mod:`repro.parallel`) across pool sizes, and
+reports the scaling curve. The timed regions run
 under :func:`repro.parallel.blas_limits` so BLAS-pool oversubscription
 never pollutes the comparison.
 
 Byte-identity is the other half of the contract: ``--quick`` trains the
-same seeded FIFL federation once per backend and requires the histories
+same seeded FIFL federation on each backend and requires the histories
 (losses, accept verdicts, rewards, final parameters) to match the
 serial run *exactly* — not to tolerance.
 
@@ -47,7 +47,7 @@ from repro.fl import FederatedTrainer, HonestWorker, SignFlippingWorker
 from repro.population import WorkerPopulation
 from repro.nn import build_mlp
 from repro.parallel import auto_workers, blas_limits
-from repro.profiling import Profiler
+from repro.telemetry import Telemetry
 from repro.telemetry import run_manifest, write_manifest
 
 #: the phase the parallel fleet path shards across cores
@@ -56,7 +56,7 @@ LOCAL_PHASE = "trainer.local_compute"
 DEFAULT_SIZES = (64, 256)
 DEFAULT_ROUNDS = 10
 WORKER_COUNTS = (1, 2, 4)
-PARALLEL_BACKENDS = ("thread", "process")
+PARALLEL_BACKENDS = ("thread",)
 N_FEATURES, N_CLASSES, HIDDEN = 16, 4, (128,)
 SAMPLES_PER_WORKER, BATCH_SIZE, LOCAL_ITERS = 100, 16, 2
 
@@ -74,9 +74,8 @@ def make_trainer(
     The last ``n_attackers`` ranks are sign-flippers so every backend
     exercises the post-hoc ``finalize_update`` path (where attacker RNG
     draws must line up with serial). ``with_fifl`` attaches the FIFL
-    mechanism, which adopts the trainer's pool for its sharded
-    detection/contribution kernels — the differential then covers both
-    hot paths.
+    mechanism, so the differential also covers the accept verdicts and
+    rewards computed from the pooled updates.
     """
     total = num_workers * SAMPLES_PER_WORKER + 400
     data = make_blobs(
@@ -117,7 +116,7 @@ def make_trainer(
         max_workers=max_workers,
     )
     # isolate timings from the global profiler
-    trainer.profiler = Profiler()
+    trainer.profiler = Telemetry()
     return trainer
 
 
@@ -175,9 +174,9 @@ def check_differentials(
     num_workers: int = 16, rounds: int = 4, seed: int = 0,
     worker_counts: tuple[int, ...] = (2,),
 ) -> dict[str, bool]:
-    """Byte-identity of every parallel backend against the serial oracle.
+    """Byte-identity of the thread backend against the serial oracle.
 
-    Runs the full FIFL pipeline (fleet local SGD + sharded round
+    Runs the full FIFL pipeline (pooled fleet local SGD, serial round
     kernels) and compares histories and final parameters with ``==`` —
     the ordered-reduce contract promises bitwise equality, so any
     tolerance would hide a real divergence.
@@ -206,7 +205,7 @@ def run_benchmark(
     worker_counts: tuple[int, ...] = WORKER_COUNTS,
     seed: int = 0,
 ) -> dict:
-    """Serial baseline + thread/process scaling curve per federation size."""
+    """Serial baseline + thread scaling curve per federation size."""
     cores = auto_workers()
     by_size: dict[int, dict] = {}
     for n in sizes:
@@ -271,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="smoke scale + serial/thread/process byte-identity gate",
+        help="smoke scale + serial/thread byte-identity gate",
     )
     parser.add_argument(
         "--sizes", default="",

@@ -20,15 +20,15 @@ Subpackages
     Worker-market simulation for the incentive comparison.
 ``repro.metrics``
     Detection and reporting metrics.
-``repro.profiling``
-    Always-on per-phase timers/counters for the round engine.
+``repro.telemetry``
+    Always-on spans, per-phase timers/counters and metrics for the round engine.
 ``repro.experiments``
     One driver per paper figure plus a CLI runner.
 
 Quick start: see ``examples/quickstart.py`` or README.md.
 """
 
-from . import comm, core, datasets, fl, ledger, market, metrics, nn, profiling
+from . import comm, core, datasets, fl, ledger, market, metrics, nn, telemetry
 
 __version__ = "1.0.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "ledger",
     "market",
     "metrics",
-    "profiling",
+    "telemetry",
     "__version__",
 ]

@@ -26,7 +26,7 @@ Two interchangeable engines implement the pipeline (``FIFLConfig.engine``):
   per-round output (see ``tests/core/test_engine.py``).
 
 Phase wall-clock lands in :mod:`repro.telemetry` spans under ``fifl.*``
-keys (the legacy :mod:`repro.profiling` snapshot still sees them). Each
+keys (the legacy ``snapshot()`` phase table still sees them). Each
 round additionally emits one ``fifl.round`` trace event — flagged
 workers, detection margins against ``S_y``, reputation deltas, rewards,
 and the reward-fairness gauges (Gini, normalized share entropy) — plus,
@@ -40,7 +40,6 @@ Every round's intermediate results can be committed to a blockchain ledger
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,14 +47,7 @@ import numpy as np
 from ..fl.gradients import fedavg, recombine, slice_offsets, split_gradient
 from ..fl.trainer import RoundContext, RoundDecision
 from ..metrics.fairness import reward_fairness
-from ..parallel.backend import (
-    BACKENDS,
-    ExecutionBackend,
-    emit_parallel_telemetry,
-    make_backend,
-)
-from ..population.sharding import balanced_shards, iter_row_shards
-from ..profiling import Profiler, get_profiler
+from ..telemetry import Telemetry, get_telemetry
 from .contribution import (
     contributions,
     contributions_array,
@@ -72,9 +64,6 @@ from .reputation import DecayReputation, SLMReputation
 __all__ = ["FIFLRoundRecord", "FIFLMechanism"]
 
 _ENGINES = ("vectorized", "scalar")
-
-#: smallest row shard worth a parallel dispatch (auto-split floor)
-_MIN_PARALLEL_ROWS = 16
 
 
 @dataclass
@@ -132,13 +121,6 @@ class FIFLConfig:
     # blocks of at most ``shard_size`` workers bounds kernel temporaries
     # by shard size at identical results (None = whole cohort at once).
     shard_size: int | None = None
-    # Execution backend for the sharded kernels ("serial" | "thread" |
-    # "process", see repro.parallel). "serial" additionally lets a trainer
-    # share its own pool via attach_backend(); a non-serial value makes
-    # the mechanism own a private pool. Either way shard results reduce
-    # in shard order, so every backend is byte-identical to serial.
-    backend: str = "serial"
-    max_workers: int | None = None
     # Emit the full attribution payload (absolute reputations, contribution
     # shares, baseline b_h) on every ``fifl.round`` event so an offline
     # trace reconstructs the complete decision lineage (repro.audit). Off
@@ -148,10 +130,6 @@ class FIFLConfig:
     def __post_init__(self) -> None:
         if self.shard_size is not None and self.shard_size <= 0:
             raise ValueError("shard_size must be positive (or None)")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.max_workers is not None and self.max_workers <= 0:
-            raise ValueError("max_workers must be positive (or None for auto)")
         if self.contribution_baseline not in ("zero", "reference"):
             raise ValueError(
                 "contribution_baseline must be 'zero' or 'reference'"
@@ -179,7 +157,7 @@ class FIFLMechanism:
         self,
         config: FIFLConfig | None = None,
         ledger=None,
-        profiler: Profiler | None = None,
+        profiler: Telemetry | None = None,
     ):
         self.config = config if config is not None else FIFLConfig()
         self.detector = AttackDetector(self.config.detection)
@@ -190,11 +168,7 @@ class FIFLMechanism:
         self.slm = SLMReputation(alpha_t=a_t, alpha_n=a_n, alpha_u=a_u)
         self._rounds_seen = 0
         self.ledger = ledger
-        # Execution backend for the sharded round kernels: built lazily
-        # from the config when it names a pool, or adopted from the
-        # trainer via attach_backend() (one shared pool per training run).
-        self._backend: ExecutionBackend | None = None
-        self.profiler = profiler if profiler is not None else get_profiler()
+        self.profiler = profiler if profiler is not None else get_telemetry()
         self.records: list[FIFLRoundRecord] = []
         self._cumulative_rewards: dict[int, float] = {}
         # previous round's reputation vector, for per-round delta telemetry
@@ -209,36 +183,6 @@ class FIFLMechanism:
         )
 
     # -- helpers ---------------------------------------------------------------
-
-    def attach_backend(self, backend: ExecutionBackend) -> None:
-        """Adopt the trainer's shared execution backend.
-
-        Only when the config left ``backend="serial"`` — an explicit
-        non-serial config means the mechanism owns its private pool and
-        the trainer's is ignored.
-        """
-        if self.config.backend == "serial" and backend is not None:
-            self._backend = backend
-
-    def _active_backend(self) -> ExecutionBackend | None:
-        """The pool to shard kernels over, or ``None`` for inline serial."""
-        if self._backend is None and self.config.backend != "serial":
-            self._backend = make_backend(self.config.backend, self.config.max_workers)
-        backend = self._backend
-        if backend is not None and backend.name != "serial":
-            return backend
-        return None
-
-    def _parallel_windows(self, num_rows: int, backend: ExecutionBackend):
-        """Row windows for one parallel dispatch: an explicit shard_size
-        wins; otherwise one near-equal shard per pool slot, floored at
-        ``_MIN_PARALLEL_ROWS`` rows so dispatch overhead never dominates."""
-        if self.config.shard_size is not None:
-            return list(iter_row_shards(num_rows, self.config.shard_size))
-        shards = min(
-            backend.pool_size, max(1, math.ceil(num_rows / _MIN_PARALLEL_ROWS))
-        )
-        return balanced_shards(num_rows, shards)
 
     @staticmethod
     def _benchmarks(ctx: RoundContext) -> dict[int, np.ndarray]:
@@ -315,30 +259,9 @@ class FIFLMechanism:
 
         The score kernel is a pure per-row reduction, so concatenating
         per-shard results equals the one-shot call exactly (bit-for-bit:
-        each row's GEMV and normalization touch only that row). With a
-        non-serial backend the shards run concurrently; the ordered
-        reduce keeps the concatenation in shard order regardless of
-        completion order, so the output stays byte-identical.
+        each row's GEMV and normalization touch only that row).
         """
         mode = self.config.detection.mode
-        backend = self._active_backend()
-        if backend is not None:
-            shards = [
-                batch.shard(lo, hi)
-                for lo, hi in self._parallel_windows(len(batch.worker_ids), backend)
-            ]
-            pieces = backend.run(
-                [
-                    (
-                        detection_scores_matrix,
-                        (sh.worker_ids, sh.gradients, sh.offsets,
-                         ranks, slots, bench_slices, mode),
-                    )
-                    for sh in shards
-                ]
-            )
-            emit_parallel_telemetry(self.profiler, "fifl.detect", backend)
-            return np.concatenate(pieces)
         return np.concatenate(
             [
                 detection_scores_matrix(
@@ -359,27 +282,9 @@ class FIFLMechanism:
     ) -> np.ndarray:
         """Gradient distances, streamed over worker shards when configured.
 
-        Same contract as detection: per-row kernel, shard-order reduce,
-        byte-identical under every backend.
+        Same contract as detection: per-row kernel, shard-order
+        concatenation, byte-identical to the one-shot call.
         """
-        backend = self._active_backend()
-        if backend is not None:
-            shards = [
-                batch.shard(lo, hi)
-                for lo, hi in self._parallel_windows(len(batch.worker_ids), backend)
-            ]
-            pieces = backend.run(
-                [
-                    (
-                        gradient_distances_matrix,
-                        (reference_grad, sh.gradients),
-                        {"row_sqnorms": sh.row_sqnorms},
-                    )
-                    for sh in shards
-                ]
-            )
-            emit_parallel_telemetry(self.profiler, "fifl.distances", backend)
-            return np.concatenate(pieces)
         return np.concatenate(
             [
                 gradient_distances_matrix(

@@ -178,10 +178,10 @@ class FedExpConfig:
     # shard streaming: bound round-kernel and fleet temporaries by this
     # many workers per shard (None = whole cohort at once)
     shard_size: int | None = None
-    # execution backend for the fleet GEMMs and sharded round kernels:
-    # "serial" | "thread" | "process" (repro.parallel). One pool is owned
-    # by the trainer and shared with the mechanism; every backend is
-    # byte-identical to serial, so this is purely a throughput knob.
+    # execution backend for the fleet local-SGD GEMMs: "serial" |
+    # "thread" (repro.parallel). The pool is owned by the trainer; the
+    # thread backend is byte-identical to serial, so this is purely a
+    # throughput knob.
     backend: str = "serial"
     max_workers: int | None = None
 

@@ -27,47 +27,34 @@ path, and byte-identical where only layout changes):
   signature + effective batch size + local iteration count, each group
   batched independently.
 
-Parallel execution (``backend="thread"`` / ``"process"``, PR 7): fleet
-groups are cut into one shard per pool slot and dispatched through an
+Parallel execution (``backend="thread"``): fleet groups are cut into
+one shard per pool slot and dispatched through an
 :class:`~repro.parallel.backend.ExecutionBackend`. Each worker's draws
 still come from its own generator in the same order (threads sample
-in-task over disjoint worker sets; the process path samples parent-side
-and ships the index plan), shard results reduce in shard order, and
-``finalize_update`` always runs where the worker's RNG lives — so every
-backend is byte-identical to serial. Shard tasks never touch the shared
-telemetry hub; the coordinating thread folds pool stats into
-``parallel.*`` afterwards.
+in-task over disjoint worker sets), and ``finalize_update`` runs in the
+same task right after its shard's GEMMs — so the thread backend is
+byte-identical to serial. Shard tasks never touch the shared telemetry
+hub; the coordinating thread folds pool stats into ``parallel.*``
+afterwards.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import weakref
 
 import numpy as np
 
 from ..nn.fleet import FleetSequential, FleetSoftmaxCrossEntropy, fleet_signature
 from ..parallel.backend import ExecutionBackend, emit_parallel_telemetry, make_backend
 from ..parallel.blas import blas_limits
-from ..parallel.fleet_tasks import (
-    FleetShardState,
-    evict_shard_state,
-    fleet_shard_task,
-)
-from ..population.sharding import SharedGradientBuffer, balanced_shards
-from ..profiling import Profiler, get_profiler
-from ..telemetry import Telemetry
+from ..population.sharding import balanced_shards
+from ..telemetry import Telemetry, get_telemetry
 from .workers import Worker, WorkerUpdate
 
 __all__ = ["FleetLocalEngine"]
 
 #: smallest shard worth a dispatch — below this, task overhead dominates
 _MIN_PARALLEL_SHARD = 8
-
-#: engine nonces, so state keys stay unique across engine rebuilds that
-#: share one process pool (trainer cohort reselection)
-_ENGINE_SEQ = itertools.count()
 
 
 class _FleetGroup:
@@ -119,27 +106,20 @@ def _group_key(worker: Worker) -> tuple | None:
     )
 
 
-def _close_shm_buffers(buffers: dict) -> None:
-    """Parent-side shm release; module-level for the weakref finalizer."""
-    for buf in buffers.values():
-        buf.close()
-    buffers.clear()
-
-
 class FleetLocalEngine:
     """Computes every worker's round update with fleet-batched kernels."""
 
     def __init__(
         self,
         workers: list[Worker],
-        profiler: Profiler | None = None,
+        profiler: Telemetry | None = None,
         shard_size: int | None = None,
         backend: ExecutionBackend | str | None = None,
     ):
         if shard_size is not None and shard_size <= 0:
             raise ValueError("shard_size must be positive (or None)")
         self.workers = sorted(workers, key=lambda w: w.worker_id)
-        self.profiler = profiler if profiler is not None else get_profiler()
+        self.profiler = profiler if profiler is not None else get_telemetry()
         # Shard streaming: cap every fleet group at ``shard_size`` workers
         # and build/release each shard's stacked replica lazily, bounding
         # peak parameter memory by shard size instead of cohort size. The
@@ -154,48 +134,10 @@ class FleetLocalEngine:
         # Last round's minibatch draws, ``{worker_id: [indices per iter]}``
         # — kept for the RNG-fidelity tests; negligible memory.
         self.last_indices: dict[int, list[np.ndarray]] = {}
-        # Process-backend bookkeeping: which (state key, slot) pairs have
-        # been replicated, and each group's persistent gradient segment.
-        self._engine_id = next(_ENGINE_SEQ)
-        self._state_epoch = 0
-        self._sent_state: set[tuple] = set()
-        self._shm_bufs: dict[int, SharedGradientBuffer] = {}
-        self._finalizer = weakref.finalize(
-            self, _close_shm_buffers, self._shm_bufs
-        )
 
     @property
     def _parallel(self) -> bool:
         return self.backend is not None and self.backend.name != "serial"
-
-    def close(self) -> None:
-        """Release process-side shard state and shm segments (idempotent).
-
-        The shared execution backend itself is owned by the trainer and
-        stays up; this only unwinds what *this* engine replicated into it.
-        """
-        self._evict_process_state()
-        self._finalizer()
-
-    def _evict_process_state(self) -> None:
-        """Drop replicated shard state from every pool slot, then unlink."""
-        backend = self.backend
-        if self._sent_state and backend is not None and backend.name == "process":
-            keys = tuple({key for key, _slot in self._sent_state})
-            names = tuple(
-                buf.name for buf in self._shm_bufs.values() if buf.is_shared
-            )
-            try:
-                # One task per slot: slot_for(i) = i % pool_size walks
-                # every slot exactly once.
-                backend.run(
-                    [(evict_shard_state, (keys, names))] * backend.pool_size
-                )
-            except Exception:  # pragma: no cover - dead pool during teardown
-                pass
-        self._sent_state = set()
-        self._state_epoch += 1
-        _close_shm_buffers(self._shm_bufs)
 
     def _split_members(self, members: list[Worker]) -> list[tuple[list[Worker], bool]]:
         """Cut one architecture group into fleet shards for the backend.
@@ -219,22 +161,11 @@ class FleetLocalEngine:
                 self.backend.pool_size,
                 max(1, math.ceil(n / _MIN_PARALLEL_SHARD)),
             )
-            if shards > 1:
-                persistent = self.backend.name == "thread"
-                return [
-                    (members[lo:hi], persistent)
-                    for lo, hi in balanced_shards(n, shards)
-                ]
-        # Process backend never touches the parent-side stacked replica,
-        # so keep the group lazy there even when unsplit.
-        persistent = not (
-            self._parallel and self.backend.name == "process"
-        )
-        return [(members, persistent)]
+            return [(members[lo:hi], True) for lo, hi in balanced_shards(n, shards)]
+        return [(members, True)]
 
     def _regroup(self, exclude: frozenset[int]) -> None:
         """(Re)build fleet groups for the current live-worker set."""
-        self._evict_process_state()
         by_key: dict[tuple, list[Worker]] = {}
         self._scalar = []
         for w in self.workers:
@@ -270,7 +201,7 @@ class FleetLocalEngine:
         theta: np.ndarray,
         global_buffers: np.ndarray | None,
         updates: dict[int, WorkerUpdate],
-        prof: Profiler | None = None,
+        prof: Telemetry | None = None,
     ) -> None:
         prof = self.profiler if prof is None else prof
         fleet, n, b = group.model, len(group.workers), group.batch
@@ -335,75 +266,6 @@ class FleetLocalEngine:
                 "fleet.batched_workers", len(group.workers) * group.local_iters
             )
 
-    def _shm_for(self, group_idx: int, rows: int, dim: int) -> SharedGradientBuffer:
-        buf = self._shm_bufs.get(group_idx)
-        if buf is None or buf.rows != rows or buf.dim != dim:
-            if buf is not None:
-                buf.close()
-            buf = SharedGradientBuffer(rows, dim, shared=True)
-            self._shm_bufs[group_idx] = buf
-        return buf
-
-    def _run_groups_process(
-        self,
-        theta: np.ndarray,
-        global_buffers: np.ndarray | None,
-        updates: dict[int, WorkerUpdate],
-    ) -> None:
-        """Process path: parent-drawn index plans, lazily-replicated state.
-
-        The parent performs every RNG call the serial path would (its
-        generators stay authoritative for later rounds), ships the
-        ``(local_iters, n, b)`` minibatch plan, and each slot process
-        replays the stacked GEMM steps over state it received exactly
-        once — writing its gradient block straight into this engine's
-        shared-memory segment when the platform allows. Attacker
-        transforms (``finalize_update``) run parent-side afterwards, in
-        group order, so their RNG draws line up draw-for-draw with serial.
-        """
-        backend = self.backend
-        dim = theta.size
-        tasks = []
-        for gi, group in enumerate(self._groups):
-            n, b = len(group.workers), group.batch
-            indices = np.empty((group.local_iters, n, b), dtype=np.int64)
-            for it in range(group.local_iters):
-                for i, w in enumerate(group.workers):
-                    idx = w.rng.integers(0, len(w.dataset), size=b)
-                    self.last_indices[w.worker_id].append(idx)
-                    indices[it, i] = idx
-            key = (self._engine_id, self._state_epoch, gi)
-            # Task gi always lands on slot_for(gi) — the backend's stable
-            # assignment — so "already replicated there" is a parent fact.
-            state = None
-            if (key, backend.slot_for(gi)) not in self._sent_state:
-                state = FleetShardState(
-                    template=group.workers[0].model,
-                    xs=[w.dataset.x for w in group.workers],
-                    ys=[w.dataset.y for w in group.workers],
-                    lrs=group.lrs,
-                    batch=b,
-                    local_iters=group.local_iters,
-                )
-                self._sent_state.add((key, backend.slot_for(gi)))
-            buf = self._shm_for(gi, n, dim)
-            shm_spec = (buf.name, n, dim, 0) if buf.is_shared else None
-            tasks.append(
-                (fleet_shard_task, (key, state, theta, global_buffers, indices, shm_spec))
-            )
-        results = backend.run(tasks)
-        emit_parallel_telemetry(self.profiler, "local_compute", backend)
-        with self.profiler.phase("fleet.finalize"):
-            for gi, (group, (grads, bufs)) in enumerate(zip(self._groups, results)):
-                if grads is None:
-                    grads = self._shm_bufs[gi].array
-                for i, w in enumerate(group.workers):
-                    buffers = bufs[i] if bufs is not None else None
-                    updates[w.worker_id] = w.finalize_update(grads[i], buffers)
-                self.profiler.count(
-                    "fleet.batched_workers", len(group.workers) * group.local_iters
-                )
-
     def compute_updates(
         self,
         theta: np.ndarray,
@@ -429,10 +291,8 @@ class FleetLocalEngine:
         if not self._parallel or not self._groups:
             for group in self._groups:
                 self._run_group(group, theta, global_buffers, updates)
-        elif self.backend.name == "thread":
-            self._run_groups_threaded(theta, global_buffers, updates)
         else:
-            self._run_groups_process(theta, global_buffers, updates)
+            self._run_groups_threaded(theta, global_buffers, updates)
         for w in self._scalar:
             updates[w.worker_id] = w.compute_update(theta, global_buffers)
         return {wid: updates[wid] for wid in sorted(updates)}

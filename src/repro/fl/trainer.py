@@ -46,8 +46,8 @@ from ..comm import Network, polycentric_topology, validate_roles
 from ..datasets import Dataset
 from ..nn import Sequential
 from ..parallel.backend import ExecutionBackend, make_backend
-from ..profiling import get_profiler, profile_delta
 from ..sim import FaultScenario, SimRoundRunner, Simulator, make_latency
+from ..telemetry import get_telemetry, profile_delta
 from .evaluation import evaluate
 from .fleet_compute import FleetLocalEngine
 # split_views stays in this namespace for profilers that wrap the
@@ -158,7 +158,7 @@ class TrainingHistory:
     """Full training trace returned by :meth:`FederatedTrainer.run`."""
 
     rounds: list[RoundRecord] = field(default_factory=list)
-    # per-phase wall-clock/counters for this run (see repro.profiling):
+    # per-phase wall-clock/counters for this run (see repro.telemetry):
     # {"timings": {phase: {"seconds", "calls"}}, "counters": {...}}
     profile: dict = field(default_factory=dict)
     # ResourceProbe summary for this run when a probe was attached
@@ -326,7 +326,7 @@ class FederatedTrainer:
                 "reselect_every needs a mechanism with recommend_servers()"
             )
         self._failed: set[int] = set()
-        self.profiler = get_profiler()
+        self.profiler = get_telemetry()
         # Local-compute engine: "fleet" batches all homogeneous workers'
         # local SGD into stacked kernels (repro.fl.fleet_compute);
         # "scalar" keeps the per-worker reference loop. The two agree to
@@ -336,13 +336,10 @@ class FederatedTrainer:
                 f"local_engine must be 'fleet' or 'scalar', got {local_engine!r}"
             )
         self.local_engine = local_engine
-        # Execution backend (PR 7): one pool owned by the trainer, shared
-        # by the fleet engine's local-SGD shards and — when the mechanism
-        # advertises attach_backend() — the round kernels' row shards.
-        # "serial" is the differential oracle and the default.
+        # Execution backend: one pool owned by the trainer for the fleet
+        # engine's local-SGD shards. "serial" is the differential oracle
+        # and the default.
         self.backend = make_backend(backend, max_workers)
-        if hasattr(self.mechanism, "attach_backend"):
-            self.mechanism.attach_backend(self.backend)
         self._fleet: FleetLocalEngine | None = None
         self._fleet_key: tuple[int, ...] | None = None
         if scenario is not None:
@@ -468,10 +465,6 @@ class FederatedTrainer:
         """The fleet engine for this round's worker set (rebuilt on change)."""
         key = tuple(w.worker_id for w in workers)
         if self._fleet is None or self._fleet_key != key:
-            if self._fleet is not None:
-                # Unwind the old cohort's replicated state / shm segments
-                # before the pool starts caching the new one's.
-                self._fleet.close()
             self._fleet = FleetLocalEngine(
                 workers,
                 profiler=self.profiler,

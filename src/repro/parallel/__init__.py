@@ -1,24 +1,24 @@
-"""Parallel execution backend: multi-core fleet GEMMs and sharded kernels.
+"""Parallel execution backend: multi-core fleet GEMMs.
 
-FIFL's per-round pipeline is embarrassingly parallel across workers —
-fleet local SGD stacks N private models into one batched kernel, and the
-detection/contribution/reward kernels are pure per-row reductions. This
-package adds the execution layer that spreads those row shards across
-cores behind one switch::
+FIFL's local training is embarrassingly parallel across workers: fleet
+local SGD stacks N private models into one batched kernel, and each
+fleet shard's GEMM chain is independent of every other shard's. This
+package spreads those shards across cores behind one switch::
 
     FederatedTrainer(..., backend="thread", max_workers=4)
-    FedExpConfig(backend="process")
+    FedExpConfig(backend="thread")
 
-* :mod:`repro.parallel.backend` — ``serial`` (the differential oracle),
-  ``thread`` (persistent pool; the big NumPy kernels release the GIL) and
-  ``process`` (dedicated slot processes with lazily-replicated read-only
-  state and shared-memory gradient writes) behind
-  :func:`make_backend`, all with ordered-reduce semantics so results are
-  byte-identical to serial regardless of shard completion order.
-* :mod:`repro.parallel.blas` — :func:`blas_limits`, the BLAS/OMP
-  thread-count guard against ``pool x blas`` oversubscription.
-* :mod:`repro.parallel.fleet_tasks` — the picklable process-pool side of
-  the fleet engine.
+* :mod:`repro.parallel.backend` — ``serial`` (the differential oracle)
+  and ``thread`` (persistent pool; the big NumPy kernels release the
+  GIL) behind :func:`make_backend`, both with ordered-reduce semantics
+  so results are byte-identical to serial regardless of shard
+  completion order.
+* :mod:`repro.parallel.blas` — :func:`blas_limits`, the BLAS thread-count
+  guard against ``pool x blas`` oversubscription.
+
+The mechanism's round kernels (detection, distances) stay serial: sharding
+them over the pool measured slower than the inline loop at the cohort
+sizes this repo runs (see DESIGN.md, "One pool, one hot path").
 
 Telemetry: every parallel dispatch emits ``parallel.*`` metrics and one
 ``parallel.round`` event (pool size, shard count, per-shard wall time,
@@ -29,9 +29,7 @@ shards stalling far beyond their siblings.
 from .backend import (
     BACKENDS,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
-    ShardCrash,
     ThreadBackend,
     auto_workers,
     backend_summary,
@@ -39,22 +37,16 @@ from .backend import (
     make_backend,
 )
 from .blas import blas_limits, blas_thread_count
-from .fleet_tasks import FleetShardState, evict_shard_state, fleet_shard_task
 
 __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
-    "ShardCrash",
     "auto_workers",
     "backend_summary",
     "emit_parallel_telemetry",
     "make_backend",
     "blas_limits",
     "blas_thread_count",
-    "FleetShardState",
-    "fleet_shard_task",
-    "evict_shard_state",
 ]

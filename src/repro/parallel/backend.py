@@ -1,8 +1,8 @@
-"""Execution backends: one API over serial, thread-pool and process-pool.
+"""Execution backends: one API over a serial loop and a thread pool.
 
-The hot paths this package shards (fleet local SGD, the round engine's
-detection/contribution kernels) are per-worker-row computations, so the
-orchestration they need is deliberately small:
+The one hot path this package shards is fleet local SGD: per-worker
+rows of stacked GEMMs, so the orchestration it needs is deliberately
+small::
 
     backend = make_backend("thread", max_workers=4)
     results = backend.run([(fn, args, kwargs), ...])   # task-order results
@@ -13,30 +13,21 @@ The contract every backend honours:
   which shard finishes first, so a caller that concatenates them gets
   byte-identical output to the serial loop.
 * **Original tracebacks** — a task that raises surfaces the original
-  exception (thread/serial re-raise the object itself; the process pool
-  wraps the child's formatted traceback in :class:`ShardCrash`, so the
-  real stack is in the error text, not swallowed by pickling).
+  exception object; both backends re-raise it with its own stack.
 * **Per-task stats** — after each ``run``, ``last_stats`` holds one
   ``{"queue_wait_s", "run_s"}`` dict per task (monotonic-clock seconds),
   which the callers fold into ``parallel.*`` telemetry.
 
-Backends are persistent: thread and process pools are created once and
-reused across rounds. The process pool uses *dedicated slot processes*
-with deterministic task→slot assignment (``task_index % pool_size``)
-instead of a shared task queue — that is what makes per-slot state
-caching (lazily replicated read-only model/batch state, see
-:mod:`repro.parallel.fleet_tasks`) reliable: the parent always knows
-which slot has which state. Slot children pin their BLAS pool to one
-thread on startup (:func:`repro.parallel.blas.blas_limits`), the guard
-against ``pool_size x blas_threads`` oversubscription.
+The thread pool is persistent: created once and reused across rounds.
+Callers pin BLAS to one thread per shard around a dispatch
+(:func:`repro.parallel.blas.blas_limits`), the guard against
+``pool_size x blas_threads`` oversubscription.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import traceback
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
@@ -44,25 +35,12 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
-    "ShardCrash",
     "auto_workers",
     "backend_summary",
     "make_backend",
 ]
 
-BACKENDS = ("serial", "thread", "process")
-
-
-class ShardCrash(RuntimeError):
-    """A shard task died in a pool worker; carries the original traceback."""
-
-    def __init__(self, message: str, original_traceback: str = ""):
-        self.original_traceback = original_traceback
-        detail = f"\n--- original traceback ---\n{original_traceback}" if (
-            original_traceback
-        ) else ""
-        super().__init__(message + detail)
+BACKENDS = ("serial", "thread")
 
 
 def auto_workers() -> int:
@@ -112,7 +90,7 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """Run every task inline — the differential oracle for the pools."""
+    """Run every task inline — the differential oracle for the thread pool."""
 
     name = "serial"
     pool_size = 1
@@ -136,9 +114,9 @@ class ThreadBackend(ExecutionBackend):
 
     def __init__(self, max_workers: int | None = None):
         super().__init__()
-        self.pool_size = int(max_workers) if max_workers else auto_workers()
-        if self.pool_size <= 0:
-            raise ValueError("max_workers must be positive")
+        if max_workers is not None and max_workers <= 0:
+            raise ValueError("max_workers must be positive (or None for auto)")
+        self.pool_size = auto_workers() if max_workers is None else int(max_workers)
         self._pool = ThreadPoolExecutor(
             max_workers=self.pool_size, thread_name_prefix="repro-shard"
         )
@@ -173,149 +151,6 @@ class ThreadBackend(ExecutionBackend):
         if not self._closed:
             self._closed = True
             self._pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _slot_main(conn) -> None:  # pragma: no cover - runs in child processes
-    """Slot-process loop: recv (fn, args, kwargs), send (ok, result, t0, t1).
-
-    Entered via fork or spawn; pins the child's BLAS pool to one thread
-    for its whole lifetime — each slot is one core's worth of work.
-    """
-    from .blas import blas_limits
-
-    with blas_limits(1):
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            except BaseException:
-                # Unpicklable/undecodable task: report instead of dying,
-                # so the parent gets the real traceback in a ShardCrash.
-                now = time.monotonic()
-                conn.send(("err", traceback.format_exc(), now, now))
-                continue
-            if msg is None:
-                break
-            fn, args, kwargs = msg
-            start = time.monotonic()
-            try:
-                result = fn(*args, **kwargs)
-                conn.send(("ok", result, start, time.monotonic()))
-            except BaseException:
-                conn.send(("err", traceback.format_exc(), start, time.monotonic()))
-    conn.close()
-
-
-class ProcessBackend(ExecutionBackend):
-    """Dedicated slot processes with deterministic task→slot assignment.
-
-    Task ``i`` always runs on slot ``i % pool_size``; each slot executes
-    its tasks FIFO over a private pipe. Determinism of *results* never
-    depends on this (the ordered reduce re-sorts), but determinism of
-    *state placement* does: the fleet path caches read-only model/batch
-    state per slot, and a fixed assignment is what lets the parent track
-    which slot already holds which state without a handshake.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: int | None = None, start_method: str | None = None):
-        super().__init__()
-        import multiprocessing as mp
-
-        self.pool_size = int(max_workers) if max_workers else auto_workers()
-        if self.pool_size <= 0:
-            raise ValueError("max_workers must be positive")
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(start_method)
-        # Start the resource tracker before forking the slots: children
-        # then inherit the parent's tracker instead of each spawning
-        # their own (a child-owned tracker would warn at exit about
-        # shared-memory segments the parent legitimately unlinked).
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - tracker unavailable
-            pass
-        self.start_method = start_method
-        self._conns = []
-        self._procs = []
-        self._closed = False
-        for _ in range(self.pool_size):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_slot_main, args=(child_conn,), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-        # Daemon children die with the interpreter, but close cleanly on
-        # normal exit / gc so pipes and shm attachments unwind in order
-        # (weakref.finalize self-registers with atexit).
-        self._finalizer = weakref.finalize(self, _close_pool, self._conns, self._procs)
-
-    def slot_for(self, index: int) -> int:
-        """The slot process task ``index`` will run on (stable contract)."""
-        return index % self.pool_size
-
-    def _execute(self, tasks) -> list:
-        if self._closed:
-            raise RuntimeError("backend is closed")
-        submit_t = time.monotonic()
-        per_slot: list[list[int]] = [[] for _ in range(self.pool_size)]
-        for i, (fn, args, kwargs) in enumerate(tasks):
-            slot = self.slot_for(i)
-            per_slot[slot].append(i)
-            self._conns[slot].send((fn, args, kwargs))
-        results: list = [None] * len(tasks)
-        stats: list = [None] * len(tasks)
-        failure: ShardCrash | None = None
-        for slot, indices in enumerate(per_slot):
-            for i in indices:
-                try:
-                    status, payload, start, end = self._conns[slot].recv()
-                except (EOFError, OSError) as exc:
-                    raise ShardCrash(
-                        f"slot process {slot} died while running shard task {i} "
-                        f"(exitcode={self._procs[slot].exitcode})"
-                    ) from exc
-                if status == "err" and failure is None:
-                    failure = ShardCrash(
-                        f"shard task {i} raised in slot process {slot}", payload
-                    )
-                results[i] = payload if status == "ok" else None
-                stats[i] = {
-                    "queue_wait_s": max(0.0, start - submit_t),
-                    "run_s": end - start,
-                }
-        self.last_stats = stats
-        if failure is not None:
-            raise failure
-        return results
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._finalizer()
-
-
-def _close_pool(conns, procs) -> None:
-    """Module-level so the weakref finalizer holds no backend reference."""
-    for conn in conns:
-        try:
-            conn.send(None)
-        except (OSError, BrokenPipeError):
-            pass
-    for proc in procs:
-        proc.join(timeout=2.0)
-        if proc.is_alive():  # pragma: no cover - stuck child
-            proc.terminate()
-    for conn in conns:
-        conn.close()
 
 
 #: wall-time histogram edges for parallel.shard_seconds (log-ish, seconds)
@@ -399,12 +234,8 @@ def make_backend(
     """Resolve a backend name (or pass an instance through unchanged)."""
     if isinstance(backend, ExecutionBackend):
         return backend
-    if max_workers is not None and max_workers <= 0:
-        raise ValueError("max_workers must be positive (or None for auto)")
     if backend == "serial":
         return SerialBackend()
     if backend == "thread":
         return ThreadBackend(max_workers)
-    if backend == "process":
-        return ProcessBackend(max_workers)
     raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")

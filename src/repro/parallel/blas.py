@@ -1,12 +1,11 @@
-"""BLAS/OMP thread-count guard: stop library-level oversubscription.
+"""BLAS thread-count guard: stop library-level oversubscription.
 
 NumPy's BLAS (OpenBLAS here) keeps its own thread pool. When the
-execution backend shards a GEMM-heavy phase across Python threads or
-processes, every shard's BLAS call would otherwise fan out over *all*
-cores — ``pool_size x blas_threads`` runnable threads on ``cores``
-cores, which thrashes caches and routinely makes "parallel" slower than
-serial. :func:`blas_limits` pins the BLAS pool for the duration of a
-block::
+execution backend shards a GEMM-heavy phase across Python threads,
+every shard's BLAS call would otherwise fan out over *all* cores —
+``pool_size x blas_threads`` runnable threads on ``cores`` cores, which
+thrashes caches and routinely makes "parallel" slower than serial.
+:func:`blas_limits` pins the BLAS pool for the duration of a block::
 
     with blas_limits(1):          # one BLAS thread per worker
         backend.run(tasks)
@@ -17,12 +16,9 @@ Resolution order (best effort, degrading gracefully):
    (OpenBLAS, MKL, OpenMP) properly;
 2. the OpenBLAS control symbols of NumPy's own bundled library, found
    via :mod:`ctypes` (covers the scipy-openblas wheels where
-   ``threadpoolctl`` is absent);
-3. the ``*_NUM_THREADS`` environment variables — only effective for
-   libraries loaded (or processes spawned) afterwards, which is exactly
-   the process-pool case that needs the guard most.
+   ``threadpoolctl`` is absent).
 
-All three paths restore the previous state on exit, and the context
+Both paths restore the previous pool size on exit, and the context
 manager is a silent no-op when nothing can be controlled — a guard, not
 a dependency.
 """
@@ -35,15 +31,6 @@ import os
 from contextlib import contextmanager
 
 __all__ = ["blas_limits", "blas_thread_count"]
-
-#: env vars the fallback path pins (the usual suspects across BLAS builds)
-_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 
 #: (get, set) symbol-name pairs probed on candidate BLAS shared objects
 _SYMBOL_PAIRS = (
@@ -112,8 +99,8 @@ def blas_limits(limit: int | None = 1):
     """Pin BLAS/OMP pools to ``limit`` threads inside the block.
 
     ``limit=None`` is an explicit no-op (convenient for call sites that
-    make the guard conditional). The previous pool size / environment is
-    restored on exit, including on exceptions.
+    make the guard conditional). The previous pool size is restored on
+    exit, including on exceptions.
     """
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive (or None)")
@@ -133,25 +120,14 @@ def blas_limits(limit: int | None = 1):
 
     # 2) direct OpenBLAS control on NumPy's bundled library.
     _probe_openblas()
-    if _SETTER is not None:
-        previous = int(_GETTER()) if _GETTER is not None else None
-        _SETTER(int(limit))
-        try:
-            yield
-        finally:
-            if previous is not None and previous > 0:
-                _SETTER(previous)
+    if _SETTER is None:
+        yield  # nothing controllable: a silent no-op
         return
-
-    # 3) env-var fallback: affects libraries/processes started afterwards.
-    saved = {name: os.environ.get(name) for name in _ENV_VARS}
-    for name in _ENV_VARS:
-        os.environ[name] = str(limit)
+    previous = int(_GETTER()) if _GETTER is not None else None
+    _SETTER(int(limit))
     try:
         yield
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if previous is not None and previous > 0:
+            _SETTER(previous)
+

@@ -17,8 +17,8 @@ groups come out of one trace:
   ``parallel.round`` dispatch turns into per-task *queue-wait* and
   *run* segments from the per-task stats the execution backend
   recorded (``queue_wait_s`` / ``run_s``). Tasks map to the nominal
-  slot lane ``task_index % pool_size`` — exact for the process backend
-  (its contract), task-order nominal for threads.
+  slot lane ``task_index % pool_size`` — task-order nominal, since the
+  thread pool hands tasks to whichever thread is free.
 * **pid 3 — "resources"**: ``resource.sample`` events (when present —
   they live on the probe's side stream, not in hub traces) become
   Perfetto counter (``"ph": "C"``) tracks: RSS, GC collections and

@@ -22,7 +22,7 @@ from .sampler import (
     UniformSampler,
     make_sampler,
 )
-from .sharding import SharedGradientBuffer, iter_row_shards
+from .sharding import iter_row_shards
 from .store import ReputationStore
 
 __all__ = [
@@ -35,5 +35,4 @@ __all__ = [
     "make_sampler",
     "SAMPLER_NAMES",
     "iter_row_shards",
-    "SharedGradientBuffer",
 ]

@@ -302,7 +302,13 @@ class FederationService:
         if snap is None:
             raise SnapshotError(f"no snapshots under {snapshot_dir}")
         config, state = load_snapshot(snap)
-        service = cls(config, snapshot_dir, monitor=monitor, probe=probe)
+        try:
+            service = cls(config, snapshot_dir, monitor=monitor, probe=probe)
+        except (ValueError, TypeError) as exc:
+            # e.g. a config field value this version no longer supports
+            raise SnapshotError(
+                f"snapshot {snap} stores a config that no longer builds: {exc}"
+            ) from exc
         service.restore(state)
         return service
 
@@ -393,10 +399,8 @@ class FederationService:
                         # must rebuild at checkpoints too — otherwise the
                         # engine's build telemetry appears in a resumed
                         # trace but not the uninterrupted one.
-                        if trainer._fleet is not None:
-                            trainer._fleet.close()
-                            trainer._fleet = None
-                            trainer._fleet_key = None
+                        trainer._fleet = None
+                        trainer._fleet_key = None
                         if self._signal_requested is not None:
                             break
                     if kill_after_round is not None and t == kill_after_round:

@@ -640,8 +640,6 @@ def restore_state(service, state: dict) -> None:
     trainer.server_ranks = list(ts["server_ranks"])
     trainer._failed = set(ts["failed"])
     # force the fleet engine to rebuild against restored worker objects
-    if trainer._fleet is not None:
-        trainer._fleet.close()
     trainer._fleet = None
     trainer._fleet_key = None
 

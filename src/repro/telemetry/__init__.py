@@ -5,9 +5,9 @@ process-wide :class:`Telemetry` hub (:func:`get_telemetry` /
 :func:`set_telemetry`) carries:
 
 * hierarchical **spans** (run → round → phase → per-server slice) with
-  attributes and monotonic timing — the old flat profiler's phase table
-  is maintained underneath, so ``repro.profiling`` remains a working
-  thin shim;
+  attributes and monotonic timing, with the old flat profiler's phase
+  table (``phase`` / ``snapshot`` / :func:`profile_delta`) maintained
+  underneath;
 * a **metrics registry**: counters, last-value gauges, and fixed-bucket
   histograms for mechanism signals (detection margins, reward Gini,
   reputation deltas, fleet-group sizes);

@@ -3,8 +3,7 @@
 The :class:`Telemetry` object is the observability backbone of the whole
 simulator — always on, near-zero overhead, shared process-wide (see
 :func:`get_telemetry` / :func:`set_telemetry`). It subsumes the old flat
-profiler (``repro.profiling`` is now a thin shim over this module) and
-adds three layers on top of the phase-timing table:
+profiler and adds three layers on top of its phase-timing table:
 
 * **Hierarchical spans** — :meth:`Telemetry.span` opens a named span
   (run → round → phase → per-server slice) with free-form attributes and

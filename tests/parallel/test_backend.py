@@ -1,9 +1,4 @@
-"""Execution-backend contract tests: ordered reduce, stats, crash paths.
-
-The process-pool tasks below are module-level functions on purpose —
-pickle serializes functions by reference, so anything shipped to a slot
-process must be importable by name.
-"""
+"""Execution-backend contract tests: ordered reduce, stats, crash paths."""
 
 import time
 
@@ -12,9 +7,8 @@ import pytest
 
 from repro.parallel import (
     BACKENDS,
-    ProcessBackend,
     SerialBackend,
-    ShardCrash,
+    ThreadBackend,
     auto_workers,
     emit_parallel_telemetry,
     make_backend,
@@ -116,28 +110,6 @@ class TestCrash:
         finally:
             b.close()
 
-    def test_process_crash_carries_original_traceback(self):
-        b = ProcessBackend(max_workers=2)
-        try:
-            with pytest.raises(ShardCrash) as err:
-                b.run([(_square, (1,)), (_boom, ())])
-            assert "ValueError: shard exploded" in err.value.original_traceback
-            assert "_boom" in err.value.original_traceback
-            # the formatted child stack is also in the message itself
-            assert "shard exploded" in str(err.value)
-        finally:
-            b.close()
-
-    def test_pool_survives_a_crash(self):
-        # a task exception must not kill the slot: the next run succeeds
-        b = ProcessBackend(max_workers=2)
-        try:
-            with pytest.raises(ShardCrash):
-                b.run([(_boom, ())])
-            assert b.run([(_square, (4,))]) == [16]
-        finally:
-            b.close()
-
 
 class TestFactory:
     def test_instance_passes_through(self):
@@ -145,22 +117,29 @@ class TestFactory:
         assert make_backend(b) is b
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="backend"):
-            make_backend("gpu")
+        for name in ("gpu", "process"):
+            with pytest.raises(ValueError, match="backend"):
+                make_backend(name)
 
     def test_nonpositive_workers_raise(self):
         with pytest.raises(ValueError):
             make_backend("thread", max_workers=0)
 
-    def test_auto_workers_positive(self):
-        assert auto_workers() >= 1
+    @pytest.mark.parametrize("mw", [0, -1])
+    def test_thread_constructor_rejects_nonpositive_workers(self, mw):
+        # 0 is not "auto" (that is None): it must not build a full pool
+        with pytest.raises(ValueError, match="max_workers"):
+            ThreadBackend(max_workers=mw)
 
-    def test_slot_assignment_is_stable(self):
-        b = ProcessBackend(max_workers=2)
+    def test_thread_none_means_auto(self):
+        b = ThreadBackend(max_workers=None)
         try:
-            assert [b.slot_for(i) for i in range(5)] == [0, 1, 0, 1, 0]
+            assert b.pool_size == auto_workers()
         finally:
             b.close()
+
+    def test_auto_workers_positive(self):
+        assert auto_workers() >= 1
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_close_is_idempotent(self, name):
@@ -168,8 +147,3 @@ class TestFactory:
         b.close()
         b.close()
 
-    def test_closed_process_backend_rejects_runs(self):
-        b = ProcessBackend(max_workers=1)
-        b.close()
-        with pytest.raises(RuntimeError):
-            b.run([(_square, (2,))])

@@ -1,11 +1,10 @@
 """Differential: parallel training is byte-identical to the serial oracle.
 
-These are the tentpole's acceptance tests. Every backend x worker-count
-combination must reproduce the serial run *exactly* — losses, accuracy,
-gradient norms, accept verdicts, rewards, reputations — on both a
-fig09-style sign-flip federation and a fig11-style probabilistic-attack
-federation, because the ordered-reduce + parent-side-RNG design promises
-bitwise equality, not closeness.
+Every thread-pool size must reproduce the serial run *exactly* —
+losses, accuracy, gradient norms, accept verdicts, rewards,
+reputations — on both a fig09-style sign-flip federation and a
+fig11-style probabilistic-attack federation, because the ordered reduce
+and per-worker RNGs promise bitwise equality, not closeness.
 """
 
 import pytest
@@ -36,9 +35,7 @@ FIG09_ATTACK = {2: sign_flip(4.0), 3: sign_flip(4.0)}
 #: fig11 shape: a sometimes-honest probabilistic attacker
 FIG11_ATTACK = {4: probabilistic(0.5, 4.0)}
 
-GRID = [
-    (backend, mw) for backend in ("thread", "process") for mw in (1, 2, 4)
-]
+GRID = [("thread", mw) for mw in (1, 2, 4)]
 
 
 def fingerprint(cfg, attackers):
@@ -130,10 +127,10 @@ class TestShardCrash:
 
 class TestTelemetry:
     def test_parallel_events_emitted(self):
-        from repro.profiling import Profiler
+        from repro.telemetry import Telemetry
 
         trainer = _make_trainer()
-        trainer.profiler = Profiler()
+        trainer.profiler = Telemetry()
         trainer.run(2)
         snap = trainer.profiler.snapshot()
         assert snap["counters"].get("parallel.dispatches", 0) > 0
@@ -141,10 +138,10 @@ class TestTelemetry:
         assert metrics["gauges"]["parallel.pool_size"] == 2
 
     def test_serial_emits_no_parallel_events(self):
-        from repro.profiling import Profiler
+        from repro.telemetry import Telemetry
 
         trainer = _make_trainer(backend="serial", max_workers=None)
-        trainer.profiler = Profiler()
+        trainer.profiler = Telemetry()
         trainer.run(2)
         snap = trainer.profiler.snapshot()
         assert snap["counters"].get("parallel.dispatches", 0) == 0

@@ -1,107 +1,7 @@
-"""Sharded round kernels, mechanism pool plumbing, and the straggler rule."""
+"""The monitor's shard-straggler rule over ``parallel.round`` events."""
 
-import numpy as np
-import pytest
-
-from repro.core import make_mechanism
-from repro.core.fifl import FIFLConfig
-from repro.fl.gradients import split_gradient
-from repro.fl.trainer import RoundContext
-from repro.fl.workers import WorkerUpdate
 from repro.monitor.alerts import MonitorConfig
 from repro.monitor.rules import RuleEngine
-from repro.parallel import make_backend
-
-NUM_WORKERS = 24
-DIM = 256
-NUM_SERVERS = 3
-
-
-def make_round(round_idx: int, seed: int = 0) -> RoundContext:
-    """Synthetic round with honest-ish and deviating uploads mixed in."""
-    rng = np.random.default_rng(seed * 7919 + round_idx)
-    server_ranks = list(range(NUM_SERVERS))
-    honest = rng.standard_normal(DIM)
-    updates, slices = {}, {}
-    for wid in range(NUM_WORKERS):
-        noise = rng.standard_normal(DIM)
-        grad = honest + 0.3 * noise if wid % 5 else -2.0 * honest + noise
-        updates[wid] = WorkerUpdate(worker_id=wid, gradient=grad, num_samples=100)
-        parts = split_gradient(grad, NUM_SERVERS)
-        slices[wid] = {srv: parts[j] for j, srv in enumerate(server_ranks)}
-    return RoundContext(
-        round_idx=round_idx,
-        global_params=np.zeros(DIM),
-        server_ranks=server_ranks,
-        slices=slices,
-        updates=updates,
-        uncertain=set(),
-        sample_counts={w: 100 for w in range(NUM_WORKERS)},
-    )
-
-
-def run_rounds(mech, rounds=3, seed=0):
-    decisions = []
-    for t in range(rounds):
-        d = mech.process_round(make_round(t, seed=seed))
-        decisions.append(
-            (
-                tuple(sorted(d.accept.items())),
-                tuple(sorted(d.records.get("rewards", {}).items())),
-                tuple(sorted(d.records.get("reputations", {}).items())),
-            )
-        )
-    return decisions
-
-
-class TestShardedKernels:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("mw", [1, 2, 4])
-    def test_mechanism_byte_identical_to_serial(self, backend, mw):
-        serial = run_rounds(make_mechanism("fifl", threshold=0.0))
-        parallel = run_rounds(
-            make_mechanism(
-                "fifl", threshold=0.0, backend=backend, max_workers=mw
-            )
-        )
-        assert parallel == serial
-
-    def test_attach_backend_adopts_only_when_serial(self):
-        shared = make_backend("thread", max_workers=2)
-        try:
-            mech = make_mechanism("fifl", threshold=0.0)
-            mech.attach_backend(shared)
-            assert mech._active_backend() is shared
-
-            own = make_mechanism(
-                "fifl", threshold=0.0, backend="thread", max_workers=2
-            )
-            own.attach_backend(shared)
-            private = own._active_backend()
-            assert private is not shared
-            private.close()
-        finally:
-            shared.close()
-
-    def test_adopted_pool_matches_serial(self):
-        shared = make_backend("thread", max_workers=2)
-        try:
-            serial = run_rounds(make_mechanism("fifl", threshold=0.0))
-            mech = make_mechanism("fifl", threshold=0.0)
-            mech.attach_backend(shared)
-            assert run_rounds(mech) == serial
-        finally:
-            shared.close()
-
-
-class TestConfigValidation:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            FIFLConfig(backend="gpu")
-
-    def test_nonpositive_workers_rejected(self):
-        with pytest.raises(ValueError):
-            FIFLConfig(max_workers=0)
 
 
 def _round_event(shard_s, phase="local_compute", backend="thread"):

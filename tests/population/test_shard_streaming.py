@@ -7,10 +7,7 @@ from repro.core import FIFLConfig, FIFLMechanism
 from repro.fl import FederatedTrainer, FleetLocalEngine
 from repro.fl.gradients import slice_offsets
 from repro.core.engine import RoundBatch
-from repro.population.sharding import (
-    SharedGradientBuffer,
-    iter_row_shards,
-)
+from repro.population.sharding import iter_row_shards
 
 from ..helpers import make_federation, model_fn
 
@@ -76,23 +73,6 @@ class TestRoundBatchShards:
         batch = toy_batch(n=9)
         rows = np.vstack([s.gradients for s in batch.iter_shards(2)])
         assert np.array_equal(rows, batch.gradients)
-
-
-class TestSharedGradientBuffer:
-    def test_shared_allocation_and_close(self):
-        with SharedGradientBuffer(4, 8, shared=True) as buf:
-            buf.array[:] = 1.5
-            assert buf.array.shape == (4, 8)
-            # shared segments expose a name; the fallback path does not
-            if buf.is_shared:
-                assert buf.name
-        # after close the data survives in the (copied) array
-        assert buf.array[0, 0] == 1.5
-        assert not buf.is_shared
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SharedGradientBuffer(0, 8)
 
 
 class TestFleetShardDifferential:

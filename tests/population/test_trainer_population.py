@@ -9,7 +9,7 @@ from repro.core import FIFLConfig, FIFLMechanism
 from repro.experiments.common import AttackerSpec, FedExpConfig, run_federated
 from repro.fl import FederatedTrainer
 from repro.population import WorkerPopulation
-from repro.profiling import Profiler
+from repro.telemetry import Telemetry
 
 from ..helpers import make_federation, model_fn
 
@@ -111,7 +111,7 @@ class TestSkippedRounds:
 
     def test_skip_counter_in_telemetry(self):
         pop, test = make_population(4)
-        prof = Profiler()
+        prof = Telemetry()
         t = make_trainer(pop, test, cohort_size=3, sampler="uniform",
                          monitor=None)
         t.profiler = prof
@@ -186,7 +186,7 @@ class TestReputationWriteback:
 
     def test_cohort_event_emitted(self):
         pop, test = make_population(6)
-        prof = Profiler()
+        prof = Telemetry()
         t = make_trainer(pop, test, cohort_size=4, sampler="uniform")
         t.profiler = prof
         t._run_round(0)

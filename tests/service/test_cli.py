@@ -154,3 +154,25 @@ class TestErrors:
             "run", "--preset", "nope", "--dir", str(tmp_path), check=False
         )
         assert proc.returncode == 2  # argparse choices error
+
+    def test_resume_with_unbuildable_config_is_a_snapshot_error(self, tmp_path):
+        # a snapshot whose stored config names a backend this version
+        # no longer has (e.g. written by a release with a process pool)
+        from repro.service import FederationService
+        from repro.service.cli import make_preset
+        from repro.telemetry import Telemetry, get_telemetry, set_telemetry
+
+        prev = get_telemetry()
+        set_telemetry(Telemetry())
+        try:
+            cfg = make_preset("blobs-fifl", rounds=2, checkpoint_every=1)
+            service = FederationService(cfg, tmp_path)
+            service.config.fed = cfg.fed.scaled(backend="process")
+            snap = service.save()
+        finally:
+            set_telemetry(prev)
+        proc = _run_cli("resume", "--dir", str(tmp_path), check=False)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert snap.name in proc.stderr
+        assert "backend" in proc.stderr

@@ -1,20 +1,21 @@
-"""Profiling module tests: phase timers, counters, snapshots, deltas."""
+"""The telemetry hub's flat-profiler contract: phase timers, counters,
+snapshots, deltas."""
 
 import numpy as np
 import pytest
 
-from repro.profiling import (
-    Profiler,
+from repro.telemetry import (
+    Telemetry,
     format_profile,
-    get_profiler,
+    get_telemetry,
     profile_delta,
-    set_profiler,
+    set_telemetry,
 )
 
 
 class TestProfiler:
     def test_phase_accumulates_time_and_calls(self):
-        prof = Profiler()
+        prof = Telemetry()
         for _ in range(3):
             with prof.phase("work"):
                 pass
@@ -23,14 +24,14 @@ class TestProfiler:
         assert snap["timings"]["work"]["seconds"] >= 0.0
 
     def test_phase_records_even_on_exception(self):
-        prof = Profiler()
+        prof = Telemetry()
         with pytest.raises(RuntimeError):
             with prof.phase("boom"):
                 raise RuntimeError("fail inside phase")
         assert prof.snapshot()["timings"]["boom"]["calls"] == 1
 
     def test_add_time_folds_external_measurements(self):
-        prof = Profiler()
+        prof = Telemetry()
         prof.add_time("io", 0.5)
         prof.add_time("io", 0.25, calls=2)
         stat = prof.snapshot()["timings"]["io"]
@@ -39,23 +40,23 @@ class TestProfiler:
 
     def test_add_time_rejects_negative(self):
         with pytest.raises(ValueError):
-            Profiler().add_time("io", -1.0)
+            Telemetry().add_time("io", -1.0)
 
     def test_counters(self):
-        prof = Profiler()
+        prof = Telemetry()
         prof.count("workers")
         prof.count("workers", 4)
         assert prof.snapshot()["counters"]["workers"] == 5
 
     def test_snapshot_is_a_copy(self):
-        prof = Profiler()
+        prof = Telemetry()
         prof.count("n")
         snap = prof.snapshot()
         prof.count("n")
         assert snap["counters"]["n"] == 1
 
     def test_reset(self):
-        prof = Profiler()
+        prof = Telemetry()
         with prof.phase("p"):
             pass
         prof.count("c")
@@ -65,7 +66,7 @@ class TestProfiler:
 
 class TestProfileDelta:
     def test_delta_subtracts_and_keeps_new_phases(self):
-        prof = Profiler()
+        prof = Telemetry()
         with prof.phase("old"):
             pass
         before = prof.snapshot()
@@ -80,7 +81,7 @@ class TestProfileDelta:
         assert delta["counters"]["c"] == 2
 
     def test_unchanged_phases_dropped(self):
-        prof = Profiler()
+        prof = Telemetry()
         with prof.phase("idle"):
             pass
         before = prof.snapshot()
@@ -102,13 +103,13 @@ class TestProfileDelta:
 
 class TestProcessWideProfiler:
     def test_set_profiler_swaps_and_returns_previous(self):
-        mine = Profiler()
-        previous = set_profiler(mine)
+        mine = Telemetry()
+        previous = set_telemetry(mine)
         try:
-            assert get_profiler() is mine
+            assert get_telemetry() is mine
         finally:
-            set_profiler(previous)
-        assert get_profiler() is previous
+            set_telemetry(previous)
+        assert get_telemetry() is previous
 
 
 class TestPipelineIntegration:
@@ -121,8 +122,8 @@ class TestPipelineIntegration:
         from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
         workers, _, test = make_federation(num_workers=4)
-        mine = Profiler()
-        previous = set_profiler(mine)
+        mine = Telemetry()
+        previous = set_telemetry(mine)
         try:
             trainer = FederatedTrainer(
                 build_logreg(N_FEATURES, N_CLASSES),
@@ -134,7 +135,7 @@ class TestPipelineIntegration:
             )
             history = trainer.run(3, eval_every=3)
         finally:
-            set_profiler(previous)
+            set_telemetry(previous)
 
         timings = history.profile["timings"]
         for phase in (
@@ -156,8 +157,8 @@ class TestPipelineIntegration:
         from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
         workers, _, test = make_federation(num_workers=3)
-        mine = Profiler()
-        previous = set_profiler(mine)
+        mine = Telemetry()
+        previous = set_telemetry(mine)
         try:
             trainer = FederatedTrainer(
                 build_logreg(N_FEATURES, N_CLASSES),
@@ -170,14 +171,14 @@ class TestPipelineIntegration:
             h1 = trainer.run(2, eval_every=2)
             h2 = trainer.run(2, eval_every=2)
         finally:
-            set_profiler(previous)
+            set_telemetry(previous)
         assert h1.profile["counters"]["trainer.rounds"] == 2
         assert h2.profile["counters"]["trainer.rounds"] == 2
 
     def test_rounds_are_jsonable(self):
         import json
 
-        prof = Profiler()
+        prof = Telemetry()
         with prof.phase("p"):
             np.zeros(4).sum()
         prof.count("c", 2)
