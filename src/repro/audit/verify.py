@@ -16,7 +16,8 @@ snapshot manifest's audit block matches the recomputed rolling
 history/reputation digests, the resumed reputation store and cumulative
 rewards equal the trace-reconstructed values, the durable ledger equals
 the trace's commit stream block-for-block, and replaying the paper's
-S4.5 reputation audit over the chain comes back clean.
+S4.5 reputation audit over the chain comes back clean. The trace's
+lineage is folded once and the chain verified once per pass.
 
 Every check lands in a :class:`VerifyReport` as pass / fail / skipped
 (prerequisite absent — e.g. no ledger configured); ``--strict`` treats
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ledger.audit import audit_reputation
+from ..ledger.audit import audit_reputations
 from ..ledger.blockchain import GENESIS_HASH, payload_digest
 from .records import AuditError, LineageBuilder
 from .reconstruct import (
@@ -300,8 +301,9 @@ def verify_service(
             else f"{snap.name} digests diverge from resumed state: {bad}",
         )
 
+    builder = LineageBuilder()
     try:
-        decisions = decisions_from_trace(events)
+        decisions = decisions_from_trace(events, builder=builder)
     except AuditError as exc:
         report.add("reputation-store", False, str(exc))
         return report
@@ -329,8 +331,6 @@ def verify_service(
             else f"reputation store diverges for workers {bad_rep[:10]}",
         )
 
-        builder = LineageBuilder()
-        decisions_from_trace(events, builder=builder)
         cum = builder.cumulative_rewards()
         live = mech.cumulative_rewards()
         bad_cum = [
@@ -351,17 +351,20 @@ def verify_service(
         report.skip("reputation-replay", "service runs without a ledger")
         return report
 
+    # the S4.5 replay verifies the chain; its verdict also serves the
+    # durable-ledger check, so one pass verifies the chain once
+    audits = audit_reputations(
+        service.ledger, sorted({d.worker for d in decisions}),
+        gamma=service.config.fed.gamma, initial=0.0,
+    )
+    intact = audits[0].chain_intact
     commits = ledger_commits(events)
     blocks = service.ledger.blocks
     bad_blocks = [
         i for i, c in enumerate(commits)
         if i >= len(blocks) or blocks[i].hash != c["hash"]
     ]
-    ok = (
-        len(commits) == len(blocks)
-        and not bad_blocks
-        and service.ledger.is_intact()
-    )
+    ok = len(commits) == len(blocks) and not bad_blocks and intact
     report.add(
         "ledger-durable",
         ok,
@@ -370,19 +373,11 @@ def verify_service(
         if ok
         else f"durable ledger diverges (trace commits={len(commits)}, "
         f"blocks={len(blocks)}, mismatched={bad_blocks[:10]}, "
-        f"intact={service.ledger.is_intact()})",
+        f"intact={intact})",
     )
 
-    fed = service.config.fed
-    unclean = []
-    checked = 0
-    for w in sorted({d.worker for d in decisions}):
-        audit = audit_reputation(
-            service.ledger, w, gamma=fed.gamma, initial=0.0
-        )
-        checked += audit.rounds_checked
-        if not audit.clean:
-            unclean.append(w)
+    unclean = [a.worker for a in audits if not a.clean]
+    checked = sum(a.rounds_checked for a in audits)
     report.add(
         "reputation-replay",
         not unclean,

@@ -1,6 +1,6 @@
 """Blockchain audit substrate: signed hash chain + reputation audit."""
 
-from .audit import AuditFinding, AuditReport, audit_reputation
+from .audit import AuditFinding, AuditReport, audit_reputation, audit_reputations
 from .blockchain import (
     Block,
     Blockchain,
@@ -18,4 +18,5 @@ __all__ = [
     "AuditFinding",
     "AuditReport",
     "audit_reputation",
+    "audit_reputations",
 ]

@@ -9,16 +9,23 @@ which is then removed from the cluster.
 
 Records are the dictionaries :class:`repro.core.FIFLMechanism` commits:
 ``{"round": t, "accepted": {worker: bool}, "reputations": {worker: float}, ...}``.
+
+:func:`audit_reputations` audits many workers in one pass: it verifies
+the chain once and replays every worker's trajectory in a single scan of
+the blocks. :func:`audit_reputation` is its one-worker case. Nothing is
+cached between calls, so every audit re-reads the chain it checks.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..core.reputation import DecayReputation
 from .blockchain import Blockchain
 
-__all__ = ["AuditFinding", "AuditReport", "audit_reputation"]
+__all__ = ["AuditFinding", "AuditReport", "audit_reputation", "audit_reputations"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,91 @@ class AuditReport:
         return {f.signer for f in self.findings}
 
 
+def _event_float(x: float) -> float | str:
+    """``x``, or its repr when non-finite (trace lines are strict JSON)."""
+    return x if math.isfinite(x) else repr(x)
+
+
+def audit_reputations(
+    chain: Blockchain,
+    workers: Iterable[int],
+    gamma: float,
+    initial: float = 0.0,
+    tolerance: float = 1e-9,
+) -> list[AuditReport]:
+    """Recompute each worker's reputation trajectory from the ledger.
+
+    Verifies the chain once and replays every worker in one block scan;
+    returns one report per entry of ``workers``, in order, each equal to
+    what :func:`audit_reputation` gives for that worker alone. A recorded
+    value counts as consistent only if it lies within ``tolerance`` of
+    the recomputation, so a NaN record is a finding. Parameters mirror
+    the mechanism's reputation config; the auditor must use the same
+    ``gamma`` and initial value the federation declared.
+    """
+    workers = list(workers)
+    keys = [str(w) for w in workers]  # canonical payloads have string keys
+    checked = dict.fromkeys(keys, 0)
+    findings: dict[str, list[AuditFinding]] = {key: [] for key in checked}
+    intact = not chain.verify()
+    replay = DecayReputation(gamma=gamma, initial=initial)
+    for blk in chain.blocks:
+        payload = blk.payload
+        if not isinstance(payload, dict) or "reputations" not in payload:
+            continue  # not a FIFL round record
+        accepted = payload.get("accepted", {})
+        reputations = payload["reputations"]
+        for key in findings:
+            if key not in reputations:
+                continue
+            outcome = accepted.get(key)  # None = uncertain event
+            recomputed = replay.update(key, outcome)
+            recorded = float(reputations[key])
+            checked[key] += 1
+            if not abs(recorded - recomputed) <= tolerance:
+                findings[key].append(
+                    AuditFinding(
+                        block_index=blk.index,
+                        round_idx=int(payload.get("round", -1)),
+                        signer=blk.signer,
+                        recorded=recorded,
+                        recomputed=recomputed,
+                    )
+                )
+    from ..telemetry.core import get_telemetry
+
+    telemetry = get_telemetry()
+    reports = []
+    for worker, key in zip(workers, keys):
+        report = AuditReport(
+            worker=worker,
+            findings=list(findings[key]),
+            chain_intact=intact,
+            rounds_checked=checked[key],
+        )
+        telemetry.event(
+            "ledger.audit",
+            {
+                "worker": worker,
+                "rounds_checked": report.rounds_checked,
+                "chain_intact": report.chain_intact,
+                "clean": report.clean,
+                "findings": [
+                    {
+                        "block_index": f.block_index,
+                        "round": f.round_idx,
+                        "signer": f.signer,
+                        "recorded": _event_float(f.recorded),
+                        "recomputed": _event_float(f.recomputed),
+                    }
+                    for f in report.findings
+                ],
+            },
+        )
+        reports.append(report)
+    return reports
+
+
 def audit_reputation(
     chain: Blockchain,
     worker: int,
@@ -60,53 +152,6 @@ def audit_reputation(
 ) -> AuditReport:
     """Recompute worker ``i``'s reputation trajectory from the ledger.
 
-    Parameters mirror the mechanism's reputation config; the auditor must
-    use the same ``gamma`` and initial value the federation declared.
+    The one-worker case of :func:`audit_reputations`.
     """
-    report = AuditReport(worker=worker)
-    report.chain_intact = chain.is_intact()
-    replay = DecayReputation(gamma=gamma, initial=initial)
-    worker_key = str(worker)  # canonical payloads have string keys
-    for blk in chain.blocks:
-        payload = blk.payload
-        if not isinstance(payload, dict) or "reputations" not in payload:
-            continue  # not a FIFL round record
-        accepted = payload.get("accepted", {})
-        if worker_key not in payload["reputations"]:
-            continue
-        outcome = accepted.get(worker_key)  # None = uncertain event
-        recomputed = replay.update(worker, outcome)
-        recorded = float(payload["reputations"][worker_key])
-        report.rounds_checked += 1
-        if abs(recorded - recomputed) > tolerance:
-            report.findings.append(
-                AuditFinding(
-                    block_index=blk.index,
-                    round_idx=int(payload.get("round", -1)),
-                    signer=blk.signer,
-                    recorded=recorded,
-                    recomputed=recomputed,
-                )
-            )
-    from ..telemetry.core import get_telemetry
-
-    get_telemetry().event(
-        "ledger.audit",
-        {
-            "worker": worker,
-            "rounds_checked": report.rounds_checked,
-            "chain_intact": report.chain_intact,
-            "clean": report.clean,
-            "findings": [
-                {
-                    "block_index": f.block_index,
-                    "round": f.round_idx,
-                    "signer": f.signer,
-                    "recorded": f.recorded,
-                    "recomputed": f.recomputed,
-                }
-                for f in report.findings
-            ],
-        },
-    )
-    return report
+    return audit_reputations(chain, [worker], gamma, initial, tolerance)[0]

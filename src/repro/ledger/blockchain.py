@@ -15,6 +15,13 @@ paper (the task publisher is the trusted auditor).
 
 Payloads are canonicalized (sorted-key JSON with NumPy scalars/arrays
 converted) before hashing, so semantically equal records hash equally.
+Each payload is encoded exactly once per append and once per verify:
+one ``canonicalize`` walk and one ``json.dumps`` give the canonical blob,
+whose SHA-256 is the payload digest (the signed value). The block hash
+covers the body ``{"index":…,"payload":<blob>,"prev_hash":…,
+"signature":…,"signer":…}`` with the blob spliced in; sorted key order
+and the encoder's own scalar forms make that body byte-identical to
+``json.dumps`` of the equivalent dict, so hashes never moved.
 """
 
 from __future__ import annotations
@@ -31,9 +38,23 @@ __all__ = ["canonicalize", "payload_digest", "SigningIdentity", "Block", "Blockc
 
 
 def canonicalize(obj: Any) -> Any:
-    """Convert payloads to plain JSON types (dict keys become strings)."""
+    """Convert payloads to plain JSON types (dict keys become strings).
+
+    Two keys of one dict that stringify alike (``1`` and ``"1"``) would
+    merge silently and let different payloads share a digest, so they
+    are rejected like any other unauditable value.
+    """
+    t = type(obj)
+    if t is float or t is int or t is str or t is bool or obj is None:
+        return obj
     if isinstance(obj, dict):
-        return {str(k): canonicalize(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        out = {}
+        for k, v in obj.items():
+            key = str(k)
+            if key in out:
+                raise TypeError(f"payload key {key!r} collides with another key under str()")
+            out[key] = canonicalize(v)
+        return dict(sorted(out.items()))
     if isinstance(obj, (list, tuple)):
         return [canonicalize(v) for v in obj]
     if isinstance(obj, np.ndarray):
@@ -44,15 +65,34 @@ def canonicalize(obj: Any) -> Any:
         return float(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
+    if isinstance(obj, (str, int, float, bool)):
         return obj
     raise TypeError(f"payload value of type {type(obj).__name__} is not auditable")
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _payload_blob(payload: Any) -> str:
+    """The payload's canonical JSON: one canonical walk, one encoding."""
+    return _encode(canonicalize(payload))
+
+
+def _block_hash(index: int, blob: str, signer: str, signature: str, prev_hash: str) -> str:
+    """SHA-256 of the block body with the payload's canonical blob spliced in."""
+    return _sha256(
+        f'{{"index":{_encode(index)},"payload":{blob},"prev_hash":{_encode(prev_hash)},'
+        f'"signature":{_encode(signature)},"signer":{_encode(signer)}}}'
+    )
+
+
 def payload_digest(payload: Any) -> str:
     """SHA-256 hex digest of the canonical JSON form of ``payload``."""
-    blob = json.dumps(canonicalize(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _sha256(_payload_blob(payload))
 
 
 class SigningIdentity:
@@ -88,18 +128,7 @@ class Block:
 
     @staticmethod
     def compute_hash(index: int, payload: Any, signer: str, signature: str, prev_hash: str) -> str:
-        body = json.dumps(
-            {
-                "index": index,
-                "payload": canonicalize(payload),
-                "signer": signer,
-                "signature": signature,
-                "prev_hash": prev_hash,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(body.encode()).hexdigest()
+        return _block_hash(index, _payload_blob(payload), signer, signature, prev_hash)
 
 
 GENESIS_HASH = hashlib.sha256(b"FIFL-genesis").hexdigest()
@@ -158,11 +187,12 @@ class Blockchain:
         """
         identity = self.identity(signer)
         canonical = canonicalize(payload)
+        blob = _encode(canonical)
         index = len(self._blocks)
         prev_hash = self.head_hash()
-        digest = payload_digest(canonical)
+        digest = _sha256(blob)
         signature = identity.sign(f"{index}:{prev_hash}:{digest}")
-        block_hash = Block.compute_hash(index, canonical, signer, signature, prev_hash)
+        block_hash = _block_hash(index, blob, signer, signature, prev_hash)
         block = Block(index, canonical, signer, signature, prev_hash, block_hash)
         self._blocks.append(block)
         from ..telemetry.core import get_telemetry
@@ -185,21 +215,21 @@ class Blockchain:
 
         A block is invalid if its hash does not match its contents, its
         prev_hash does not match its predecessor, or its signature fails
-        against the registered signer key.
+        against the registered signer key. Every call re-reads and
+        re-encodes every block; nothing is cached between calls.
         """
         bad: list[int] = []
         prev_hash = GENESIS_HASH
         for i, blk in enumerate(self._blocks):
-            expected = Block.compute_hash(
-                blk.index, blk.payload, blk.signer, blk.signature, blk.prev_hash
-            )
+            blob = _payload_blob(blk.payload)
             ok = (
                 blk.index == i
                 and blk.prev_hash == prev_hash
-                and blk.hash == expected
+                and blk.hash == _block_hash(
+                    blk.index, blob, blk.signer, blk.signature, blk.prev_hash
+                )
                 and self.identity(blk.signer).verify(
-                    f"{blk.index}:{blk.prev_hash}:{payload_digest(blk.payload)}",
-                    blk.signature,
+                    f"{blk.index}:{blk.prev_hash}:{_sha256(blob)}", blk.signature
                 )
             )
             if not ok:

@@ -17,6 +17,7 @@ from repro.audit import (
     verify_trace,
 )
 from repro.experiments.common import probabilistic, run_federated, sign_flip
+from repro.ledger import Blockchain
 from repro.service import FederationService
 from repro.service.cli import make_preset
 from repro.telemetry import (
@@ -151,3 +152,19 @@ class TestKillResume:
             (c.name, c.status, c.detail)
             for c in report.checks if c.status != "pass"
         ]
+
+    def test_service_pass_verifies_chain_once(self, service_run, monkeypatch):
+        _, resumed_events, snap_dir = service_run
+        calls = []
+        verify = Blockchain.verify
+
+        def counted(chain):
+            calls.append(len(chain))
+            return verify(chain)
+
+        monkeypatch.setattr(Blockchain, "verify", counted)
+        report = verify_service(resumed_events, snap_dir)
+        statuses = {c.name: c.status for c in report.checks}
+        assert statuses["ledger-durable"] == "pass"
+        assert statuses["reputation-replay"] == "pass"
+        assert len(calls) == 1 and calls[0] > 0

@@ -6,6 +6,7 @@ from repro.core import DecayReputation, DetectionConfig, FIFLConfig, FIFLMechani
 from repro.fl import FederatedTrainer
 from repro.ledger import Blockchain, audit_reputation
 from repro.nn import build_logreg
+from repro.telemetry import JsonlSink, Telemetry, read_trace, set_telemetry
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -76,6 +77,35 @@ class TestManipulationDetected:
         report = audit_reputation(chain, worker=0, gamma=GAMMA)
         assert not report.chain_intact
         assert [f.round_idx for f in report.findings] == [2]
+
+    def test_nan_record_is_a_finding(self):
+        # NaN compares false against any tolerance; it must not pass clean
+        chain = build_chain([{0: True}])
+        chain.append(
+            {"round": 1, "accepted": {0: True}, "reputations": {0: float("nan")}},
+            signer="server-A",
+        )
+        report = audit_reputation(chain, worker=0, gamma=GAMMA)
+        assert chain.is_intact()
+        assert not report.clean
+        assert [f.round_idx for f in report.findings] == [1]
+
+    def test_non_finite_finding_survives_a_jsonl_trace(self, tmp_path):
+        chain = build_chain([{0: True}])
+        chain.append(
+            {"round": 1, "accepted": {0: True}, "reputations": {0: float("inf")}},
+            signer="server-A",
+        )
+        tele = Telemetry(sinks=[JsonlSink(tmp_path / "t.jsonl")])
+        previous = set_telemetry(tele)
+        try:
+            audit_reputation(chain, worker=0, gamma=GAMMA)
+        finally:
+            tele.close()
+            set_telemetry(previous)
+        (event,) = [e for e in read_trace(tmp_path / "t.jsonl")
+                    if e["type"] == "ledger.audit"]
+        assert event["data"]["findings"][0]["recorded"] == "inf"
 
     def test_wrong_gamma_flags_everything(self):
         # auditing with a different gamma than declared mismatches at once

@@ -27,6 +27,14 @@ class TestCanonicalize:
         with pytest.raises(TypeError):
             canonicalize({"f": object()})
 
+    def test_colliding_keys_rejected(self):
+        # 1 and "1" both stringify to "1"; merging them would let two
+        # different payloads share a digest
+        with pytest.raises(TypeError, match="'1'"):
+            payload_digest({1: "a", "1": "b"})
+        with pytest.raises(TypeError, match="collides"):
+            canonicalize({"outer": {True: 0, "True": 1}})
+
     def test_digest_stable_under_key_order(self):
         a = payload_digest({"x": 1, "y": 2})
         b = payload_digest({"y": 2, "x": 1})
