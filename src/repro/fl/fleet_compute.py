@@ -119,6 +119,12 @@ class FleetLocalEngine:
         if shard_size is not None and shard_size <= 0:
             raise ValueError("shard_size must be positive (or None)")
         self.workers = sorted(workers, key=lambda w: w.worker_id)
+        ids = [w.worker_id for w in self.workers]
+        dups = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+        if dups:
+            # a repeated worker would train twice: two minibatch draws from
+            # its stream, and one of its two updates silently dropped
+            raise ValueError(f"duplicate worker ids: {dups}")
         self.profiler = profiler if profiler is not None else get_telemetry()
         # Shard streaming: cap every fleet group at ``shard_size`` workers
         # and build/release each shard's stacked replica lazily, bounding

@@ -229,11 +229,17 @@ class WorkerPopulation:
     def checkout(self, ids, round_idx: int | None = None) -> list[Worker]:
         """Materialize a cohort (ascending id order) and mark it seen.
 
+        A repeated id raises ``ValueError``: the cohort would hold one
+        ``Worker`` twice, and training it twice advances its stream twice.
+
         The cache is trimmed back to ``max(cache_size, len(ids))``
         afterwards, saving evicted workers' RNG states — peak live-worker
         memory is O(cohort), not O(ever-sampled).
         """
         ids = sorted(int(w) for w in ids)
+        dups = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+        if dups:
+            raise ValueError(f"duplicate worker ids in cohort: {dups}")
         workers = [self.materialize(wid) for wid in ids]
         self._seen.update(ids)
         if not self._pinned:

@@ -15,13 +15,35 @@ fallback when ``k`` approaches ``n``) or O(chunk + k)
 chunk-by-chunk from the :class:`~repro.population.ReputationStore` with
 a running top-k) — never O(n) for small cohorts.
 
-Time cost: the reputation-weighted sampler still draws one key per
-worker, O(n) per round, but merges into the running top-k only the keys
-above its current k-th key. Once the top-k fills, that is a handful of
-rows per chunk, so the per-round cost is the key arithmetic (per-chunk
-``default_rng`` seeding, ``random`` and ``pow``) plus O(chunks) small
-sorts: about 20 ms for n = 10^6, k = 62 on a 2-core Xeon, against
-about 150 ms when every chunk was sorted in full.
+Time cost: the reputation-weighted sampler draws one uniform ``u`` per
+worker, O(n) per round, but computes the key ``u ** (1/w)`` only for
+rows that can enter the running top-k. Once the top-k is full with
+k-th key τ, a row of weight ``w`` has a key above τ only if
+``u > τ**w >= τ**w_max``, where ``w_max = floor + max(max(reps), 0)``
+bounds the chunk's weights. The prefilter keeps the rows with
+``u >= τ**w_max * (1 - 2**-20 * (1 + s))``, ``s = w_max * (1 + |ln τ|)``,
+computes the unchanged key expression for them alone, and applies the
+unchanged ``> τ`` test, so a cohort is byte-identical to one built from
+every key. The margin covers three roundings, each translated to a
+relative shift of the bound on ``u``: ``e = fl(1/w)`` is off by at most
+2**-53 relative, which the key's sensitivity to ``e`` near τ scales by
+``w * |ln τ|``; numpy's ``pow`` is within a few ULP of ``u**e``, which
+the ``1/e`` power scales by ``w``; and ``τ**w_max`` is rounded once.
+With ``pow`` at 4 ULP the three stay below ``2**-48 * (1 + s)``, so the
+margin is over 2**28 times what it has to cover. ``pow`` acts per
+element, so on the gathered rows it gives the bits it gives on the
+whole chunk. Three fallbacks compute every key of a chunk: a NaN
+maximum reputation (NaN keys never pass ``> τ`` anyway), ``s >= 2**18``
+(the margin would cut the threshold by a quarter, and ``1/w`` loses
+precision once ``w`` nears the overflow range), and τ not a positive
+normal float (τ = 0 when the top keys underflow; ``pow``'s error on
+subnormal results is not relative). What remains per chunk is the
+per-chunk ``default_rng`` seeding (from a uint32 entropy array, see
+``_round_rng``) and ``random`` draw, one ``max`` and one comparison
+pass: about 15 ms for n = 10^6, k = 62 (traced ``device1m``, 2-core
+Xeon, numpy 2.4.6, 1 BLAS thread), against about 24 ms computing every
+key with tuple-seeded generators and about 150 ms when every chunk was
+sorted in full.
 
 ``required`` ids (the server cluster — they produce the detection
 benchmarks) are always included and never count against availability.
@@ -29,6 +51,9 @@ benchmarks) are always included and never count against availability.
 
 from __future__ import annotations
 
+import math
+import sys
+from bisect import bisect_left
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -49,8 +74,35 @@ _SALT_WEIGHTED = 0x4E57
 _SALT_AVAILABLE = 0xAB1E
 
 
+# Relative margin per unit of prefilter slack, and the slack at which
+# the weighted sampler stops prefiltering (derivation: module docstring).
+_PREFILTER_MARGIN = 2.0**-20
+_PREFILTER_MAX_SLACK = 2.0**18
+
+
 def _round_rng(salt: int, seed: int, round_idx: int, *extra: int):
-    return np.random.default_rng((salt, seed, round_idx, *extra))
+    key = (salt, seed, round_idx, *extra)
+    # numpy turns each int below 2**32 into one uint32 entropy word, so the
+    # array is the same seed; it skips the per-int coercion, which is half
+    # the cost of seeding the weighted sampler's per-chunk generators.
+    if min(key) >= 0 and max(key) < 2**32:
+        return np.random.default_rng(np.array(key, dtype=np.uint32))
+    return np.random.default_rng(key)
+
+
+def _prefilter_threshold(tau: float, w_max: float) -> float:
+    """Lower bound on ``u`` for a key ``u ** (1/w)`` above ``tau``, ``w <= w_max``.
+
+    0.0 lets every row through: ``w_max`` NaN or the slack too large
+    (``slack < limit`` is False for NaN and inf), or ``tau`` not a
+    positive normal float.
+    """
+    if not tau >= sys.float_info.min:
+        return 0.0
+    slack = w_max * (1.0 + abs(math.log(tau)))
+    if not slack < _PREFILTER_MAX_SLACK:
+        return 0.0
+    return tau**w_max * (1.0 - _PREFILTER_MARGIN * (1.0 + slack))
 
 
 @runtime_checkable
@@ -140,8 +192,10 @@ class ReputationWeightedSampler:
     a running top-k, so the full weight vector never materializes. The
     per-chunk rng is derived from ``(seed, round_idx, chunk_start)``,
     which is what lets a scalar oracle replay the identical draws.
-    Once the running top-k is full, only a chunk's keys above its k-th
-    key are merged, so most chunks cost one comparison pass.
+    Once the running top-k is full, a chunk computes keys only for the
+    rows whose ``u`` passes the threshold prefilter (module docstring)
+    and merges only those keys above its k-th key, so most chunks cost
+    one draw and one comparison pass.
     """
 
     name = "reputation"
@@ -152,12 +206,6 @@ class ReputationWeightedSampler:
         self.seed = int(seed)
         self.floor = float(floor)
 
-    def _chunk_keys(self, round_idx: int, start: int, reps: np.ndarray):
-        rng = _round_rng(_SALT_WEIGHTED, self.seed, round_idx, start)
-        u = rng.random(reps.size)
-        w = self.floor + np.maximum(np.asarray(reps, dtype=np.float64), 0.0)
-        return u ** (1.0 / w)
-
     def sample(self, round_idx, population, cohort_size, required=()):
         n = population.size
         req = _required_array(required, n)
@@ -166,34 +214,44 @@ class ReputationWeightedSampler:
         k = min(cohort_size, n) - req.size
         if k <= 0:
             return req
-        store = population.reputation_store
+        req_ids = req.tolist()
+        # running top-k, ordered by (key desc, id asc); keys stored negated
         best_ids = np.empty(0, dtype=np.int64)
-        best_keys = np.empty(0)
+        best_neg = np.empty(0)
         tau = None  # k-th best key once the running top-k is full and finite
-        for start, reps in store.iter_chunks():
-            keys = self._chunk_keys(round_idx, start, reps)
-            if tau is None:
-                rows = np.arange(keys.size)
-            else:
+        thr, tau_for, w_for = 0.0, None, None  # prefilter for (tau_for, w_for)
+        for start, reps in population.reputation_store.iter_chunks():
+            u = _round_rng(_SALT_WEIGHTED, self.seed, round_idx, start).random(
+                reps.size
+            )
+            if tau is not None:
+                w_max = self.floor + max(float(reps.max()), 0.0)
+                if tau != tau_for or w_max != w_for:
+                    thr, tau_for, w_for = _prefilter_threshold(tau, w_max), tau, w_max
+            rows = (u >= thr).nonzero()[0]
+            keys = u[rows] ** (1.0 / (self.floor + np.maximum(reps[rows], 0.0)))
+            if tau is not None:
                 # Exact pruning: chunks arrive in ascending id order, so a
                 # later id with key == tau loses the id tiebreak to every
                 # incumbent, and NaN keys never pass ``>``.
-                rows = np.flatnonzero(keys > tau)
-                if not rows.size:
+                hit = (keys > tau).nonzero()[0]
+                if not hit.size:
                     continue
+                rows, keys = rows[hit], keys[hit]
             ids = rows + start
-            lo, hi = np.searchsorted(req, (start, start + keys.size))
-            if hi > lo:
-                keep = ~np.isin(ids, req[lo:hi])
-                ids, rows = ids[keep], rows[keep]
+            lo = bisect_left(req_ids, start)
+            if lo < len(req_ids) and req_ids[lo] < start + reps.size:
+                keep = ~np.isin(ids, req[lo:])
+                ids, keys = ids[keep], keys[keep]
+            # The incumbents are in (key desc, id asc) order and the new ids
+            # ascend past theirs, so a stable sort on the negated key alone
+            # keeps the id tiebreak; NaN keys sort last.
             all_ids = np.concatenate([best_ids, ids])
-            all_keys = np.concatenate([best_keys, keys[rows]])
-            # top-k by (key desc, id asc) — the id tiebreak keeps the
-            # selection deterministic even on (improbable) equal keys
-            order = np.lexsort((all_ids, -all_keys))[:k]
-            best_ids, best_keys = all_ids[order], all_keys[order]
-            if best_keys.size == k and not np.isnan(best_keys[-1]):
-                tau = best_keys[-1]
+            all_neg = np.concatenate([best_neg, -keys])
+            order = np.argsort(all_neg, kind="stable")[:k]
+            best_ids, best_neg = all_ids[order], all_neg[order]
+            if best_neg.size == k and not math.isnan(best_neg[-1]):
+                tau = -float(best_neg[-1])
         return _with_required(req, best_ids)
 
 

@@ -78,6 +78,12 @@ class TestRNGFidelity:
         for a, b in zip(scalar_w, fleet_w):
             assert a.rng.integers(0, 1 << 30) == b.rng.integers(0, 1 << 30)
 
+    def test_duplicate_worker_ids_rejected(self):
+        """A worker listed twice would draw two minibatch streams per round."""
+        workers, _, _ = make_federation(num_workers=3)
+        with pytest.raises(ValueError, match=r"duplicate worker ids: \[1\]"):
+            FleetLocalEngine(workers + [workers[1]])
+
 
 def _attacker_zoo(seed=0):
     """One worker of every type over shared blob shards."""

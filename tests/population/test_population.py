@@ -90,6 +90,13 @@ class TestMaterialization:
         assert pop.seen_count == 3
         assert pop.coverage() == pytest.approx(3 / 100)
 
+    def test_checkout_rejects_duplicate_ids(self):
+        """A repeated id would hand out one Worker twice (and train it twice)."""
+        pop = lazy_population()
+        with pytest.raises(ValueError, match=r"duplicate worker ids in cohort: \[3\]"):
+            pop.checkout([3, 3, 5])
+        assert pop.seen_count == 0
+
     def test_cache_trimmed_to_cohort(self):
         pop = lazy_population(cache_size=4)
         pop.checkout(range(10))

@@ -1,5 +1,6 @@
 """Cohort samplers: determinism (incl. process restarts), differentials."""
 
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,13 @@ from repro.population import (
     make_sampler,
 )
 
-from .reference import reputation_weighted_reference
+from repro.population.sampler import _prefilter_threshold, _round_rng
+
+from .reference import (
+    _chunk_uniforms,
+    reputation_weighted_oracle,
+    reputation_weighted_reference,
+)
 
 
 def make_population(size=1000, **kwargs):
@@ -106,6 +113,14 @@ class TestRestartDeterminism:
         assert runs[0] == runs[1]
         assert "uniform 0 " in runs[0]
 
+    @pytest.mark.parametrize(
+        "key", [(0x4E57, 0, 0, 0), (1, 2**32 - 1, 7, 4096), (1, 2**40, 7, 4096)]
+    )
+    def test_round_rng_is_the_int_tuple_seed(self, key):
+        """The uint32 entropy array seeds the stream the int tuple does."""
+        got = _round_rng(*key).random(8)
+        assert got.tobytes() == np.random.default_rng(key).random(8).tobytes()
+
     def test_mid_run_resume_matches_fresh_sampler(self):
         """Round t's cohort does not depend on rounds 0..t-1 being drawn."""
         pop = make_population()
@@ -183,13 +198,26 @@ class TestReputationWeighted:
 
 
 _REPUTATIONS = st.sampled_from([0.0, -2.5, 0.3, 0.3, 7.0, 1e300, float("inf")])
+# NaN, -inf, the smallest subnormal and -0.0 on top: NaN reputations make
+# NaN keys, which the scalar oracle cannot sort, so only the byte oracle
+# draws from this set.
+_WIDE_REPUTATIONS = st.one_of(
+    _REPUTATIONS, st.sampled_from([float("nan"), float("-inf"), 5e-324, -0.0])
+)
+# Floors down to 1e-300 drive keys to 0 (tau == 0) or into the subnormal
+# range; 1e300 and inf reputations push the slack past its limit.
+_FLOORS = st.one_of(
+    st.just(0.05),
+    st.sampled_from([1e-300, 1e-9, 2e-3, 3.0]),
+    st.floats(1e-300, 10.0),
+)
 
 
 @st.composite
-def weighted_cases(draw):
+def weighted_cases(draw, reputations=_REPUTATIONS):
     n = draw(st.integers(1, 3000))
     written = draw(
-        st.dictionaries(st.integers(0, n - 1), _REPUTATIONS, max_size=min(n, 64))
+        st.dictionaries(st.integers(0, n - 1), reputations, max_size=min(n, 64))
     )
     required = draw(st.lists(st.integers(0, n - 1), max_size=4))
     if draw(st.booleans()):
@@ -198,7 +226,7 @@ def weighted_cases(draw):
         n=n,
         chunk=draw(st.integers(1, 257)),
         memmap=draw(st.booleans()),
-        initial=draw(_REPUTATIONS),
+        initial=draw(reputations),
         written=written,
         required=tuple(required),
         k=draw(st.integers(0, n)),
@@ -230,6 +258,96 @@ class TestPrunedTopKProperty:
             )
             del pop  # release the memmap before the directory goes
         assert np.array_equal(fast, ref)
+
+
+class TestPrefilterByteOracle:
+    """The prefiltered sampler returns the full-key loop's exact bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=weighted_cases(_WIDE_REPUTATIONS), floor=_FLOORS)
+    def test_matches_full_key_oracle(self, case, floor):
+        with tempfile.TemporaryDirectory() as tmp:
+            pop = WorkerPopulation(
+                case["n"],
+                reputation_chunk=case["chunk"],
+                initial_reputation=case["initial"],
+                reputation_path=(
+                    os.path.join(tmp, "rep.npy") if case["memmap"] else None
+                ),
+            )
+            pop.reputation_store.write_round(case["written"])
+            fast = ReputationWeightedSampler(seed=case["seed"], floor=floor).sample(
+                case["round_idx"], pop, case["k"], required=case["required"]
+            )
+            oracle = reputation_weighted_oracle(
+                case["seed"], case["round_idx"], pop, case["k"],
+                required=case["required"], floor=floor,
+            )
+            del pop  # release the memmap before the directory goes
+        assert fast.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize(
+        "regime, floor, written, k",
+        [
+            # every chunk holds a NaN reputation: no chunk max to bound by
+            ("nan-max", 0.05, {w: float("nan") for w in range(0, 2000, 50)}, 40),
+            # a 1e300 weight in every chunk: slack far past 2**18
+            ("slack", 0.05, {w: 1e300 for w in range(7, 2000, 100)}, 40),
+            # keys u**1e300 are all 0.0, so tau is 0
+            ("zero-tau", 1e-300, {}, 40),
+            # keys u**500 put the k-th key among the subnormals
+            ("subnormal-tau", 2e-3, {}, 1530),
+        ],
+    )
+    def test_fallback_regimes_match_oracle(self, regime, floor, written, k):
+        pop = WorkerPopulation(2000, reputation_chunk=100)
+        pop.reputation_store.write_round(written)
+        if regime.endswith("tau"):
+            keys = np.concatenate([
+                _chunk_uniforms(5, 2, start, reps.size)
+                ** (1.0 / (floor + np.maximum(reps, 0.0)))
+                for start, reps in pop.reputation_store.iter_chunks()
+            ])
+            kth = np.sort(keys)[-k]
+            assert (kth == 0.0) if regime == "zero-tau" else (
+                0.0 < kth < sys.float_info.min
+            )
+        fast = ReputationWeightedSampler(seed=5, floor=floor).sample(2, pop, k)
+        oracle = reputation_weighted_oracle(5, 2, pop, k, floor=floor)
+        assert fast.tobytes() == oracle.tobytes()
+
+
+class TestPrefilterThreshold:
+    def test_fallbacks_let_every_row_through(self):
+        assert _prefilter_threshold(0.0, 1.0) == 0.0
+        assert _prefilter_threshold(1e-310, 1.0) == 0.0  # subnormal tau
+        assert _prefilter_threshold(0.5, float("nan")) == 0.0
+        assert _prefilter_threshold(0.5, float("inf")) == 0.0
+        assert _prefilter_threshold(1.0, 2.0**18) == 0.0  # slack at the limit
+        assert 0.0 < _prefilter_threshold(0.5, 1.0) < 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        neg_log_tau=st.floats(0.0, 708.0),
+        log_w_max=st.floats(-8.0, 13.0),
+        frac=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    def test_no_key_above_tau_below_the_threshold(self, neg_log_tau, log_w_max, frac):
+        """Draws packed around the exact boundary ``u = tau**w``: every one
+        whose computed key beats tau clears the threshold. Large
+        ``w * |ln tau|`` is where ``fl(1/w)`` moves keys by many ULP."""
+        tau, w_max = math.exp(-neg_log_tau), math.exp(log_w_max)
+        w = max(w_max * frac, 1e-300)  # a weight the floor allows, <= w_max
+        thr = _prefilter_threshold(tau, w_max)
+        edge = tau**w
+        u = np.concatenate([
+            edge * (1.0 + np.linspace(-1e-9, 1e-9, 101)),
+            edge + np.arange(-200, 201) * np.spacing(edge),
+            thr + np.arange(-50, 51) * np.spacing(max(thr, 1e-300)),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        keys = u ** (1.0 / np.full(u.size, w))
+        assert (u[keys > tau] >= thr).all()
 
 
 class TestAvailabilityAware:
