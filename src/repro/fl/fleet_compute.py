@@ -15,7 +15,13 @@ path, and byte-identical where only layout changes):
   worker per local iteration — the exact calls the scalar
   ``Worker._local_gradient`` makes, in the same per-worker order — so
   every worker's RNG stream is reproduced index-for-index and any draws
-  an attacker makes afterwards (coin flips, noise) line up too.
+  an attacker makes afterwards (coin flips, noise) line up too. The
+  draws land in a preallocated ``(n, b)`` index array; shifted by each
+  worker's row offset into the group's stacked shards, they gather the
+  whole fleet's minibatch with one ``take`` per array.
+* **Finalize** turns the trained parameters into gradients in place,
+  ``(theta - params) / lr`` on the gathered ``(n, D)`` copy, then hands
+  each row to its worker.
 * **Attacker transforms** (sign-flip, probabilistic, noise-calibration,
   collusion, sample-count fraud) commute with batching: they only read
   the finished local gradient, so they run post-hoc per row via
@@ -60,22 +66,28 @@ _MIN_PARALLEL_SHARD = 8
 class _FleetGroup:
     """One batch of workers sharing architecture, batch size and iters.
 
-    With ``persistent=False`` (shard-streaming mode) the stacked
-    :class:`FleetSequential` is built lazily per round and released
-    afterwards, so peak parameter memory is one shard's worth instead of
-    the whole cohort's.
+    The members' shards are stacked once into ``x_all``/``y_all`` (rows
+    of worker ``i`` start at ``offsets[i]``), so each local step gathers
+    the whole fleet's minibatch with one ``take`` per array. With
+    ``persistent=False`` (shard-streaming mode) the stacked
+    :class:`FleetSequential` and the stacked shards are rebuilt per round
+    and released afterwards, so peak memory is one shard's worth instead
+    of the whole cohort's.
     """
 
     def __init__(self, workers: list[Worker], persistent: bool = True):
         self.workers = workers
         self._persistent = persistent
-        self._model: FleetSequential | None = (
-            FleetSequential(workers[0].model, len(workers)) if persistent else None
-        )
         self.loss_fn = FleetSoftmaxCrossEntropy()
         self.lrs = np.asarray([w.lr for w in workers], dtype=np.float64)
         self.batch = min(workers[0].batch_size, len(workers[0].dataset))
         self.local_iters = workers[0].local_iters
+        self.sizes = [len(w.dataset) for w in workers]
+        self.offsets = np.cumsum([0] + self.sizes[:-1], dtype=np.int64)[:, None]
+        #: per-step minibatch rows, drawn in place, then shifted to stack rows
+        self.idx = np.empty((len(workers), self.batch), dtype=np.int64)
+        self._model: FleetSequential | None = None
+        self._data: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def model(self) -> FleetSequential:
@@ -85,10 +97,28 @@ class _FleetGroup:
             )
         return self._model
 
+    @property
+    def data(self) -> tuple[np.ndarray, np.ndarray]:
+        """The members' shards stacked as ``(x_all, y_all)``.
+
+        Stacked in the minibatch dtypes (float64 features, int64 labels)
+        by row assignment, so every value converts exactly as a per-worker
+        gather into a float64 minibatch does.
+        """
+        if self._data is None:
+            x_all = np.empty((sum(self.sizes),) + self.workers[0].dataset.x.shape[1:])
+            y_all = np.empty(len(x_all), dtype=np.int64)
+            for w, lo, size in zip(self.workers, self.offsets[:, 0], self.sizes):
+                x_all[lo : lo + size] = w.dataset.x
+                y_all[lo : lo + size] = w.dataset.y
+            self._data = (x_all, y_all)
+        return self._data
+
     def release(self) -> None:
-        """Drop the stacked replica between rounds (shard mode only)."""
+        """Drop the stacked replica and shards between rounds (shard mode)."""
         if not self._persistent:
             self._model = None
+            self._data = None
 
 
 def _group_key(worker: Worker) -> tuple | None:
@@ -137,9 +167,6 @@ class FleetLocalEngine:
         self._groups: list[_FleetGroup] = []
         self._scalar: list[Worker] = []
         self._grouped_for: frozenset[int] | None = None
-        # Last round's minibatch draws, ``{worker_id: [indices per iter]}``
-        # — kept for the RNG-fidelity tests; negligible memory.
-        self.last_indices: dict[int, list[np.ndarray]] = {}
 
     @property
     def _parallel(self) -> bool:
@@ -219,16 +246,15 @@ class FleetLocalEngine:
                 and fleet.num_buffer_values
             ):
                 fleet.load_flat_buffers(global_buffers)
-        feat = group.workers[0].dataset.x.shape[1:]
-        xb = np.empty((n, b) + feat)
-        yb = np.empty((n, b), dtype=np.int64)
+        x_all, y_all = group.data
+        idx = group.idx
         for _ in range(group.local_iters):
             with prof.phase("fleet.sample"):
-                for i, w in enumerate(group.workers):
-                    idx = w.rng.integers(0, len(w.dataset), size=b)
-                    self.last_indices[w.worker_id].append(idx)
-                    xb[i] = w.dataset.x[idx]
-                    yb[i] = w.dataset.y[idx]
+                for i, (w, size) in enumerate(zip(group.workers, group.sizes)):
+                    idx[i] = w.rng.integers(0, size, size=b)
+                idx += group.offsets
+                xb = x_all.take(idx, axis=0)
+                yb = y_all.take(idx)
             with prof.phase("fleet.forward"):
                 logits = fleet.forward(xb, training=True)
                 group.loss_fn(logits, yb)
@@ -237,7 +263,10 @@ class FleetLocalEngine:
             with prof.phase("fleet.step"):
                 fleet.sgd_step(group.lrs)
         with prof.phase("fleet.finalize"):
-            grads = (theta[None, :] - fleet.get_flat_params()) / group.lrs[:, None]
+            # (theta - params) / lr, in place on the gathered params copy
+            grads = fleet.get_flat_params()
+            np.subtract(theta, grads, out=grads)
+            grads /= group.lrs[:, None]
             bufs = fleet.get_flat_buffers() if fleet.num_buffer_values else None
             for i, w in enumerate(group.workers):
                 buffers = bufs[i] if bufs is not None else None
@@ -254,10 +283,11 @@ class FleetLocalEngine:
         """Thread path: the serial kernel body per shard, GIL-released GEMMs.
 
         Safe without locks by construction: worker sets are disjoint
-        across groups, so the per-worker RNG draws, ``last_indices``
-        appends and ``updates`` writes all touch distinct keys. Each task
-        profiles into a disabled hub — the shared hub is single-writer —
-        and the coordinator emits the pooled stats afterwards.
+        across groups, so the per-worker RNG draws, each group's own index
+        and stacked-shard arrays and the ``updates`` writes never overlap.
+        Each task profiles into a disabled hub — the shared hub is
+        single-writer — and the coordinator emits the pooled stats
+        afterwards.
         """
         quiet = Telemetry(enabled=False)
         tasks = [
@@ -288,11 +318,6 @@ class FleetLocalEngine:
         exclude = frozenset(exclude or ())
         if exclude != self._grouped_for:
             self._regroup(exclude)
-        self.last_indices = {
-            w.worker_id: []
-            for g in self._groups
-            for w in g.workers
-        }
         updates: dict[int, WorkerUpdate] = {}
         if not self._parallel or not self._groups:
             for group in self._groups:

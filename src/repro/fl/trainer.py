@@ -46,6 +46,7 @@ from ..comm import Network, polycentric_topology, validate_roles
 from ..datasets import Dataset
 from ..nn import Sequential
 from ..parallel.backend import ExecutionBackend, make_backend
+from ..parallel.heap import retain_heap
 from ..sim import FaultScenario, SimRoundRunner, Simulator, make_latency
 from ..telemetry import get_telemetry, profile_delta
 from .evaluation import evaluate
@@ -207,6 +208,10 @@ class FederatedTrainer:
         # cycle: the population package imports worker classes at module
         # level, so the trainer must reach back lazily.
         from ..population import WorkerPopulation, make_sampler
+
+        # Keep each round's (N, D) temporaries resident instead of letting
+        # glibc trim them away and fault them back in every round.
+        retain_heap()
 
         if population is None and isinstance(workers, WorkerPopulation):
             # Population passed positionally in the workers slot: the

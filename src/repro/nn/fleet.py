@@ -126,10 +126,15 @@ class FleetLayer:
         raise NotImplementedError
 
     def sgd_step(self, lr: np.ndarray) -> None:
-        """In-place ``p -= lr_i * grad`` per worker; ``lr`` has shape (N,)."""
+        """In-place ``p -= lr_i * grad`` per worker; ``lr`` has shape (N,).
+
+        The step is scaled inside the layer's own gradient arrays, so
+        after this call ``grads`` hold ``lr_i * grad``, not the gradient.
+        """
         for name, p in self.params.items():
             g = self.grads[name]
-            p -= lr.reshape((self.n,) + (1,) * (p.ndim - 1)) * g
+            g *= lr.reshape((self.n,) + (1,) * (p.ndim - 1))
+            p -= g
 
 
 class _MergedLayer(FleetLayer):
@@ -171,6 +176,7 @@ class FleetDense(FleetLayer):
         self.out_features = template.out_features
         self.params["W"] = np.empty((n, self.in_features, self.out_features))
         self.params["b"] = np.empty((n, self.out_features))
+        self.grads["W"] = np.empty_like(self.params["W"])
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -185,7 +191,7 @@ class FleetDense(FleetLayer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before a training forward pass")
-        self.grads["W"] = self._x.transpose(0, 2, 1) @ grad_out
+        np.matmul(self._x.transpose(0, 2, 1), grad_out, out=self.grads["W"])
         self.grads["b"] = grad_out.sum(axis=1)
         return grad_out @ self.params["W"].transpose(0, 2, 1)
 
@@ -211,6 +217,7 @@ class FleetConv2d(FleetLayer):
             (n, self.out_channels, self.in_channels, self.kernel_size, self.kernel_size)
         )
         self.params["b"] = np.empty((n, self.out_channels))
+        self.grads["W"] = np.empty_like(self.params["W"])
         self._kk = kk
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
@@ -246,8 +253,10 @@ class FleetConv2d(FleetLayer):
         k, s, p = self.kernel_size, self.stride, self.padding
         grad_mat = grad_out.transpose(0, 1, 3, 4, 2).reshape(n, b * oh * ow, oc)
         w_mat = self.params["W"].reshape(n, oc, self._kk)
-        self.grads["W"] = (grad_mat.transpose(0, 2, 1) @ self._cols).reshape(
-            self.params["W"].shape
+        np.matmul(
+            grad_mat.transpose(0, 2, 1),
+            self._cols,
+            out=self.grads["W"].reshape(n, oc, self._kk),
         )
         self.grads["b"] = grad_mat.sum(axis=1)
         grad_cols = (grad_mat @ w_mat).reshape(n * b * oh * ow, self._kk)

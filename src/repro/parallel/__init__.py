@@ -15,6 +15,8 @@ package spreads those shards across cores behind one switch::
   completion order.
 * :mod:`repro.parallel.blas` — :func:`blas_limits`, the BLAS thread-count
   guard against ``pool x blas`` oversubscription.
+* :mod:`repro.parallel.heap` — :func:`retain_heap`, the glibc heap policy
+  that keeps a round's large temporaries resident between rounds.
 
 The mechanism's round kernels (detection, distances) stay serial: sharding
 them over the pool measured slower than the inline loop at the cohort
@@ -37,6 +39,7 @@ from .backend import (
     make_backend,
 )
 from .blas import blas_limits, blas_thread_count
+from .heap import retain_heap
 
 __all__ = [
     "BACKENDS",
@@ -49,4 +52,5 @@ __all__ = [
     "make_backend",
     "blas_limits",
     "blas_thread_count",
+    "retain_heap",
 ]

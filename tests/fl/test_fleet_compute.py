@@ -10,7 +10,7 @@ histories. These tests pin each clause.
 import numpy as np
 import pytest
 
-from repro.datasets import iid_partition, make_blobs, train_test_split
+from repro.datasets import iid_partition, make_blobs, sized_partition, train_test_split
 from repro.experiments.common import (
     FedExpConfig,
     data_poison,
@@ -33,6 +33,7 @@ from repro.fl import (
     SignFlippingWorker,
 )
 from repro.nn import SGD, Dense, Dropout, ReLU, Sequential, build_logreg, build_mlp
+from repro.parallel import ThreadBackend
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -45,26 +46,23 @@ def _theta(seed=0):
 
 class TestRNGFidelity:
     def test_minibatch_indices_reproduce_worker_streams(self):
-        """Fleet sampling must be byte-identical to each worker's own
-        ``default_rng(seed)`` stream — draw for draw, across rounds."""
+        """Fleet sampling must consume each worker's own ``default_rng(seed)``
+        stream exactly as the scalar path does — draw for draw, across
+        rounds. (The <= 1e-8 upload differentials pin that the drawn rows
+        are the ones trained on.)"""
         local_iters, rounds = 3, 2
         workers, _, _ = make_federation(num_workers=4, seed=5, local_iters=local_iters)
         engine = FleetLocalEngine(workers)
         theta = _theta(5)
-        per_round: list[dict] = []
+        # the seeds make_federation used
+        refs = [np.random.default_rng(5 + 100 + i) for i in range(len(workers))]
         for _ in range(rounds):
             engine.compute_updates(theta)
-            per_round.append(dict(engine.last_indices))
-        for i, w in enumerate(workers):
-            ref = np.random.default_rng(5 + 100 + i)  # the seed make_federation used
-            b = min(w.batch_size, len(w.dataset))
-            for r in range(rounds):
-                got = per_round[r][w.worker_id]
-                assert len(got) == local_iters
-                for idx in got:
-                    want = ref.integers(0, len(w.dataset), size=b)
-                    assert idx.tobytes() == want.tobytes()
-                    assert idx.dtype == want.dtype
+            for w, ref in zip(workers, refs):
+                b = min(w.batch_size, len(w.dataset))
+                for _ in range(local_iters):
+                    ref.integers(0, len(w.dataset), size=b)
+                assert w.rng.bit_generator.state == ref.bit_generator.state
 
     def test_scalar_and_fleet_workers_end_with_same_rng_state(self):
         """After a round, both paths leave the worker RNG at the same point,
@@ -142,6 +140,53 @@ class TestAttackerParity:
             theta = theta - 0.05 * np.mean(
                 [u.gradient for u in scalar_updates.values()], axis=0
             )
+
+
+class TestStackedGather:
+    """One fleet group over unequal shards: each worker's minibatch rows
+    must come from its own slice of the stacked shards."""
+
+    SIZES = [40, 9, 23, 57, 12, 31, 8, 44, 19, 26, 35, 10, 50, 15, 28, 21, 33, 11]
+
+    def _workers(self):
+        data = make_blobs(n_samples=600, n_features=N_FEATURES,
+                          num_classes=N_CLASSES, seed=4)
+        shards = sized_partition(data, self.SIZES, seed=4)
+
+        def mf():
+            return build_mlp(N_FEATURES, N_CLASSES, hidden=(6,), seed=4)
+
+        return [
+            HonestWorker(i, shards[i], mf, lr=0.1, batch_size=8, local_iters=2,
+                         seed=40 + i)
+            for i in range(len(self.SIZES))
+        ]
+
+    @pytest.mark.parametrize("mode", ["serial", "shard_size=2", "thread x2"])
+    def test_unequal_shards_match_scalar(self, mode):
+        theta = build_mlp(N_FEATURES, N_CLASSES, hidden=(6,), seed=4).get_flat_params()
+        scalar = self._workers()
+        fleet = self._workers()
+        backend = ThreadBackend(2) if mode == "thread x2" else None
+        engine = FleetLocalEngine(
+            fleet, shard_size=2 if mode == "shard_size=2" else None, backend=backend
+        )
+        try:
+            assert len(engine.compute_updates(theta)) == len(fleet)  # warm round
+            got = engine.compute_updates(theta)
+        finally:
+            if backend is not None:
+                backend.close()
+        want = {}
+        for _ in range(2):
+            want = {w.worker_id: w.compute_update(theta) for w in scalar}
+        groups = engine._groups
+        assert len(groups) == (9 if mode == "shard_size=2" else
+                               2 if mode == "thread x2" else 1)
+        for wid, up in want.items():
+            assert np.abs(got[wid].gradient - up.gradient).max() <= TOL
+        for a, b in zip(scalar, fleet):
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 class TestFallbacks:
