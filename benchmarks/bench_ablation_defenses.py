@@ -19,6 +19,7 @@ from repro.core import (
 from repro.datasets import iid_partition, make_blobs, train_test_split
 from repro.fl import FederatedTrainer, HonestWorker, SignFlippingWorker
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
 from conftest import emit, run_once
 
@@ -48,7 +49,7 @@ def _federation(seed=0):
 def _train(mechanism, seed=0):
     workers, test, model_fn = _federation(seed)
     trainer = FederatedTrainer(
-        model_fn(), workers, [0, 1], test_data=test,
+        model_fn(), WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
         mechanism=mechanism, server_lr=0.1, seed=seed,
     )
     return trainer.run(30, eval_every=30).final_accuracy()

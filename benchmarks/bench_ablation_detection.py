@@ -8,9 +8,17 @@ cosine regardless of intensity.
 
 import numpy as np
 
-from repro.core import server_score
+from repro.core import detection_scores_matrix
 
 from conftest import emit, run_once
+
+
+def server_score(bench, candidate, mode):
+    """One server's score S_i^j of a (non-server) worker's slice."""
+    return float(detection_scores_matrix(
+        np.array([1]), candidate[None, :], np.array([0, candidate.size]),
+        np.array([0]), np.array([0]), [bench], mode,
+    )[0])
 
 
 def _sweep():

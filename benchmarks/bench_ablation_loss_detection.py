@@ -11,9 +11,10 @@ import time
 
 import numpy as np
 
-from repro.core import AttackDetector, DetectionConfig, LossBasedDetector
+from repro.core import LossBasedDetector, detection_scores_matrix
 from repro.datasets import iid_partition, make_blobs, train_test_split
-from repro.fl import HonestWorker, SignFlippingWorker, split_gradient
+from repro.fl import HonestWorker, SignFlippingWorker
+from repro.fl.gradients import slice_offsets
 from repro.nn import build_logreg
 
 from conftest import emit, run_once
@@ -50,18 +51,20 @@ def _sweep():
 
     # FIFL first-order detection over the polycentric protocol (servers
     # 0 and 1 score slices against their own slices; no inference at all)
-    bench = {
-        srv: split_gradient(grads[srv], 2)[j]
-        for j, srv in enumerate((0, 1))
-    }
-    slices = {
-        w: dict(zip((0, 1), split_gradient(g, 2))) for w, g in grads.items()
-    }
-    fifl = AttackDetector(DetectionConfig(threshold=0.0, mode="cosine"))
+    ids = np.array(sorted(grads))
+    matrix = np.stack([grads[w] for w in ids])
+    offsets = slice_offsets(matrix.shape[1], 2)
+    servers = np.array([0, 1])
+    bench = [
+        grads[srv][offsets[j] : offsets[j + 1]] for j, srv in enumerate(servers)
+    ]
     t0 = time.perf_counter()
     for _ in range(5):
-        fifl_scores, fifl_accept = fifl.detect(slices, bench)
+        fifl_scores = detection_scores_matrix(
+            ids, matrix, offsets, servers, servers, bench, "cosine"
+        )
     fifl_time = (time.perf_counter() - t0) / 5
+    fifl_accept = dict(zip(ids.tolist(), (fifl_scores >= 0.0).tolist()))
 
     agreement = np.mean(
         [exact_accept[w] == fifl_accept[w] for w in grads]

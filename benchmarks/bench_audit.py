@@ -119,8 +119,7 @@ def differential(
     """
     sink = MemorySink(maxlen=None)
     hub = Telemetry(sinks=[sink])
-    mech = make_mechanism("fifl", threshold=0.0, gamma=0.2,
-                          engine="vectorized")
+    mech = make_mechanism("fifl", threshold=0.0, gamma=0.2)
     mech.profiler = hub
     t0 = time.perf_counter()
     for t in range(rounds):
@@ -175,7 +174,7 @@ def audit_overhead(
     mechs = {}
     for key, hub in hubs.items():
         mech = make_mechanism("fifl", threshold=0.0, gamma=0.2,
-                              engine="vectorized", audit=(key == "on"))
+                              audit=(key == "on"))
         mech.profiler = hub
         mechs[key] = mech
     times: dict[str, list[float]] = {"on": [], "off": []}

@@ -1,24 +1,21 @@
-"""Round-engine benchmark: vectorized vs scalar FIFL kernels.
+"""Round-engine benchmark: per-phase timings of the FIFL round.
 
 Times ``FIFLMechanism.process_round`` over synthetic rounds at several
-federation sizes, once with the batched (N, D)-matrix engine and once
-with the scalar reference loops, and reports per-phase wall-clock from
-the telemetry module plus the speedup per phase. Also measures the
-always-on telemetry overhead (default in-memory sink vs disabled hub)
-and reports both wall-clock numbers; the run's result doubles as a
-telemetry run manifest (config + seed + timings + speedups) emitted
-through the active sinks.
+federation sizes and reports per-phase wall-clock from the telemetry
+module. Also measures the instrumentation overheads — the always-on
+telemetry (default in-memory sink vs disabled hub), a health monitor,
+and the resource probe — and reports both wall-clock numbers for each;
+the run's result doubles as a telemetry run manifest (config + seed +
+timings) emitted through the active sinks. (Agreement with the
+per-worker reference pipeline is a differential test in
+``tests/core/test_engine.py``, not a timing.)
 
-CLI (no pytest needed)::
+CLI::
 
     python benchmarks/bench_engine.py            # N in {16, 64, 256}
     python benchmarks/bench_engine.py --quick    # smoke scale
     python benchmarks/bench_engine.py --json out.json
     python benchmarks/bench_engine.py --record   # benchmarks/BENCH_engine.json
-
-Under pytest (``pytest benchmarks/bench_engine.py``) the quick
-configuration runs as a regression guard: the vectorized engine must
-beat the scalar one on the detection + contribution phases at N = 64.
 """
 
 from __future__ import annotations
@@ -41,9 +38,6 @@ from repro.fl.trainer import RoundContext
 from repro.fl.workers import WorkerUpdate
 from repro.parallel import blas_limits
 from repro.telemetry import Telemetry, run_manifest, write_manifest
-
-#: phases whose vectorization the tentpole targets
-KERNEL_PHASES = ("fifl.detect", "fifl.contribution")
 
 DEFAULT_SIZES = (16, 64, 256)
 DEFAULT_DIM = 4096
@@ -90,7 +84,6 @@ def make_round(
 
 
 def time_engine(
-    engine: str,
     num_workers: int,
     dim: int,
     num_servers: int,
@@ -98,15 +91,13 @@ def time_engine(
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> dict:
-    """Run ``rounds`` synthetic rounds through one engine; per-phase seconds.
+    """Run ``rounds`` synthetic rounds through the mechanism; phase seconds.
 
     ``telemetry`` overrides the per-run hub — the overhead check passes
     a disabled hub here to time the mechanism with instrumentation off.
     """
     profiler = telemetry if telemetry is not None else Telemetry()
-    mech = make_mechanism(
-        "fifl", threshold=0.0, gamma=0.2, engine=engine
-    )
+    mech = make_mechanism("fifl", threshold=0.0, gamma=0.2)
     mech.profiler = profiler
     contexts = [
         make_round(num_workers, dim, num_servers, t, seed=seed, uncertain=1)
@@ -114,11 +105,11 @@ def time_engine(
     ]
     # Warm up BLAS threads / allocator on a throwaway mechanism so the
     # first timed round isn't paying one-off setup costs.
-    warm = make_mechanism("fifl", threshold=0.0, gamma=0.2, engine=engine)
+    warm = make_mechanism("fifl", threshold=0.0, gamma=0.2)
     warm.profiler = Telemetry()
     warm.process_round(contexts[0])
-    # pin the BLAS pool so a multi-threaded BLAS can't skew the
-    # engine-vs-engine comparison machine by machine
+    # pin the BLAS pool so a multi-threaded BLAS can't skew timings
+    # machine by machine
     with blas_limits(1):
         t0 = time.perf_counter()
         for ctx in contexts:
@@ -162,8 +153,7 @@ def telemetry_overhead(
     hubs = {"on": Telemetry(), "off": Telemetry(enabled=False)}
     mechs = {}
     for key, hub in hubs.items():
-        mech = make_mechanism("fifl", threshold=0.0, gamma=0.2,
-                              engine="vectorized")
+        mech = make_mechanism("fifl", threshold=0.0, gamma=0.2)
         mech.profiler = hub
         mechs[key] = mech
     times: dict[str, list[float]] = {"on": [], "off": []}
@@ -234,8 +224,7 @@ def monitor_overhead(
     Monitor(MonitorConfig()).install(hubs["on"])
     mechs = {}
     for key, hub in hubs.items():
-        mech = make_mechanism("fifl", threshold=0.0, gamma=0.2,
-                              engine="vectorized")
+        mech = make_mechanism("fifl", threshold=0.0, gamma=0.2)
         mech.profiler = hub
         mechs[key] = mech
     times: dict[str, list[float]] = {"on": [], "off": []}
@@ -299,8 +288,7 @@ def resource_overhead(
         make_round(num_workers, dim, num_servers, t, seed=seed, uncertain=1)
         for t in range(rounds)
     ]
-    mech = make_mechanism("fifl", threshold=0.0, gamma=0.2,
-                          engine="vectorized")
+    mech = make_mechanism("fifl", threshold=0.0, gamma=0.2)
     mech.profiler = Telemetry()
     round_times: list[float] = []
     sample_times: list[float] = []
@@ -343,19 +331,10 @@ def run_benchmark(
     rounds: int = DEFAULT_ROUNDS,
     seed: int = 0,
 ) -> dict:
-    """Old-vs-new timings per federation size, with per-phase speedups."""
-    by_size: dict[int, dict] = {}
-    for n in sizes:
-        scalar = time_engine("scalar", n, dim, num_servers, rounds, seed)
-        vector = time_engine("vectorized", n, dim, num_servers, rounds, seed)
-        kernel_scalar = sum(scalar["phases"].get(p, 0.0) for p in KERNEL_PHASES)
-        kernel_vector = sum(vector["phases"].get(p, 0.0) for p in KERNEL_PHASES)
-        by_size[n] = {
-            "scalar": scalar,
-            "vectorized": vector,
-            "speedup_total": scalar["total_s"] / max(vector["total_s"], 1e-12),
-            "speedup_kernels": kernel_scalar / max(kernel_vector, 1e-12),
-        }
+    """Per-phase timings per federation size, plus the overheads."""
+    by_size = {
+        n: time_engine(n, dim, num_servers, rounds, seed) for n in sizes
+    }
     overhead_n = max(sizes)
     return {
         "dim": dim,
@@ -380,22 +359,13 @@ def format_report(result: dict) -> list[str]:
         f"Round-engine benchmark (D={result['dim']}, "
         f"M={result['num_servers']}, {result['rounds']} rounds per timing)"
     ]
-    rows.append(
-        f"{'N':>5} {'scalar_s':>10} {'vector_s':>10} "
-        f"{'speedup':>8} {'detect+contrib':>15}"
-    )
+    rows.append(f"{'N':>5} {'total_s':>10}")
     for n, r in result["by_size"].items():
-        rows.append(
-            f"{n:>5} {r['scalar']['total_s']:>10.4f} "
-            f"{r['vectorized']['total_s']:>10.4f} "
-            f"{r['speedup_total']:>7.1f}x {r['speedup_kernels']:>14.1f}x"
-        )
+        rows.append(f"{n:>5} {r['total_s']:>10.4f}")
     for n, r in result["by_size"].items():
         rows.append(f"  per-phase seconds at N={n}:")
-        for name in sorted(set(r["scalar"]["phases"]) | set(r["vectorized"]["phases"])):
-            s = r["scalar"]["phases"].get(name, 0.0)
-            v = r["vectorized"]["phases"].get(name, 0.0)
-            rows.append(f"    {name:<20} scalar={s:.4f}  vectorized={v:.4f}")
+        for name, seconds in sorted(r["phases"].items()):
+            rows.append(f"    {name:<20} {seconds:.4f}")
     ov = result.get("telemetry_overhead")
     if ov:
         rows.append(
@@ -419,18 +389,6 @@ def format_report(result: dict) -> list[str]:
             f"({rv['overhead_pct']:+.2f}%)"
         )
     return rows
-
-
-def bench_engine_speedup(benchmark):
-    """Pytest entry: the batched kernels must beat the scalar loops."""
-    result = benchmark.pedantic(
-        run_benchmark,
-        kwargs=dict(sizes=(64,), dim=2048, rounds=5),
-        iterations=1, rounds=1, warmup_rounds=0,
-    )
-    for row in format_report(result):
-        print(row)
-    assert result["by_size"][64]["speedup_kernels"] > 3.0
 
 
 def main(argv: list[str] | None = None) -> int:

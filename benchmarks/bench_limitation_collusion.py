@@ -15,6 +15,7 @@ from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
 from repro.datasets import iid_partition, make_blobs, train_test_split
 from repro.fl import ColludingAttacker, FederatedTrainer, HonestWorker
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
 from conftest import emit, run_once
 
@@ -44,8 +45,10 @@ def _run(with_colluders: bool, seed=0, rounds=25):
     mech = FIFLMechanism(
         FIFLConfig(detection=DetectionConfig(threshold=0.0), gamma=0.3)
     )
-    trainer = FederatedTrainer(model_fn(), workers, [0, 1], test_data=test,
-                               mechanism=mech, server_lr=0.1, seed=seed)
+    trainer = FederatedTrainer(
+        model_fn(), WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
+        mechanism=mech, server_lr=0.1, seed=seed,
+    )
     history = trainer.run(rounds, eval_every=rounds)
     theta = trainer.model.get_flat_params()
     direction = np.random.default_rng(DIRECTION_SEED).normal(size=theta.size)

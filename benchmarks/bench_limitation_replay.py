@@ -16,6 +16,7 @@ from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
 from repro.datasets import iid_partition, make_blobs, train_test_split
 from repro.fl import FederatedTrainer, FreeRiderWorker, HonestWorker, ReplayFreeRider
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
 from conftest import emit, run_once
 
@@ -42,7 +43,7 @@ def _run(free_rider_cls, seed=0, **rider_kwargs):
         FIFLConfig(detection=DetectionConfig(threshold=0.0), gamma=0.3)
     )
     trainer = FederatedTrainer(
-        model_fn(), workers, [0, 1], test_data=test,
+        model_fn(), WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
         mechanism=mech, server_lr=SERVER_LR, seed=seed,
     )
     trainer.run(20, eval_every=20)

@@ -1,12 +1,11 @@
-"""Local-step benchmark: fleet-batched vs scalar local training.
+"""Local-step benchmark: fleet-batched local training.
 
 Times the ``trainer.local_compute`` phase of :class:`FederatedTrainer`
 on the fig09-style MLP federation (synthetic blobs, 16 features, 4
-classes, one hidden layer of 64) at several federation sizes, once with
-``local_engine="fleet"`` (all workers' SGD stacked into single batched
-kernels, see ``repro.nn.fleet``) and once with ``local_engine="scalar"``
-(the per-worker reference loop), and reports per-phase wall-clock from
-the telemetry hub plus the speedup.
+classes, one hidden layer of 64) at several federation sizes — all
+workers' SGD stacked into single batched kernels, see
+``repro.nn.fleet`` — and reports per-phase wall-clock from the
+telemetry hub.
 
 Also reports the evaluation throughput of ``repro.fl.evaluation`` (the
 preallocated-scratch batched evaluator) in samples/second, and the
@@ -21,13 +20,9 @@ CLI (no pytest needed)::
     python benchmarks/bench_local_step.py --json out.json
     python benchmarks/bench_local_step.py --record   # benchmarks/BENCH_local_step.json
 
-``--quick`` additionally verifies the fleet/scalar differential contract
-(agreement to <= 1e-8 over full training histories) and exits non-zero
-on a mismatch, so CI runs double as a correctness guard.
-
-Under pytest (``pytest benchmarks/bench_local_step.py``) the quick
-configuration runs as a regression guard: the fleet engine must deliver
->= 3x on ``trainer.local_compute`` at N = 64.
+Agreement with each worker running its own ``compute_update`` (to
+<= 1e-8 over full training histories) is a differential test in
+``tests/fl/test_fleet_compute.py``, not part of this timing script.
 """
 
 from __future__ import annotations
@@ -36,8 +31,6 @@ import argparse
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 try:
     import repro  # noqa: F401
@@ -48,6 +41,7 @@ from repro.datasets import iid_partition, make_blobs, train_test_split
 from repro.fl import FederatedTrainer, HonestWorker, SignFlippingWorker, evaluate
 from repro.nn import build_mlp
 from repro.parallel import blas_limits
+from repro.population import WorkerPopulation
 from repro.telemetry import Telemetry, run_manifest, write_manifest
 
 #: the phase whose fleet-batching the tentpole targets
@@ -66,12 +60,10 @@ DEFAULT_SIZES = (16, 64)
 DEFAULT_ROUNDS = 20
 N_FEATURES, N_CLASSES, HIDDEN = 16, 4, (64,)
 SAMPLES_PER_WORKER, BATCH_SIZE, LOCAL_ITERS = 100, 8, 1
-DIFF_TOL = 1e-8
 
 
 def make_trainer(
     num_workers: int,
-    engine: str,
     seed: int = 0,
     n_attackers: int = 2,
     telemetry: Telemetry | None = None,
@@ -112,12 +104,11 @@ def make_trainer(
         )
     trainer = FederatedTrainer(
         model_fn(),
-        workers,
+        population=WorkerPopulation.from_workers(workers),
         server_ranks=[0, 1],
         test_data=test,
         server_lr=0.05,
         seed=seed,
-        local_engine=engine,
     )
     # isolate timings from the global profiler
     trainer.profiler = telemetry if telemetry is not None else Telemetry()
@@ -125,22 +116,22 @@ def make_trainer(
 
 
 def time_engine(
-    engine: str, num_workers: int, rounds: int, seed: int = 0, repeats: int = 2
+    num_workers: int, rounds: int, seed: int = 0, repeats: int = 2
 ) -> dict:
-    """Run ``rounds`` federated rounds through one engine; phase seconds.
+    """Run ``rounds`` federated rounds; per-phase seconds.
 
     Takes the best of ``repeats`` timed runs (fresh federation each) —
-    the min filters scheduler noise the same way for both engines.
+    the min filters scheduler noise.
     """
     # Warm up BLAS threads / allocator on a throwaway federation so the
     # first timed run isn't paying one-off setup costs.
-    warm = make_trainer(num_workers, engine, seed=seed + 77)
+    warm = make_trainer(num_workers, seed=seed + 77)
     warm.run(1, eval_every=1)
     best: dict | None = None
     for _ in range(repeats):
-        trainer = make_trainer(num_workers, engine, seed=seed)
-        # pin the BLAS pool so a multi-threaded BLAS can't skew the
-        # engine-vs-engine comparison machine by machine
+        trainer = make_trainer(num_workers, seed=seed)
+        # pin the BLAS pool so a multi-threaded BLAS can't skew timings
+        # machine by machine
         with blas_limits(1):
             t0 = time.perf_counter()
             history = trainer.run(rounds, eval_every=rounds)
@@ -157,27 +148,6 @@ def time_engine(
         if best is None or run["local_s"] < best["local_s"]:
             best = run
     return best
-
-
-def check_differential(
-    num_workers: int = 8, rounds: int = 4, seed: int = 0
-) -> float:
-    """Max |fleet - scalar| over histories and final params (<= 1e-8)."""
-    results = {}
-    for engine in ("scalar", "fleet"):
-        trainer = make_trainer(num_workers, engine, seed=seed)
-        history = trainer.run(rounds, eval_every=1)
-        results[engine] = (history, trainer.model.get_flat_params())
-    (h_s, p_s), (h_f, p_f) = results["scalar"], results["fleet"]
-    diffs = [float(np.abs(p_s - p_f).max())]
-    for r_s, r_f in zip(h_s.rounds, h_f.rounds):
-        diffs.append(abs(r_s.grad_norm - r_f.grad_norm))
-        if r_s.test_loss is not None and r_f.test_loss is not None:
-            diffs.append(abs(r_s.test_loss - r_f.test_loss))
-            diffs.append(abs(r_s.test_acc - r_f.test_acc))
-        if r_s.accepted != r_f.accepted:
-            diffs.append(float("inf"))
-    return max(diffs)
 
 
 def eval_throughput(n_samples: int = 4096, repeats: int = 5, seed: int = 0) -> dict:
@@ -218,7 +188,7 @@ def telemetry_overhead(
     """
     hubs = {"on": Telemetry(), "off": Telemetry(enabled=False)}
     trainers = {
-        key: make_trainer(num_workers, "fleet", seed=seed, telemetry=hub)
+        key: make_trainer(num_workers, seed=seed, telemetry=hub)
         for key, hub in hubs.items()
     }
     times: dict[str, list[float]] = {"on": [], "off": []}
@@ -253,17 +223,8 @@ def run_benchmark(
     rounds: int = DEFAULT_ROUNDS,
     seed: int = 0,
 ) -> dict:
-    """Old-vs-new local-step timings per federation size."""
-    by_size: dict[int, dict] = {}
-    for n in sizes:
-        scalar = time_engine("scalar", n, rounds, seed)
-        fleet = time_engine("fleet", n, rounds, seed)
-        by_size[n] = {
-            "scalar": scalar,
-            "fleet": fleet,
-            "speedup_local": scalar["local_s"] / max(fleet["local_s"], 1e-12),
-            "speedup_total": scalar["total_s"] / max(fleet["total_s"], 1e-12),
-        }
+    """Local-step timings per federation size."""
+    by_size = {n: time_engine(n, rounds, seed) for n in sizes}
     return {
         "model": f"mlp{list(HIDDEN)}",
         "n_features": N_FEATURES,
@@ -282,21 +243,14 @@ def format_report(result: dict) -> list[str]:
         f"Local-step benchmark ({result['model']}, B={result['batch_size']}, "
         f"{result['rounds']} rounds per timing)"
     ]
-    rows.append(
-        f"{'N':>5} {'scalar_local_s':>15} {'fleet_local_s':>14} "
-        f"{'speedup':>8} {'total':>7}"
-    )
+    rows.append(f"{'N':>5} {'local_s':>10} {'total_s':>10}")
     for n, r in result["by_size"].items():
-        rows.append(
-            f"{n:>5} {r['scalar']['local_s']:>15.4f} "
-            f"{r['fleet']['local_s']:>14.4f} "
-            f"{r['speedup_local']:>7.1f}x {r['speedup_total']:>6.1f}x"
-        )
+        rows.append(f"{n:>5} {r['local_s']:>10.4f} {r['total_s']:>10.4f}")
     for n, r in result["by_size"].items():
         rows.append(f"  fleet per-phase seconds at N={n}:")
         for name in FLEET_PHASES:
-            if name in r["fleet"]["phases"]:
-                rows.append(f"    {name:<16} {r['fleet']['phases'][name]:.4f}")
+            if name in r["phases"]:
+                rows.append(f"    {name:<16} {r['phases'][name]:.4f}")
     ev = result["evaluation"]
     rows.append(
         f"evaluation throughput: {ev['samples_per_s']:,.0f} samples/s "
@@ -312,23 +266,11 @@ def format_report(result: dict) -> list[str]:
     return rows
 
 
-def bench_local_step_speedup(benchmark):
-    """Pytest entry: the fleet engine must beat the scalar loop 3x at N=64."""
-    result = benchmark.pedantic(
-        run_benchmark,
-        kwargs=dict(sizes=(64,), rounds=DEFAULT_ROUNDS),
-        iterations=1, rounds=1, warmup_rounds=0,
-    )
-    for row in format_report(result):
-        print(row)
-    assert result["by_size"][64]["speedup_local"] > 3.0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="smoke scale (fewer rounds) + fleet/scalar differential check",
+        help="smoke scale (fewer rounds)",
     )
     parser.add_argument(
         "--sizes", default="",
@@ -344,13 +286,6 @@ def main(argv: list[str] | None = None) -> int:
 
     sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip()) or DEFAULT_SIZES
     rounds = min(args.rounds, 3) if args.quick else args.rounds
-
-    if args.quick:
-        diff = check_differential()
-        status = "OK" if diff <= DIFF_TOL else "FAIL"
-        print(f"differential fleet vs scalar: max|diff|={diff:.2e} [{status}]")
-        if diff > DIFF_TOL:
-            return 1
 
     result = run_benchmark(sizes=sizes, rounds=rounds)
     for row in format_report(result):

@@ -16,8 +16,8 @@ that promise two ways:
   a constant factor of the smaller one's (an O(N) allocation anywhere in
   the round path fails this immediately);
 * **null-cohort differential** — a full-population uniform cohort must
-  reproduce the legacy ``workers=[...]`` trainer bit-for-bit (same
-  accepted sets, same final parameters).
+  reproduce the static (unsampled) trainer bit-for-bit (same accepted
+  sets, same final parameters).
 
 CLI (no pytest needed)::
 
@@ -48,6 +48,7 @@ from repro.experiments.common import FedExpConfig, build_population
 from repro.fl import FederatedTrainer, HonestWorker
 from repro.nn import build_logreg
 from repro.parallel import blas_limits
+from repro.population import WorkerPopulation
 from repro.telemetry import run_manifest, write_manifest
 
 DEFAULT_SIZES = (1_000, 10_000, 100_000, 1_000_000)
@@ -138,7 +139,7 @@ def check_cohort_memory(cohort: int, rounds: int,
 
 def check_null_cohort(num_workers: int = 8, rounds: int = 5,
                       seed: int = 0) -> dict:
-    """Full-population uniform cohort == legacy trainer, bit-for-bit."""
+    """Full-population uniform cohort == static trainer, bit-for-bit."""
     def build(kind: str) -> FederatedTrainer:
         data = make_blobs(
             n_samples=num_workers * 80,
@@ -152,34 +153,26 @@ def check_null_cohort(num_workers: int = 8, rounds: int = 5,
             HonestWorker(i, shards[i], model_fn, seed=seed + 1000 + i)
             for i in range(num_workers)
         ]
-        mech = make_mechanism("fifl")
-        if kind == "legacy":
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                return FederatedTrainer(
-                    model_fn(), workers, [0, 1], mechanism=mech, seed=seed
-                )
-        from repro.population import WorkerPopulation
-
+        sampling = (
+            dict(cohort_size=num_workers, sampler="uniform")
+            if kind == "dynamic" else {}
+        )
         return FederatedTrainer(
             model_fn(),
             population=WorkerPopulation.from_workers(workers),
             server_ranks=[0, 1],
-            mechanism=mech,
+            mechanism=make_mechanism("fifl"),
             seed=seed,
-            cohort_size=num_workers,
-            sampler="uniform",
+            **sampling,
         )
 
-    legacy, dynamic = build("legacy"), build("dynamic")
+    static, dynamic = build("static"), build("dynamic")
     identical = True
     for t in range(rounds):
-        ra, rb = legacy.run_round(t), dynamic.run_round(t)
+        ra, rb = static.run_round(t), dynamic.run_round(t)
         identical = identical and ra.accepted == rb.accepted
     identical = identical and (
-        legacy.model.get_flat_params().tobytes()
+        static.model.get_flat_params().tobytes()
         == dynamic.model.get_flat_params().tobytes()
     )
     return {"rounds": rounds, "bitwise_identical": identical}
@@ -228,7 +221,7 @@ def format_report(result: dict) -> list[str]:
         f"{'OK' if result['cohort_memory_ok'] else 'VIOLATED'}"
     )
     rows.append(
-        f"  null-cohort differential vs legacy trainer: "
+        f"  null-cohort differential vs static trainer: "
         f"{'bit-identical' if result['bitwise_identical'] else 'DIVERGED'}"
     )
     return rows

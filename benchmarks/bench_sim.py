@@ -39,6 +39,7 @@ from repro.datasets import iid_partition, make_blobs
 from repro.fl import FederatedTrainer, HonestWorker
 from repro.nn import build_logreg
 from repro.parallel import blas_limits
+from repro.population import WorkerPopulation
 from repro.sim import FaultScenario
 from repro.telemetry import run_manifest, write_manifest
 
@@ -73,8 +74,8 @@ def build_trainer(
     ]
     # no test_data: evaluation off, so the timing is the round loop itself
     return FederatedTrainer(
-        model_fn(), workers, [0, 1], drop_prob=0.05, seed=seed,
-        scenario=scenario,
+        model_fn(), WorkerPopulation.from_workers(workers), [0, 1], drop_prob=0.05,
+        seed=seed, scenario=scenario,
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 from repro.core import (
     DecayReputation,
     fairness_coefficient,
-    reward_shares,
+    reward_shares_array,
     theorem1_fixed_point,
 )
 
@@ -34,12 +34,9 @@ def bench_theorem1_reputation_fixed_point(benchmark):
 
 def _theorem2_trial(n=500, seed=0):
     rng = np.random.default_rng(seed)
-    contribs = {i: float(c) for i, c in enumerate(rng.uniform(0.01, 10.0, size=n))}
-    reps = {i: 0.8 for i in contribs}
-    shares = reward_shares(reps, contribs)
-    x = np.array([contribs[i] for i in sorted(contribs)])
-    y = np.array([shares[i] for i in sorted(shares)])
-    return fairness_coefficient(x, y)
+    contribs = rng.uniform(0.01, 10.0, size=n)
+    shares = reward_shares_array(np.full(n, 0.8), contribs)
+    return fairness_coefficient(contribs, shares)
 
 
 def bench_theorem2_fairness_coefficient(benchmark):

@@ -62,39 +62,29 @@ def _max_size_entry(manifest: dict) -> tuple[str, dict]:
     return key, by_size[key]
 
 
+def _overheads(manifest: dict, keys: tuple[str, ...]) -> dict:
+    """Instrumentation-overhead headlines (percent of a round)."""
+    return {
+        f"{key}_pct": {
+            "value": float(manifest[key]["overhead_pct"]),
+            "better": "lower", "unit": "pct",
+        }
+        for key in keys
+        if manifest.get(key) is not None
+    }
+
+
 def extract_engine(manifest: dict) -> dict:
     """Headlines of BENCH_engine.json (round-engine benchmark)."""
-    n, entry = _max_size_entry(manifest)
-    metrics = {
-        f"speedup_total_n{n}": {
-            "value": float(entry["speedup_total"]), "better": "higher",
-        },
-        f"speedup_kernels_n{n}": {
-            "value": float(entry["speedup_kernels"]), "better": "higher",
-        },
-    }
-    for key in ("telemetry_overhead", "monitor_overhead",
-                "resource_overhead"):
-        block = manifest.get(key)
-        if block is not None:
-            metrics[f"{key}_pct"] = {
-                "value": float(block["overhead_pct"]),
-                "better": "lower", "unit": "pct",
-            }
-    return metrics
+    return _overheads(
+        manifest,
+        ("telemetry_overhead", "monitor_overhead", "resource_overhead"),
+    )
 
 
 def extract_local_step(manifest: dict) -> dict:
     """Headlines of BENCH_local_step.json (fleet local-training)."""
-    n, entry = _max_size_entry(manifest)
-    return {
-        f"speedup_local_n{n}": {
-            "value": float(entry["speedup_local"]), "better": "higher",
-        },
-        f"speedup_total_n{n}": {
-            "value": float(entry["speedup_total"]), "better": "higher",
-        },
-    }
+    return _overheads(manifest, ("telemetry_overhead",))
 
 
 def extract_sim(manifest: dict) -> dict:

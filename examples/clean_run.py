@@ -24,6 +24,7 @@ from repro.datasets import iid_partition, make_blobs, train_test_split
 from repro.fl import FederatedTrainer, HonestWorker
 from repro.monitor import Monitor, MonitorConfig
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 from repro.telemetry import JsonlSink, MemorySink, Telemetry, set_telemetry
 
 trace_path = os.environ.get("REPRO_TRACE")
@@ -52,7 +53,7 @@ monitor = Monitor(MonitorConfig(run_id="clean-run"))
 # 3) train with the monitor watching the hub ---------------------------------
 trainer = FederatedTrainer(
     model=build_logreg(N_FEATURES, N_CLASSES, seed=0),
-    workers=workers,
+    population=WorkerPopulation.from_workers(workers),
     server_ranks=[0, 1],
     test_data=test,
     mechanism=mechanism,

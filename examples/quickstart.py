@@ -21,6 +21,7 @@ from repro.core import make_mechanism
 from repro.datasets import iid_partition, make_blobs, train_test_split
 from repro.fl import FederatedTrainer, HonestWorker, SignFlippingWorker
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 from repro.telemetry import JsonlSink, MemorySink, Telemetry, set_telemetry
 
 trace_path = os.environ.get("REPRO_TRACE")
@@ -58,7 +59,7 @@ mechanism = make_mechanism(
 # 4) train: polycentric architecture with servers {0, 1} ----------------------
 trainer = FederatedTrainer(
     model=build_logreg(N_FEATURES, N_CLASSES, seed=0),
-    workers=workers,
+    population=WorkerPopulation.from_workers(workers),
     server_ranks=[0, 1],
     test_data=test,
     mechanism=mechanism,

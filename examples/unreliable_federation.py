@@ -26,6 +26,7 @@ from repro.fl import (
 )
 from repro.ledger import Blockchain, audit_reputation
 from repro.nn import build_lenet
+from repro.population import WorkerPopulation
 
 N_WORKERS = 10
 ROUNDS = 25
@@ -72,8 +73,8 @@ def run(unreliable: bool, defended: bool, ledger=None):
             "fifl", ledger=ledger, threshold=0.0, gamma=GAMMA
         )
     trainer = FederatedTrainer(
-        model_fn(), workers, server_ranks=[0, 1], test_data=test,
-        mechanism=mechanism, server_lr=0.02, drop_prob=0.05, seed=1,
+        model_fn(), WorkerPopulation.from_workers(workers), server_ranks=[0, 1],
+        test_data=test, mechanism=mechanism, server_lr=0.02, drop_prob=0.05, seed=1,
     )
     with np.errstate(over="ignore", invalid="ignore"):
         history = trainer.run(ROUNDS, eval_every=ROUNDS)

@@ -11,25 +11,13 @@ from .baselines import (
     union_weights,
 )
 from .contribution import (
-    contributions,
     contributions_array,
     gradient_distance,
     gradient_distances_matrix,
-    normalized_shares,
     normalized_shares_array,
-    reference_baseline,
-    sliced_distance,
     zero_baseline,
 )
-from .detection import (
-    AttackDetector,
-    DetectionConfig,
-    classify,
-    classify_array,
-    detection_scores,
-    detection_scores_matrix,
-    server_score,
-)
+from .detection import DetectionConfig, detection_scores_matrix
 from .engine import RoundBatch, stack_benchmarks
 from .factory import (
     MECHANISM_NAMES,
@@ -40,12 +28,7 @@ from .factory import (
     make_mechanism,
 )
 from .fifl import FIFLConfig, FIFLMechanism, FIFLRoundRecord
-from .incentive import (
-    allocate_rewards,
-    fairness_coefficient,
-    reward_shares,
-    reward_shares_array,
-)
+from .incentive import fairness_coefficient, reward_shares_array
 from .loss_detection import LossBasedDetector
 from .reputation import DecayReputation, SLMReputation, theorem1_fixed_point
 from .robust import (
@@ -59,13 +42,8 @@ from .selection import probe_selection, reputation_selection
 from .utility import federation_revenue, marginal_utility, system_revenue, utility
 
 __all__ = [
-    "AttackDetector",
     "DetectionConfig",
-    "classify",
-    "classify_array",
-    "detection_scores",
     "detection_scores_matrix",
-    "server_score",
     "RoundBatch",
     "stack_benchmarks",
     "MECHANISM_NAMES",
@@ -81,14 +59,8 @@ __all__ = [
     "SLMReputation",
     "DecayReputation",
     "theorem1_fixed_point",
-    "contributions",
     "gradient_distance",
-    "sliced_distance",
     "zero_baseline",
-    "reference_baseline",
-    "normalized_shares",
-    "reward_shares",
-    "allocate_rewards",
     "fairness_coefficient",
     "individual_weights",
     "equal_weights",

@@ -13,8 +13,8 @@ level. Two baselines from the paper:
 
 * ``zero_baseline`` — ``b_h = ||G̃ - 0||² = ||G̃||²``: a free-rider
   uploading zeros gets exactly C = 0 (Eq. 14's default);
-* ``reference_baseline`` — ``b_h = ||G̃ - G_ref||²`` for a designated
-  reference worker (S5.3.3 uses the p_d = 0.2 worker): anyone *better*
+* the reference baseline — ``b_h = ||G̃ - G_ref||²``, the distance of a
+  designated reference worker (S5.3.3 uses the p_d = 0.2 worker): anyone *better*
   than the reference earns positive contribution, anyone worse is
   punished, which prices low-quality workers out of the federation.
 """
@@ -26,12 +26,8 @@ import numpy as np
 __all__ = [
     "gradient_distance",
     "gradient_distances_matrix",
-    "sliced_distance",
     "zero_baseline",
-    "reference_baseline",
-    "contributions",
     "contributions_array",
-    "normalized_shares",
     "normalized_shares_array",
 ]
 
@@ -62,8 +58,7 @@ def gradient_distances_matrix(
     (e.g. the contribution filter's second pass). Rows where the
     expansion is not exact — non-finite gradients from blown-up
     training, or cancellation driving the result negative — are repaired
-    with the direct difference form, so results match the scalar
-    reference.
+    with the direct difference form ``||G̃ - G_i||²``.
     """
     global_grad = np.asarray(global_grad, dtype=np.float64)
     gradients = np.asarray(gradients, dtype=np.float64)
@@ -86,48 +81,18 @@ def gradient_distances_matrix(
     return dists
 
 
-def sliced_distance(
-    global_slices: dict[int, np.ndarray], worker_slices: dict[int, np.ndarray]
-) -> float:
-    """Eq. 13 as computed in the polycentric protocol: per-server distances
-    summed over servers. Because slices partition the vector, this equals
-    :func:`gradient_distance` on the recombined vectors exactly."""
-    if set(global_slices) != set(worker_slices):
-        raise ValueError("global and worker slices cover different servers")
-    if not global_slices:
-        raise ValueError("no slices")
-    return sum(
-        gradient_distance(global_slices[j], worker_slices[j]) for j in global_slices
-    )
-
-
 def zero_baseline(global_grad: np.ndarray) -> float:
     """``b_h`` against the all-zeros gradient: ``||G̃||²``."""
     global_grad = np.asarray(global_grad, dtype=np.float64)
     return float(global_grad @ global_grad)
 
 
-def reference_baseline(global_grad: np.ndarray, reference_grad: np.ndarray) -> float:
-    """``b_h`` against a designated reference worker's gradient."""
-    return gradient_distance(global_grad, reference_grad)
-
-
-def contributions(distances: dict[int, float], b_h: float) -> dict[int, float]:
-    """Eq. 14: ``C_i = 1 - b_i / b_h`` for every worker.
+def contributions_array(distances: np.ndarray, b_h: float) -> np.ndarray:
+    """Eq. 14: ``C_i = 1 - b_i / b_h`` over a distance vector.
 
     Positive when the worker beats the baseline distance, negative when it
     is worse (free-riders and low-quality workers).
     """
-    if b_h <= 0.0:
-        raise ValueError(f"baseline distance b_h must be positive, got {b_h}")
-    for wid, b in distances.items():
-        if b < 0.0:
-            raise ValueError(f"negative distance for worker {wid}")
-    return {wid: 1.0 - b / b_h for wid, b in distances.items()}
-
-
-def contributions_array(distances: np.ndarray, b_h: float) -> np.ndarray:
-    """Batched Eq. 14: ``C_i = 1 - b_i / b_h`` over a distance vector."""
     distances = np.asarray(distances, dtype=np.float64)
     if b_h <= 0.0:
         raise ValueError(f"baseline distance b_h must be positive, got {b_h}")
@@ -137,22 +102,14 @@ def contributions_array(distances: np.ndarray, b_h: float) -> np.ndarray:
 
 
 def normalized_shares_array(contribs: np.ndarray) -> np.ndarray:
-    """Batched contribution weights of Eq. 15 (see :func:`normalized_shares`)."""
-    contribs = np.asarray(contribs, dtype=np.float64)
-    positive_total = contribs[contribs > 0.0].sum()
-    if positive_total <= 0.0:
-        return np.zeros_like(contribs)
-    return contribs / positive_total
-
-
-def normalized_shares(contribs: dict[int, float]) -> dict[int, float]:
     """``C_i / sum_{C_j > 0} C_j`` — the contribution weight in Eq. 15.
 
     Negative contributions keep their sign (they become punishments);
     positive ones sum to exactly 1. If no contribution is positive every
     share is 0 (nothing to distribute this round).
     """
-    positive_total = sum(c for c in contribs.values() if c > 0.0)
+    contribs = np.asarray(contribs, dtype=np.float64)
+    positive_total = contribs[contribs > 0.0].sum()
     if positive_total <= 0.0:
-        return {wid: 0.0 for wid in contribs}
-    return {wid: c / positive_total for wid, c in contribs.items()}
+        return np.zeros_like(contribs)
+    return contribs / positive_total

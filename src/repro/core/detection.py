@@ -28,15 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DetectionConfig",
-    "server_score",
-    "detection_scores",
-    "detection_scores_matrix",
-    "classify",
-    "classify_array",
-    "AttackDetector",
-]
+__all__ = ["DetectionConfig", "detection_scores_matrix"]
 
 _MODES = ("raw", "cosine")
 
@@ -53,75 +45,6 @@ class DetectionConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
 
-def server_score(
-    benchmark: np.ndarray, candidate: np.ndarray, mode: str = "cosine"
-) -> float:
-    """One server's detection score ``S_i^j`` for a worker slice (Eq. 6)."""
-    benchmark = np.asarray(benchmark, dtype=np.float64)
-    candidate = np.asarray(candidate, dtype=np.float64)
-    if benchmark.shape != candidate.shape:
-        raise ValueError(
-            f"slice shapes differ: {benchmark.shape} vs {candidate.shape}"
-        )
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    inner = float(benchmark @ candidate)
-    if mode == "raw":
-        return inner
-    denom = float(np.linalg.norm(benchmark) * np.linalg.norm(candidate))
-    if denom == 0.0:
-        # A zero slice carries no direction; it is neither aligned nor
-        # opposed to the benchmark.
-        return 0.0
-    return inner / denom
-
-
-def detection_scores(
-    slices: dict[int, dict[int, np.ndarray]],
-    benchmarks: dict[int, np.ndarray],
-    mode: str = "cosine",
-) -> dict[int, float]:
-    """Global scores ``S_i = sum_j S_i^j`` for every worker (Eq. 6).
-
-    Parameters
-    ----------
-    slices : ``worker_id -> {server_rank: slice}`` as delivered this round.
-    benchmarks : ``server_rank -> benchmark slice`` (the server's own
-        local gradient slice ``g_j^j``).
-    mode : score mode; in ``"cosine"`` mode the per-server scores are
-        averaged instead of summed so the global score stays in [-1, 1]
-        regardless of the number of servers.
-    """
-    if not benchmarks:
-        raise ValueError("need at least one server benchmark")
-    scores: dict[int, float] = {}
-    m = len(benchmarks)
-    for wid, parts in slices.items():
-        total = 0.0
-        counted = 0
-        for srv, bench in benchmarks.items():
-            if srv not in parts:
-                continue
-            if srv == wid and m > 1:
-                # A server never scores itself: its benchmark *is* its own
-                # slice (cosine exactly 1), which would let a malicious
-                # server vote itself honest. Peer servers score it instead;
-                # only the degenerate single-server case keeps self-scoring
-                # (the paper's M = 1 centralized setup trusts that server).
-                continue
-            total += server_score(bench, parts[srv], mode)
-            counted += 1
-        if counted == 0:
-            raise ValueError(f"worker {wid} delivered no slices to any server")
-        if mode == "cosine":
-            scores[wid] = total / counted
-        else:
-            # Raw scores over missing slices cannot be imputed; scale up
-            # so partial delivery is comparable to full delivery.
-            scores[wid] = total * (m / counted)
-    return scores
-
-
 def detection_scores_matrix(
     worker_ids: np.ndarray,
     gradients: np.ndarray,
@@ -133,12 +56,15 @@ def detection_scores_matrix(
 ) -> np.ndarray:
     """Batched Eq. 6: all workers' global scores in one GEMM per server.
 
-    The vectorized counterpart of :func:`detection_scores` for the round
-    engine's data layout: worker gradients stacked row-wise into an
+    Works on the round engine's data layout: worker gradients stacked
+    row-wise into an
     ``(N, D)`` matrix whose column block ``offsets[j]:offsets[j+1]`` is
     the slice held by server ``j``. Per server the N inner products are
     one matrix-vector product; cosine mode divides by row and benchmark
-    norms computed via a single ``einsum`` per block.
+    norms computed via a single ``einsum`` per block. In cosine mode the
+    per-server scores are averaged instead of summed, so the global
+    score stays in [-1, 1] whatever the number of servers; raw mode
+    sums them.
 
     Parameters
     ----------
@@ -172,7 +98,11 @@ def detection_scores_matrix(
         else:
             scores_j = inner
         if m > 1:
-            # A server never scores itself (see detection_scores).
+            # A server never scores itself: its benchmark *is* its own
+            # slice (cosine exactly 1), which would let a malicious server
+            # vote itself honest. Peer servers score it instead; only the
+            # single-server case (the paper's M = 1 centralized setup
+            # trusts that server) keeps self-scoring.
             self_rows = worker_ids == rank
             scores_j = np.where(self_rows, 0.0, scores_j)
             counted -= self_rows
@@ -183,29 +113,3 @@ def detection_scores_matrix(
     if mode == "cosine":
         return totals / counted
     return totals * (m / counted)
-
-
-def classify(scores: dict[int, float], threshold: float) -> dict[int, bool]:
-    """Eq. 7: ``r_i = 1`` (honest) iff ``S_i >= S_y``."""
-    return {wid: s >= threshold for wid, s in scores.items()}
-
-
-def classify_array(scores: np.ndarray, threshold: float) -> np.ndarray:
-    """Eq. 7 on a score vector: boolean mask ``S_i >= S_y``."""
-    return np.asarray(scores, dtype=np.float64) >= threshold
-
-
-class AttackDetector:
-    """Stateless detector bundling scoring + thresholding for one config."""
-
-    def __init__(self, config: DetectionConfig | None = None):
-        self.config = config if config is not None else DetectionConfig()
-
-    def detect(
-        self,
-        slices: dict[int, dict[int, np.ndarray]],
-        benchmarks: dict[int, np.ndarray],
-    ) -> tuple[dict[int, float], dict[int, bool]]:
-        """Return ``(scores, r)`` for the delivered slices."""
-        scores = detection_scores(slices, benchmarks, self.config.mode)
-        return scores, classify(scores, self.config.threshold)

@@ -1,9 +1,6 @@
 """Vectorized round engine: batched data layout for the FIFL pipeline.
 
-The scalar reference implementation walks ``dict[int, np.ndarray]``
-structures worker by worker, so every phase of the per-round pipeline
-(Eq. 5-15) costs a Python-level loop over workers × servers. This module
-defines the batched layout the vectorized pipeline runs on:
+The FIFL round (Eq. 5-15) runs as batched NumPy phases over one layout:
 
 * all delivered worker gradients stacked row-wise into one ``(N, D)``
   matrix (:class:`RoundBatch.gradients`), in ascending worker-id order;
@@ -17,13 +14,13 @@ defines the batched layout the vectorized pipeline runs on:
   reductions (accepted-only aggregation, reward allocation) are single
   NumPy expressions.
 
-Phase kernels live next to their scalar references —
+The phase kernels are
 :func:`~repro.core.detection.detection_scores_matrix`,
-:func:`~repro.core.contribution.gradient_distances_matrix`,
-:func:`~repro.core.incentive.reward_shares_array` — and
-:class:`~repro.core.FIFLMechanism` orchestrates them when
-``FIFLConfig.engine == "vectorized"`` (the default; ``"scalar"`` keeps
-the loop-based path for differential testing).
+:func:`~repro.core.contribution.gradient_distances_matrix` and
+:func:`~repro.core.incentive.reward_shares_array`;
+:class:`~repro.core.FIFLMechanism` orchestrates them. The per-worker
+reference pipeline they are differential-tested against lives in
+``tests/core/reference.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fl.gradients import slice_offsets
+from ..fl.gradients import finite_sqnorm, slice_offsets
 from ..fl.trainer import RoundContext
 
 __all__ = ["RoundBatch", "stack_benchmarks"]
@@ -56,7 +53,7 @@ class RoundBatch:
         Workers in ``ctx.slices`` delivered a complete slice set (the
         trainer routes partial deliveries to ``ctx.uncertain`` instead),
         so each row is the worker's full gradient reassembled in server
-        order — exactly ``recombine(slices)`` of the scalar path. When
+        order — exactly ``recombine(slices)``. When
         the context carries the trainer's matrix of delivered gradients
         it is used as is (read-only, no copy); hand-built contexts are
         restacked.
@@ -138,6 +135,17 @@ class RoundBatch:
             ),
         )
 
+    def select(self, keep: np.ndarray) -> "RoundBatch":
+        """The rows where ``keep`` is True, as a new (copied) batch."""
+        return RoundBatch(
+            worker_ids=self.worker_ids[keep],
+            gradients=self.gradients[keep],
+            offsets=self.offsets,
+            server_ranks=self.server_ranks,
+            sample_counts=self.sample_counts[keep],
+            _row_sqnorms=self.row_sqnorms[keep],
+        )
+
     def iter_shards(self, shard_size: int | None):
         """Stream the batch as row shards of at most ``shard_size`` workers.
 
@@ -165,9 +173,9 @@ class RoundBatch:
     def weighted_average(self, keep: np.ndarray) -> np.ndarray | None:
         """Sample-count-weighted mean of the kept rows (Eq. 2 / G̃).
 
-        Identical to the scalar path's per-server ``fedavg`` +
-        ``recombine``: the weights are the same for every column block,
-        so averaging whole rows commutes with slicing.
+        Identical to the trainer's per-server ``fedavg`` + ``recombine``:
+        the weights are the same for every column block, so averaging
+        whole rows commutes with slicing.
         """
         keep = np.asarray(keep, dtype=bool)
         if not keep.any():
@@ -204,11 +212,14 @@ def stack_benchmarks(
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Server benchmarks ``g_j^j`` sliced straight from local updates.
 
-    Returns ``(ranks, slots, slices)`` aligned lists: the server's worker
-    id, its slice index in the sorted server list, and its own local
-    slice (a view into its update — no copy, unlike the scalar path's
-    ``split_gradient``). Servers whose local update is missing (crashed
-    nodes) are skipped, matching the scalar ``_benchmarks``.
+    Servers are workers (S ⊂ W), so each server holds its local gradient
+    *locally*: its benchmark does not depend on the lossy network
+    delivering its own slice to itself (S4.1). Returns ``(ranks, slots,
+    slices)`` aligned lists: the server's worker id, its slice index in
+    the sorted server list, and its own local slice (a view into its
+    update, no copy). Servers whose local update is missing (crashed
+    nodes) or non-finite (see :func:`~repro.fl.gradients.finite_sqnorm`)
+    are skipped.
     """
     ranks: list[int] = []
     slots: list[int] = []
@@ -218,11 +229,15 @@ def stack_benchmarks(
         if upd is None:
             continue
         grad = np.asarray(upd.gradient, dtype=np.float64)
+        if not finite_sqnorm(grad):
+            continue
         ranks.append(srv)
         slots.append(j)
         slices.append(grad[offsets[j] : offsets[j + 1]])
     if not ranks:
-        raise RuntimeError("no server produced a local gradient; cannot detect")
+        raise RuntimeError(
+            "no server produced a finite local gradient; cannot detect"
+        )
     return (
         np.asarray(ranks, dtype=np.int64),
         np.asarray(slots, dtype=np.intp),

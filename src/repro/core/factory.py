@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from ..fl.trainer import RoundContext, RoundDecision
+from ..fl.trainer import AcceptAllMechanism
 from .detection import DetectionConfig
 from .fifl import FIFLConfig, FIFLMechanism
 from .robust import KrumMechanism, MedianMechanism
@@ -40,16 +40,6 @@ __all__ = [
 @dataclass(frozen=True)
 class AcceptAllConfig:
     """The undefended baseline has nothing to configure."""
-
-
-class AcceptAllMechanism:
-    """Accept every delivered update — Figures 7, 8, 10's no-defence arm."""
-
-    def __init__(self, config: AcceptAllConfig | None = None):
-        self.config = config if config is not None else AcceptAllConfig()
-
-    def process_round(self, ctx: RoundContext) -> RoundDecision:
-        return RoundDecision(accept={w: True for w in ctx.slices})
 
 
 @dataclass(frozen=True)
@@ -127,15 +117,10 @@ _BUILDERS = {
     "fifl": _build_fifl,
     "fifl-slm": lambda ov, led: _build_fifl_variant(ov, led, reputation_mode="slm"),
     "fifl-raw": lambda ov, led: _build_fifl_variant(ov, led, mode="raw"),
-    "fifl-scalar": lambda ov, led: _build_fifl_variant(ov, led, engine="scalar"),
     "krum": _build_simple(KrumMechanism, KrumConfig),
     "median": _build_simple(MedianMechanism, MedianConfig),
-    "accept_all": lambda ov, led: AcceptAllMechanism(
-        ov.pop("config", None) or (AcceptAllConfig(**ov))
-    ),
-    "none": lambda ov, led: AcceptAllMechanism(
-        ov.pop("config", None) or (AcceptAllConfig(**ov))
-    ),
+    "accept_all": _build_simple(AcceptAllMechanism, AcceptAllConfig),
+    "none": _build_simple(AcceptAllMechanism, AcceptAllConfig),
 }
 
 #: Public mechanism names, in a stable order for CLIs and benches.
@@ -149,6 +134,10 @@ def make_mechanism(name: str, *, ledger=None, **overrides):
     are applied on top of it via ``dataclasses.replace`` for the simple
     mechanisms, or merged into the nested config for FIFL). ``ledger``
     is forwarded to mechanisms that support audit logging.
+
+    FIFL has one round engine. ``engine="vectorized"`` is still accepted
+    (and dropped) so existing callers keep working; any other engine
+    raises ``ValueError``.
     """
     builder = _BUILDERS.get(name)
     if builder is None:
@@ -156,6 +145,13 @@ def make_mechanism(name: str, *, ledger=None, **overrides):
             f"unknown mechanism {name!r}; available: {', '.join(MECHANISM_NAMES)}"
         )
     if name.startswith("fifl"):
+        engine = overrides.pop("engine", "vectorized")
+        if engine != "vectorized":
+            raise ValueError(
+                f"engine={engine!r}: FIFL has a single round engine; the "
+                f"per-worker reference pipeline is the test oracle in "
+                f"tests/core/reference.py"
+            )
         cfg = overrides.pop("config", None)
         if cfg is not None:
             if overrides:

@@ -15,15 +15,20 @@ round:
 4. **Incentive** — reward shares ``I_i = R_i · C_i / ΣC⁺`` (Eq. 15),
    scaled by the round budget; punishments are negative rewards.
 
-Two interchangeable engines implement the pipeline (``FIFLConfig.engine``):
+The round's gradients are stacked once into a
+:class:`~repro.core.engine.RoundBatch` matrix and every phase runs as
+batched NumPy ops: one GEMM per server for detection, one broadcasted
+reduction for distances, masked arithmetic for rewards. The literal
+per-worker pipeline lives in ``tests/core/reference.py`` as the test
+oracle; the two agree to < 1e-8 on every per-round output (see
+``tests/core/test_engine.py``).
 
-* ``"vectorized"`` (default) — the round's gradients are stacked once
-  into a :class:`~repro.core.engine.RoundBatch` matrix and every phase
-  runs as batched NumPy ops (one GEMM per server for detection, one
-  broadcasted reduction for distances, masked arithmetic for rewards).
-* ``"scalar"`` — the literal per-worker reference implementation, kept
-  for differential testing; both engines agree to < 1e-8 on every
-  per-round output (see ``tests/core/test_engine.py``).
+An upload whose squared norm is not finite (a NaN or ±inf entry, e.g.
+from blown-up local training) is flagged and excluded like a lost
+upload, except that its reputation outcome is a rejection: it never
+reaches G̃, the server benchmarks, the server-mean reference, or the
+contribution and reward arithmetic, and its score is recorded as
+:data:`NON_FINITE_SCORE`.
 
 Phase wall-clock lands in :mod:`repro.telemetry` spans under ``fifl.*``
 keys (the legacy ``snapshot()`` phase table still sees them). Each
@@ -44,26 +49,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fl.gradients import fedavg, recombine, slice_offsets, split_gradient
+from ..fl.gradients import finite_sqnorm, slice_offsets
 from ..fl.trainer import RoundContext, RoundDecision
 from ..metrics.fairness import reward_fairness
 from ..telemetry import Telemetry, get_telemetry
 from .contribution import (
-    contributions,
     contributions_array,
-    gradient_distance,
     gradient_distances_matrix,
-    reference_baseline,
     zero_baseline,
 )
-from .detection import AttackDetector, DetectionConfig, detection_scores_matrix
+from .detection import DetectionConfig, detection_scores_matrix
 from .engine import RoundBatch, stack_benchmarks
-from .incentive import allocate_rewards, reward_shares, reward_shares_array
+from .incentive import reward_shares_array
 from .reputation import DecayReputation, SLMReputation
 
-__all__ = ["FIFLRoundRecord", "FIFLMechanism"]
+__all__ = ["FIFLRoundRecord", "FIFLMechanism", "NON_FINITE_SCORE"]
 
-_ENGINES = ("vectorized", "scalar")
+#: Detection score recorded for a non-finite upload: the lowest finite
+#: float64, so its margin sits below any threshold and every record,
+#: ledger block and trace event stays finite (JSON-compliant).
+NON_FINITE_SCORE = float(np.finfo(np.float64).min)
 
 
 @dataclass
@@ -113,9 +118,6 @@ class FIFLConfig:
     # the quality ordering; the trusted server mean does not have this
     # failure mode (see EXPERIMENTS.md, Figs. 12-13).
     contribution_reference: str = "aggregate"
-    # Round pipeline implementation: "vectorized" (batched matrix engine)
-    # or "scalar" (per-worker reference path, for differential testing).
-    engine: str = "vectorized"
     # Worker-shard streaming for the vectorized kernels: detection scores
     # and gradient distances are per-row reductions, so processing row
     # blocks of at most ``shard_size`` workers bounds kernel temporaries
@@ -146,8 +148,6 @@ class FIFLConfig:
             raise ValueError("reputation_mode must be 'decay' or 'slm'")
         if self.slm_period <= 0:
             raise ValueError("slm_period must be positive")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}")
 
 
 class FIFLMechanism:
@@ -160,7 +160,6 @@ class FIFLMechanism:
         profiler: Telemetry | None = None,
     ):
         self.config = config if config is not None else FIFLConfig()
-        self.detector = AttackDetector(self.config.detection)
         self.reputation = DecayReputation(
             gamma=self.config.gamma, initial=self.config.initial_reputation
         )
@@ -185,72 +184,16 @@ class FIFLMechanism:
     # -- helpers ---------------------------------------------------------------
 
     @staticmethod
-    def _benchmarks(ctx: RoundContext) -> dict[int, np.ndarray]:
-        """Server j's own slice ``g_j^j`` is its benchmark (S4.1).
-
-        Servers are workers (S ⊂ W), so each server holds its local
-        gradient *locally* — it does not depend on the lossy network to
-        deliver its own slice to itself. The benchmark is sliced directly
-        from the server's own update.
-        """
-        benchmarks = {}
-        m = len(ctx.server_ranks)
-        for j, srv in enumerate(ctx.server_ranks):
-            upd = ctx.updates.get(srv)
-            if upd is None:
-                continue
-            benchmarks[srv] = split_gradient(upd.gradient, m)[j]
-        if not benchmarks:
-            raise RuntimeError(
-                "no server produced a local gradient; cannot detect"
-            )
-        return benchmarks
-
-    @staticmethod
-    def _filtered_global_gradient(
-        ctx: RoundContext, accepted: dict[int, bool]
-    ) -> np.ndarray | None:
-        """Aggregate accepted slices into G̃ exactly as the trainer will."""
-        accepted_ids = [w for w in sorted(ctx.slices) if accepted.get(w, False)]
-        if not accepted_ids:
-            return None
-        weights = [ctx.sample_counts[w] for w in accepted_ids]
-        agg = []
-        for srv in ctx.server_ranks:
-            agg.append(fedavg([ctx.slices[w][srv] for w in accepted_ids], weights))
-        return recombine(agg)
-
-    @staticmethod
     def _server_mean_gradient(ctx: RoundContext) -> np.ndarray | None:
         """Mean of the server cluster's own full gradients (trusted ref)."""
         grads = [
             ctx.updates[srv].gradient
             for srv in ctx.server_ranks
-            if srv in ctx.updates
+            if srv in ctx.updates and finite_sqnorm(ctx.updates[srv].gradient)
         ]
         if not grads:
             return None
         return np.mean(grads, axis=0)
-
-    def _score_contributions(
-        self, global_grad: np.ndarray, full_grads: dict[int, np.ndarray]
-    ) -> tuple[dict[int, float], float | None, dict[int, float]]:
-        """Distances, baseline b_h, and contributions against one G̃."""
-        distances = {
-            w: gradient_distance(global_grad, g) for w, g in full_grads.items()
-        }
-        if (
-            self.config.contribution_baseline == "reference"
-            and self.config.reference_worker in full_grads
-        ):
-            b_h = reference_baseline(
-                global_grad, full_grads[self.config.reference_worker]
-            )
-        else:
-            b_h = zero_baseline(global_grad)
-        if b_h > 0.0:
-            return distances, b_h, contributions(distances, b_h)
-        return distances, None, {w: 0.0 for w in distances}
 
     def _detection_scores_sharded(
         self, batch: RoundBatch, ranks, slots, bench_slices
@@ -297,7 +240,7 @@ class FIFLMechanism:
     def _score_contributions_batch(
         self, reference_grad: np.ndarray, batch: RoundBatch
     ) -> tuple[np.ndarray, float | None, np.ndarray]:
-        """Batched ``_score_contributions``: one reduction for all workers."""
+        """Distances, baseline b_h and contributions against one G̃."""
         dist_vec = self._gradient_distances_sharded(reference_grad, batch)
         ref_worker = self.config.reference_worker
         b_h: float | None
@@ -336,84 +279,6 @@ class FIFLMechanism:
     # -- main entry point --------------------------------------------------------
 
     def process_round(self, ctx: RoundContext) -> RoundDecision:
-        if self.config.engine == "vectorized":
-            return self._process_round_vectorized(ctx)
-        return self._process_round_scalar(ctx)
-
-    def _process_round_scalar(self, ctx: RoundContext) -> RoundDecision:
-        """Reference per-worker pipeline (``engine="scalar"``)."""
-        prof = self.profiler
-        # 1) attack detection on delivered slices
-        with prof.phase("fifl.detect"):
-            benchmarks = self._benchmarks(ctx)
-            scores, accepted = self.detector.detect(ctx.slices, benchmarks)
-
-        # 2) reputation update: boolean outcome per scored worker,
-        #    uncertain (None) for lost uploads
-        with prof.phase("fifl.reputation"):
-            outcomes, reputations = self._update_reputations(ctx, scores, accepted)
-
-        # 3) contributions against the filtered global gradient
-        with prof.phase("fifl.contribution"):
-            global_grad = self._filtered_global_gradient(ctx, accepted)
-            distances: dict[int, float] = {}
-            contribs: dict[int, float] = {}
-            b_h: float | None = None
-            if global_grad is not None:
-                full_grads = {
-                    w: recombine([ctx.slices[w][srv] for srv in ctx.server_ranks])
-                    for w in ctx.slices
-                }
-                reference_grad = (
-                    self._server_mean_gradient(ctx)
-                    if self.config.contribution_reference == "server_mean"
-                    else global_grad
-                )
-                if reference_grad is None:
-                    reference_grad = global_grad
-                distances, b_h, contribs = self._score_contributions(
-                    reference_grad, full_grads
-                )
-                if self.config.contribution_filter and any(
-                    c < 0.0 for c in contribs.values()
-                ):
-                    # Second pass (S4.3's free-rider guard, closed loop): the
-                    # first pass's negative contributors are below the quality
-                    # bar, so their gradients are removed from the aggregate
-                    # and everyone is re-scored against the cleaned G̃. This
-                    # keeps low-quality gradients from biasing the reference
-                    # point that scores everyone else.
-                    keep = {
-                        w: accepted.get(w, False) and contribs.get(w, 0.0) >= 0.0
-                        for w in ctx.slices
-                    }
-                    if self.config.contribution_reference == "aggregate":
-                        cleaned = self._filtered_global_gradient(ctx, keep)
-                        if cleaned is not None:
-                            distances, b_h, contribs = self._score_contributions(
-                                cleaned, full_grads
-                            )
-
-        # 4) incentive: shares and budget-scaled rewards
-        with prof.phase("fifl.incentive"):
-            if contribs:
-                reps_for_shares = {
-                    w: reputations.get(w, self.reputation.reputation(w))
-                    for w in contribs
-                }
-                shares = reward_shares(
-                    reps_for_shares, contribs, punish_mode=self.config.punish_mode
-                )
-            else:
-                shares = {}
-            rewards = allocate_rewards(shares, self.config.budget_per_round)
-
-        return self._finalize(
-            ctx, scores, accepted, outcomes, reputations, distances, b_h,
-            contribs, shares, rewards,
-        )
-
-    def _process_round_vectorized(self, ctx: RoundContext) -> RoundDecision:
         """Batched pipeline over the round's ``(N, D)`` gradient matrix."""
         prof = self.profiler
         cfg = self.config
@@ -436,18 +301,29 @@ class FIFLMechanism:
                 else slice_offsets(dim, len(ctx.server_ranks))
             )
 
-        # 1) attack detection: one GEMM per server over the slice blocks
+        # 1) attack detection: one GEMM per server over the slice blocks.
+        #    A non-finite upload is flagged unscored and leaves the batch
+        #    (``live``) that every later phase runs on.
         with prof.phase("fifl.detect"):
             ranks, slots, bench_slices = stack_benchmarks(ctx, offsets)
+            threshold = cfg.detection.threshold
+            live = batch
+            score_vec = live_accept = None
+            scores, accepted = {}, {}
             if batch is not None:
-                score_vec = self._detection_scores_sharded(
-                    batch, ranks, slots, bench_slices
-                )
-                accept_vec = score_vec >= cfg.detection.threshold
+                finite = np.isfinite(batch.row_sqnorms)
+                if not finite.all():
+                    live = batch.select(finite) if finite.any() else None
+                score_vec = np.full(batch.num_workers, NON_FINITE_SCORE)
+                accept_vec = np.zeros(batch.num_workers, dtype=bool)
+                if live is not None:
+                    score_vec[finite] = self._detection_scores_sharded(
+                        live, ranks, slots, bench_slices
+                    )
+                    live_accept = score_vec[finite] >= threshold
+                    accept_vec[finite] = live_accept
                 scores = batch.to_dict(score_vec)
                 accepted = batch.to_dict(accept_vec)
-            else:
-                scores, accepted = {}, {}
             prof.count("fifl.workers_scored", len(scores))
 
         # 2) reputation (stateful EMA/SLM; O(N) dict update, not a hot path)
@@ -461,60 +337,59 @@ class FIFLMechanism:
             contribs: dict[int, float] = {}
             b_h: float | None = None
             contrib_vec = None
-            if batch is not None:
-                accept_mask = np.asarray(
-                    [accepted[int(w)] for w in batch.worker_ids], dtype=bool
+            global_grad = None
+            if live is not None:
+                global_grad = live.weighted_average(live_accept)
+            if global_grad is not None:
+                reference_grad = (
+                    self._server_mean_gradient(ctx)
+                    if cfg.contribution_reference == "server_mean"
+                    else global_grad
                 )
-                global_grad = batch.weighted_average(accept_mask)
-                if global_grad is not None:
-                    reference_grad = (
-                        self._server_mean_gradient(ctx)
-                        if cfg.contribution_reference == "server_mean"
-                        else global_grad
+                if reference_grad is None:
+                    reference_grad = global_grad
+                dist_vec, b_h, contrib_vec = self._score_contributions_batch(
+                    reference_grad, live
+                )
+                if (
+                    cfg.contribution_filter
+                    and cfg.contribution_reference == "aggregate"
+                    and (contrib_vec < 0.0).any()
+                ):
+                    # Second pass (S4.3's free-rider guard, closed loop): the
+                    # first pass's negative contributors are below the
+                    # quality bar, so their gradients leave the aggregate
+                    # and everyone is re-scored against the cleaned G̃. This
+                    # keeps low-quality gradients from biasing the reference
+                    # point that scores everyone else.
+                    cleaned = live.weighted_average(
+                        live_accept & (contrib_vec >= 0.0)
                     )
-                    if reference_grad is None:
-                        reference_grad = global_grad
-                    dist_vec, b_h, contrib_vec = self._score_contributions_batch(
-                        reference_grad, batch
-                    )
-                    if cfg.contribution_filter and (contrib_vec < 0.0).any():
-                        # Second pass: drop first-pass negative contributors
-                        # from the aggregate, re-score everyone (see the
-                        # scalar path for the rationale).
-                        if cfg.contribution_reference == "aggregate":
-                            keep_mask = accept_mask & (contrib_vec >= 0.0)
-                            cleaned = batch.weighted_average(keep_mask)
-                            if cleaned is not None:
-                                dist_vec, b_h, contrib_vec = (
-                                    self._score_contributions_batch(cleaned, batch)
-                                )
-                    distances = batch.to_dict(dist_vec)
-                    contribs = batch.to_dict(contrib_vec)
+                    if cleaned is not None:
+                        dist_vec, b_h, contrib_vec = (
+                            self._score_contributions_batch(cleaned, live)
+                        )
+                distances = live.to_dict(dist_vec)
+                contribs = live.to_dict(contrib_vec)
 
         # 4) incentive: masked share arithmetic, budget scaling
         with prof.phase("fifl.incentive"):
-            if batch is not None and contrib_vec is not None:
+            reward_vec = None
+            shares, rewards = {}, {}
+            if contrib_vec is not None:
                 rep_vec = np.asarray(
-                    [
-                        reputations.get(int(w), self.reputation.reputation(int(w)))
-                        for w in batch.worker_ids
-                    ]
+                    [reputations[int(w)] for w in live.worker_ids]
                 )
                 share_vec = reward_shares_array(
                     rep_vec, contrib_vec, punish_mode=cfg.punish_mode
                 )
                 reward_vec = share_vec * cfg.budget_per_round
-                shares = batch.to_dict(share_vec)
-                rewards = batch.to_dict(reward_vec)
-            else:
-                reward_vec = None
-                shares, rewards = {}, {}
+                shares = live.to_dict(share_vec)
+                rewards = live.to_dict(reward_vec)
 
         return self._finalize(
             ctx, scores, accepted, outcomes, reputations, distances, b_h,
-            contribs, shares, rewards,
-            score_vec=score_vec if batch is not None else None,
-            reward_vec=reward_vec,
+            contribs, shares, rewards, score_vec, reward_vec,
         )
 
     def _finalize(
@@ -534,13 +409,12 @@ class FIFLMechanism:
     ) -> RoundDecision:
         """Shared bookkeeping: cumulative rewards, records, ledger, verdict.
 
-        Also the mechanism's telemetry choke point: both engines funnel
-        their per-round outputs through here, so flagged workers,
+        Also the mechanism's telemetry choke point: flagged workers,
         detection margins, reputation deltas and the reward-fairness
-        gauges are emitted once, identically, regardless of engine. The
-        vectorized engine passes its score/reward vectors (aligned with
-        the dicts' key order) so telemetry skips rebuilding them; the
-        scalar engine leaves them ``None``.
+        gauges are emitted here once per round. ``score_vec`` /
+        ``reward_vec`` are the score and reward vectors aligned with the
+        dicts' key order (``None`` rebuilds them from the dicts), so
+        telemetry skips rebuilding them.
         """
         for w, amount in rewards.items():
             self._cumulative_rewards[w] = self._cumulative_rewards.get(w, 0.0) + amount
@@ -650,7 +524,11 @@ class FIFLMechanism:
         positive = np.maximum(reward_vec, 0.0)
         reward_gini, reward_entropy = reward_fairness(positive, validate=False)
         if margins.size:
-            tele.observe_many("fifl.detect_margin", margins)
+            # an unscored (non-finite) upload has no margin to bucket; its
+            # sentinel would also overflow the histogram's running sum
+            tele.observe_many(
+                "fifl.detect_margin", margins[score_vec != NON_FINITE_SCORE]
+            )
         gauges = (
             ("fifl.flagged_workers", float(len(flagged))),
             ("fifl.reward_gini", reward_gini),

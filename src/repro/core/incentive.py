@@ -16,22 +16,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contribution import normalized_shares, normalized_shares_array
+from .contribution import normalized_shares_array
 
-__all__ = [
-    "reward_shares",
-    "reward_shares_array",
-    "allocate_rewards",
-    "fairness_coefficient",
-]
+__all__ = ["reward_shares_array", "fairness_coefficient"]
 
 
-def reward_shares(
-    reputations: dict[int, float],
-    contribs: dict[int, float],
+def reward_shares_array(
+    reputations: np.ndarray,
+    contribs: np.ndarray,
     punish_mode: str = "contribution",
-) -> dict[int, float]:
-    """Eq. 15: ``I_i = R_i * C_i / sum_{C_j>0} C_j`` for rewards.
+) -> np.ndarray:
+    """Eq. 15 over aligned reputation/contribution vectors.
+
+    Rewards are ``I_i = R_i * C_i / sum_{C_j>0} C_j``.
 
     Punishments (negative ``C_i``) are ambiguous in the paper: applied
     literally, Eq. 15 multiplies the negative share by the attacker's
@@ -49,31 +46,6 @@ def reward_shares(
     * ``"eq15"`` — the literal formula, reputation-scaled both ways and
       ``ΣC⁺``-normalized.
     """
-    if set(reputations) != set(contribs):
-        raise ValueError("reputation and contribution cover different workers")
-    if punish_mode not in ("contribution", "eq15"):
-        raise ValueError(f"unknown punish_mode {punish_mode!r}")
-    shares = normalized_shares(contribs)
-    abs_total = sum(abs(c) for c in contribs.values())
-    out: dict[int, float] = {}
-    for wid, share in shares.items():
-        if share >= 0.0 or punish_mode == "eq15":
-            out[wid] = reputations[wid] * share
-        else:
-            out[wid] = contribs[wid] / abs_total if abs_total > 0 else 0.0
-    return out
-
-
-def reward_shares_array(
-    reputations: np.ndarray,
-    contribs: np.ndarray,
-    punish_mode: str = "contribution",
-) -> np.ndarray:
-    """Batched Eq. 15 over aligned reputation/contribution vectors.
-
-    Mirrors :func:`reward_shares` exactly (both punish modes), with the
-    per-worker loop replaced by masked array arithmetic.
-    """
     reputations = np.asarray(reputations, dtype=np.float64)
     contribs = np.asarray(contribs, dtype=np.float64)
     if reputations.shape != contribs.shape or reputations.ndim != 1:
@@ -90,15 +62,6 @@ def reward_shares_array(
                 contribs[negative] / abs_total if abs_total > 0 else 0.0
             )
     return out
-
-
-def allocate_rewards(
-    shares: dict[int, float], total_budget: float
-) -> dict[int, float]:
-    """Scale shares by the round budget ``I_sum`` (Eq. 18's budget)."""
-    if total_budget < 0:
-        raise ValueError("budget must be non-negative")
-    return {wid: s * total_budget for wid, s in shares.items()}
 
 
 def fairness_coefficient(x: np.ndarray, y: np.ndarray) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..fl import FederatedTrainer
 from ..nn import build_logreg
+from ..population import WorkerPopulation
 from .common import DriverConfig, FedExpConfig, build_federation
 
 __all__ = ["ArchCommConfig", "default_config", "run", "format_rows"]
@@ -60,7 +61,7 @@ def run(cfg: ArchCommConfig | None = None, **overrides) -> dict:
     for name, ranks in architectures.items():
         model, workers, test = build_federation(fed)
         trainer = FederatedTrainer(
-            model, workers, ranks, test_data=test,
+            model, WorkerPopulation.from_workers(workers), ranks, test_data=test,
             server_lr=fed.server_lr, seed=seed,
         )
         history = trainer.run(rounds, eval_every=rounds)

@@ -155,12 +155,6 @@ class FedExpConfig:
     reference_worker: int | None = None
     contribution_filter: bool = False
     contribution_reference: str = "aggregate"
-    # round-engine selection: "vectorized" (batched kernels) or "scalar"
-    # (the reference per-worker loops, kept for differential testing)
-    engine: str = "vectorized"
-    # local-training engine: "fleet" (all workers' SGD batched into
-    # stacked kernels) or "scalar" (per-worker reference loop)
-    local_engine: str = "fleet"
     # fault/timing scenario: None runs the direct (instantaneous) loop;
     # a FaultScenario moves uploads onto the discrete-event kernel
     scenario: FaultScenario | None = None
@@ -359,7 +353,6 @@ def run_federated(
             reference_worker=cfg.reference_worker,
             contribution_filter=cfg.contribution_filter,
             contribution_reference=cfg.contribution_reference,
-            engine=cfg.engine,
             shard_size=cfg.shard_size,
         )
     trainer = FederatedTrainer(
@@ -371,7 +364,6 @@ def run_federated(
         server_lr=cfg.server_lr,
         drop_prob=cfg.drop_prob,
         seed=cfg.seed,
-        local_engine=cfg.local_engine,
         scenario=cfg.scenario,
         cohort_size=cfg.cohort_size,
         sampler=cfg.sampler,

@@ -23,6 +23,7 @@ from ..core import make_mechanism
 from ..datasets import iid_partition, make_blobs, train_test_split
 from ..fl import FederatedTrainer, HonestWorker
 from ..nn import build_logreg
+from ..population import WorkerPopulation
 from .common import DriverConfig
 
 __all__ = ["FaultToleranceConfig", "default_config", "run", "format_rows"]
@@ -58,8 +59,8 @@ def _build(num_workers: int, seed: int, reselect_every: int):
     ]
     mech = make_mechanism("fifl", threshold=0.0, gamma=0.4)
     trainer = FederatedTrainer(
-        model_fn(), workers, [0, 1], test_data=test, mechanism=mech,
-        server_lr=0.1, seed=seed, reselect_every=reselect_every,
+        model_fn(), WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
+        mechanism=mech, server_lr=0.1, seed=seed, reselect_every=reselect_every,
     )
     return trainer
 

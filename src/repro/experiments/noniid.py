@@ -22,6 +22,7 @@ from ..datasets import dirichlet_partition, make_blobs, train_test_split
 from ..fl import FederatedTrainer, HonestWorker, SignFlippingWorker
 from ..metrics import aggregate_confusion, confusion
 from ..nn import build_logreg
+from ..population import WorkerPopulation
 from .common import DriverConfig
 
 __all__ = ["NonIIDConfig", "default_config", "run", "format_rows"]
@@ -72,7 +73,7 @@ def run(cfg: NonIIDConfig | None = None, **overrides) -> dict:
                 )
         mech = make_mechanism("fifl", threshold=threshold, gamma=0.3)
         trainer = FederatedTrainer(
-            model_fn(), workers, [0, 1], test_data=test,
+            model_fn(), WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
             mechanism=mech, server_lr=0.1, seed=seed,
         )
         history = trainer.run(rounds, eval_every=rounds)

@@ -69,7 +69,6 @@ def run(cfg: FedExpConfig | None = None) -> dict:
     mechanism = make_mechanism(
         "fifl",
         gamma=cfg.gamma,
-        engine=cfg.engine,
         shard_size=cfg.shard_size,
     )
     trainer = FederatedTrainer(

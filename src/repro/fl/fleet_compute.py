@@ -1,14 +1,15 @@
 """Fleet-batched local training: all workers' SGD steps as one kernel.
 
-The scalar trainer asks each worker in turn to run its local minibatch
-SGD — N sequential forward/backward passes over N private replicas of
-the *same* architecture. :class:`FleetLocalEngine` replaces that loop:
+Asking each worker in turn to run its local minibatch SGD
+(``Worker.compute_update``) costs N sequential forward/backward passes
+over N private replicas of the *same* architecture.
+:class:`FleetLocalEngine` replaces that loop:
 it stacks eligible workers' parameters along a leading worker axis (see
 :mod:`repro.nn.fleet`) and runs each local step for the whole fleet as
 single batched NumPy calls.
 
-Fidelity contract (differential-tested to <= 1e-8 against the scalar
-path, and byte-identical where only layout changes):
+Fidelity contract (differential-tested to <= 1e-8 against that
+per-worker loop, and byte-identical where only layout changes):
 
 * **Minibatch sampling** draws through each worker's *own*
   ``np.random.default_rng(seed)`` generator, one ``integers`` call per

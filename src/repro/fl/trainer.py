@@ -22,21 +22,22 @@ and :class:`~repro.population.CohortSampler`::
 
 With a full-population cohort (or no sampler at all) the trainer runs in
 **static** mode: every worker is materialized once and the round loop is
-the classic cross-silo path, bit-for-bit identical to the legacy
-``workers=[...]`` surface. With a sampler or a sub-population cohort it
+the classic cross-silo path. With a sampler or a sub-population cohort it
 runs in **dynamic** mode: each round samples a cohort (server ranks
 always included — they produce the detection benchmarks), materializes
-only those workers, trains, and writes the round's reputation verdicts
-back into the population's out-of-core store. Per-round cost is
-O(cohort), never O(population).
+only those workers, and trains. Per-round cost is O(cohort), never
+O(population). In both modes the round's reputation verdicts are written
+back into the population's out-of-core store.
 
-The legacy ``workers=[...]`` list remains accepted through the single
-deprecation pathway :meth:`WorkerPopulation.from_workers`.
+A ready-made list of workers becomes a population through
+:meth:`WorkerPopulation.from_workers`. Local training always runs
+through :class:`~repro.fl.fleet_compute.FleetLocalEngine`, which batches
+homogeneous workers and keeps the per-worker ``compute_update`` path for
+the rest.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -55,6 +56,7 @@ from .fleet_compute import FleetLocalEngine
 # trainer's kernels by name (perfbench/spans.py).
 from .gradients import (  # noqa: F401
     fedavg,
+    finite_sqnorm,
     recombine,
     slice_bounds,
     slice_offsets,
@@ -64,6 +66,7 @@ from .gradients import (  # noqa: F401
 from .workers import Worker, WorkerUpdate
 
 __all__ = [
+    "AcceptAllMechanism",
     "RoundContext",
     "RoundDecision",
     "RoundMechanism",
@@ -71,24 +74,6 @@ __all__ = [
     "TrainingHistory",
     "FederatedTrainer",
 ]
-
-# The workers=[...] deprecation fires once per process: legacy suites
-# construct hundreds of trainers and the guidance does not change.
-_WARNED_LEGACY_WORKERS = False
-
-
-def _warn_legacy_workers() -> None:
-    global _WARNED_LEGACY_WORKERS
-    if not _WARNED_LEGACY_WORKERS:
-        _WARNED_LEGACY_WORKERS = True
-        warnings.warn(
-            "FederatedTrainer(workers=[...]) is deprecated; pass "
-            "population=WorkerPopulation.from_workers(workers) (or build a "
-            "WorkerPopulation directly) instead",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-
 
 @dataclass
 class RoundContext:
@@ -126,8 +111,9 @@ class RoundMechanism(Protocol):
     def process_round(self, ctx: RoundContext) -> RoundDecision: ...
 
 
-class _AcceptAll:
-    """Default mechanism: accept every delivered update (no defence)."""
+class AcceptAllMechanism:
+    """Accept every delivered update: the undefended baseline of Figures
+    7, 8 and 10, and the trainer's default mechanism."""
 
     def process_round(self, ctx: RoundContext) -> RoundDecision:
         return RoundDecision(accept={w: True for w in ctx.slices})
@@ -184,7 +170,7 @@ class FederatedTrainer:
     def __init__(
         self,
         model: Sequential,
-        workers=None,
+        population,
         server_ranks: list[int] | None = None,
         test_data: Dataset | None = None,
         mechanism: RoundMechanism | None = None,
@@ -192,12 +178,10 @@ class FederatedTrainer:
         drop_prob: float = 0.0,
         seed: int = 0,
         reselect_every: int = 0,
-        local_engine: str = "fleet",
         scenario: FaultScenario | None = None,
         monitor=None,
         probe=None,
         *,
-        population=None,
         cohort_size: int | None = None,
         sampler=None,
         fleet_shard_size: int | None = None,
@@ -213,25 +197,12 @@ class FederatedTrainer:
         # glibc trim them away and fault them back in every round.
         retain_heap()
 
-        if population is None and isinstance(workers, WorkerPopulation):
-            # Population passed positionally in the workers slot: the
-            # population-first call shape without keyword ceremony.
-            population, workers = workers, None
-        if population is not None and workers is not None:
-            raise ValueError("pass either population= or workers=, not both")
-        if population is None:
-            if not workers:
-                raise ValueError("need at least one worker")
-            _warn_legacy_workers()
-            population = WorkerPopulation.from_workers(workers)
-            self._owns_population = True
-        else:
-            if not isinstance(population, WorkerPopulation):
-                raise TypeError(
-                    f"population must be a WorkerPopulation, got "
-                    f"{type(population).__name__}"
-                )
-            self._owns_population = False
+        if not isinstance(population, WorkerPopulation):
+            raise TypeError(
+                f"population must be a WorkerPopulation, got "
+                f"{type(population).__name__}; wrap a list of workers with "
+                f"WorkerPopulation.from_workers(workers)"
+            )
         self.population = population
         if server_ranks is None:
             raise ValueError("server_ranks is required")
@@ -270,11 +241,6 @@ class FederatedTrainer:
             cohort_size is not None and cohort_size < population.size
         )
         if self._dynamic:
-            if self._owns_population:
-                raise ValueError(
-                    "cohort sampling needs an explicit population= "
-                    "(the legacy workers=[...] surface is static-only)"
-                )
             if scenario is not None:
                 raise ValueError(
                     "cohort sampling and FaultScenario are mutually "
@@ -303,7 +269,9 @@ class FederatedTrainer:
             )
             validate_roles(self.topology)
         self.test_data = test_data
-        self.mechanism: RoundMechanism = mechanism if mechanism is not None else _AcceptAll()
+        self.mechanism: RoundMechanism = (
+            mechanism if mechanism is not None else AcceptAllMechanism()
+        )
         self.server_lr = server_lr if not callable(server_lr) else None
         self.seed = seed
         # A FaultScenario moves the upload/collection phase onto the
@@ -332,15 +300,6 @@ class FederatedTrainer:
             )
         self._failed: set[int] = set()
         self.profiler = get_telemetry()
-        # Local-compute engine: "fleet" batches all homogeneous workers'
-        # local SGD into stacked kernels (repro.fl.fleet_compute);
-        # "scalar" keeps the per-worker reference loop. The two agree to
-        # <= 1e-8 (differential-tested), so fleet is the default.
-        if local_engine not in ("fleet", "scalar"):
-            raise ValueError(
-                f"local_engine must be 'fleet' or 'scalar', got {local_engine!r}"
-            )
-        self.local_engine = local_engine
         # Execution backend: one pool owned by the trainer for the fleet
         # engine's local-SGD shards. "serial" is the differential oracle
         # and the default.
@@ -613,20 +572,19 @@ class FederatedTrainer:
         theta = self.model.get_flat_params()
         global_buffers = self.model.get_flat_buffers()
         with prof.phase("trainer.local_compute"):
-            if self.local_engine == "fleet":
-                updates = self._fleet_for(active).compute_updates(
-                    theta, global_buffers, exclude=exclude
-                )
-            else:
-                updates = {
-                    w.worker_id: w.compute_update(theta, global_buffers)
-                    for w in active
-                    if w.worker_id not in exclude
-                }
-        if self._dynamic and not any(
-            srv in updates for srv in self.server_ranks
-        ):
+            updates = self._fleet_for(active).compute_updates(
+                theta, global_buffers, exclude=exclude
+            )
+        server_grads = [
+            updates[srv].gradient for srv in self.server_ranks if srv in updates
+        ]
+        if self._dynamic and not server_grads:
             return self._skipped_round(round_idx, "no server update")
+        if server_grads and not any(map(finite_sqnorm, server_grads)):
+            # Every live server's own gradient blew up: no server holds a
+            # usable detection benchmark, so the round is void, like one
+            # in which no server delivered.
+            return self._skipped_round(round_idx, "no finite server update")
         sim_info = None
         with prof.phase("trainer.upload"):
             if self._sim_runner is not None:
@@ -655,13 +613,12 @@ class FederatedTrainer:
         )
         with prof.phase("trainer.mechanism"):
             decision = self.mechanism.process_round(ctx)
-        if not self._owns_population:
-            # Round verdicts flow back into the population's out-of-core
-            # reputation store, where reputation-weighted samplers (and
-            # the next session's analyses) read them.
-            reps = decision.records.get("reputations")
-            if reps:
-                self.population.write_reputations(reps)
+        # Round verdicts flow back into the population's out-of-core
+        # reputation store, where reputation-weighted samplers (and the
+        # next session's analyses) read them.
+        reps = decision.records.get("reputations")
+        if reps:
+            self.population.write_reputations(reps)
 
         accepted_ids = [w for w in sorted(delivered) if decision.accept.get(w, False)]
         grad_norm = 0.0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.contribution import contributions, gradient_distance
+from ..core.contribution import contributions_array, gradient_distance
 from ..datasets import make_blobs, sized_partition
 from ..fl.gradients import fedavg
 from ..nn import SoftmaxCrossEntropy, build_logreg
@@ -97,14 +97,13 @@ def measure_fifl_weights(
         worker_grads = grads[:n_workers]
         ref_grad = grads[n_workers]
         global_grad = fedavg(worker_grads, samples.astype(float))
-        distances = {
-            i: gradient_distance(global_grad, g) for i, g in enumerate(worker_grads)
-        }
+        distances = np.array(
+            [gradient_distance(global_grad, g) for g in worker_grads]
+        )
         b_h = gradient_distance(global_grad, ref_grad)
         if b_h <= 0.0:
             continue
-        contribs = contributions(distances, b_h)
-        totals += np.array([contribs[i] for i in range(n_workers)])
+        totals += contributions_array(distances, b_h)
 
     weights = np.maximum(totals / n_probe_rounds, 0.0)
     if weights.sum() == 0.0:

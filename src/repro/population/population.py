@@ -123,11 +123,13 @@ class WorkerPopulation:
 
     @classmethod
     def from_workers(cls, workers: list[Worker], **kwargs) -> "WorkerPopulation":
-        """Adapter for the legacy ``workers=[...]`` trainer surface.
+        """A population over a ready-made list of workers (ids 0..N-1).
 
-        The roster is pinned in the cache (never evicted, no data/model
-        recipes needed), so a full-population cohort reuses the exact
-        objects a legacy trainer would have held.
+        The way to train an explicit roster:
+        ``FederatedTrainer(model, WorkerPopulation.from_workers(workers),
+        ...)``. The roster is pinned in the cache (never evicted, no
+        data/model recipes needed), so every cohort reuses these exact
+        worker objects.
         """
         if not workers:
             raise ValueError("need at least one worker")

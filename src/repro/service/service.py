@@ -142,7 +142,6 @@ class FederationService:
                 reference_worker=fed.reference_worker,
                 contribution_filter=fed.contribution_filter,
                 contribution_reference=fed.contribution_reference,
-                engine=fed.engine,
                 shard_size=fed.shard_size,
             )
         fed = cfg.fed
@@ -155,7 +154,6 @@ class FederationService:
             server_lr=fed.server_lr,
             drop_prob=fed.drop_prob,
             seed=fed.seed,
-            local_engine=fed.local_engine,
             scenario=fed.scenario,
             cohort_size=fed.cohort_size,
             sampler=fed.sampler,

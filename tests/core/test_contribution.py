@@ -1,4 +1,9 @@
-"""Tests for the contribution module (Eq. 13-14)."""
+"""Tests for the contribution module (Eq. 13-14).
+
+The dict-form ``sliced_distance`` / ``reference_baseline`` live in the
+per-worker oracle (``tests/core/reference.py``) and are checked there;
+everything else runs against the kernels the mechanism uses.
+"""
 
 import numpy as np
 import pytest
@@ -6,14 +11,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    contributions,
+    contributions_array,
     gradient_distance,
-    normalized_shares,
-    reference_baseline,
-    sliced_distance,
+    normalized_shares_array,
     zero_baseline,
 )
 from repro.fl import split_gradient
+
+from tests.core.reference import reference_baseline, sliced_distance
+
+
+def contributions(distances, b_h):
+    """Eq. 14 through ``contributions_array``, keyed like its input."""
+    ids = list(distances)
+    values = contributions_array([distances[w] for w in ids], b_h)
+    return dict(zip(ids, values.tolist()))
+
+
+def normalized_shares(contribs):
+    """Eq. 15's weights through ``normalized_shares_array``."""
+    ids = list(contribs)
+    values = normalized_shares_array([contribs[w] for w in ids])
+    return dict(zip(ids, values.tolist()))
 
 
 class TestGradientDistance:

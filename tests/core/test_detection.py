@@ -1,17 +1,50 @@
-"""Tests for the attack detection module (paper S4.1)."""
+"""Tests for the attack detection module (paper S4.1).
+
+Equation-level checks run against the batched kernel
+``detection_scores_matrix`` through a dict adapter; partial delivery,
+``classify`` and ``AttackDetector`` exist only in the per-worker oracle
+(``tests/core/reference.py``) and are checked there.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    AttackDetector,
-    DetectionConfig,
-    classify,
-    detection_scores,
-    server_score,
-)
+from repro.core import DetectionConfig, detection_scores_matrix
+
+from tests.core import reference
+from tests.core.reference import AttackDetector, classify
+
+
+def detection_scores(slices, benchmarks, mode="cosine"):
+    """Eq. 6 through the batched kernel, in the oracle's dict form.
+
+    ``benchmarks`` maps each server rank to its own slice; the slots are
+    the servers' positions in rank order, as in the round engine.
+    """
+    ranks = sorted(benchmarks)
+    ids = sorted(slices)
+    if not ids:
+        return {}
+    rows = [np.concatenate([slices[w][r] for r in ranks]) for w in ids]
+    sizes = [len(benchmarks[r]) for r in ranks]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    scores = detection_scores_matrix(
+        np.asarray(ids), np.vstack(rows), offsets, np.asarray(ranks),
+        np.arange(len(ranks)), [np.asarray(benchmarks[r]) for r in ranks],
+        mode,
+    )
+    return dict(zip(ids, scores.tolist()))
+
+
+def server_score(benchmark, candidate, mode="cosine"):
+    """One server's score S_i^j: a non-server worker seen by one server."""
+    benchmark, candidate = np.asarray(benchmark), np.asarray(candidate)
+    return detection_scores_matrix(
+        np.array([99]), candidate[None, :], np.array([0, candidate.size]),
+        np.array([0]), np.array([0]), [benchmark], mode,
+    )[0]
 
 
 class TestServerScore:
@@ -76,12 +109,15 @@ class TestDetectionScores:
         assert raw[2] > 0
 
     def test_missing_slice_scaled_in_raw_mode(self):
-        # worker id 5 is NOT a server, so no self-scoring exclusion applies
+        # partial delivery only exists in the per-worker oracle (the
+        # trainer routes partial uploads to the uncertain set); worker
+        # id 5 is NOT a server, so no self-scoring exclusion applies
         bench = {0: np.array([2.0]), 1: np.array([2.0])}
         full = {5: {0: np.array([1.0]), 1: np.array([1.0])}}
         partial = {5: {0: np.array([1.0])}}
-        assert detection_scores(partial, bench, "raw")[5] == pytest.approx(
-            detection_scores(full, bench, "raw")[5]
+        oracle = reference.detection_scores
+        assert oracle(partial, bench, "raw")[5] == pytest.approx(
+            oracle(full, bench, "raw")[5]
         )
 
     def test_server_never_scores_itself_with_peers(self):
@@ -99,12 +135,15 @@ class TestDetectionScores:
 
     def test_no_benchmark_raises(self):
         with pytest.raises(ValueError):
-            detection_scores({0: {0: np.zeros(2)}}, {})
+            detection_scores_matrix(
+                np.array([0]), np.zeros((1, 2)), np.array([0, 2]),
+                np.array([], dtype=int), np.array([], dtype=int), [],
+            )
 
     def test_worker_with_no_delivered_slices_raises(self):
         bench = {0: np.array([1.0])}
         with pytest.raises(ValueError):
-            detection_scores({5: {}}, bench)
+            reference.detection_scores({5: {}}, bench)
 
 
 class TestClassify:

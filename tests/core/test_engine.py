@@ -1,14 +1,16 @@
-"""Round-engine tests: batched layout + vectorized-vs-scalar differentials.
+"""Round-engine tests: batched layout + differentials against the oracle.
 
-The vectorized engine must be a drop-in for the scalar reference: every
-per-round output (scores, accepts, reputations, distances, b_h,
-contributions, shares, rewards) agrees to 1e-8 on seeded rounds, across
-the pipeline's branchy corners — uncertain workers, all-rejected rounds,
-both punish modes, reference baselines, the contribution filter's second
-pass, server-mean references, SLM reputation, raw detection scores, and
-non-finite gradients from blown-up training.
+The batched mechanism must agree with the per-worker reference pipeline
+(``tests/core/reference.py``): every per-round output (scores, accepts,
+reputations, distances, b_h, contributions, shares, rewards) agrees to
+1e-8 on seeded rounds, across the pipeline's branchy corners — uncertain
+workers, all-rejected rounds, both punish modes, reference baselines,
+the contribution filter's second pass, server-mean references, SLM
+reputation, raw detection scores, and non-finite gradients from
+blown-up training.
 """
 
+import json
 import math
 
 import numpy as np
@@ -18,9 +20,12 @@ from hypothesis import strategies as st
 
 from repro.core import make_mechanism
 from repro.core.engine import RoundBatch, stack_benchmarks
+from repro.core.fifl import NON_FINITE_SCORE
 from repro.fl.gradients import fedavg, recombine, slice_offsets, split_gradient
 from repro.fl.trainer import RoundContext
 from repro.fl.workers import WorkerUpdate
+
+from tests.core.reference import ReferenceFIFL
 
 TOL = 1e-8
 
@@ -34,8 +39,13 @@ def make_ctx(
     uncertain=(),
     attacker_scale=-2.0,
     blowup=(),
+    blowup_value=np.inf,
 ):
-    """Synthetic round: servers are workers 0..M-1, every 5th worker deviates."""
+    """Synthetic round: servers are workers 0..M-1, every 5th worker deviates.
+
+    Workers in ``blowup`` upload ``blowup_value`` everywhere; the other
+    workers' gradients do not depend on who blows up.
+    """
     rng = np.random.default_rng(seed * 7919 + round_idx)
     server_ranks = list(range(num_servers))
     honest = rng.standard_normal(dim)
@@ -43,7 +53,7 @@ def make_ctx(
     for wid in range(num_workers):
         noise = rng.standard_normal(dim)
         if wid in blowup:
-            grad = np.full(dim, np.inf)
+            grad = np.full(dim, blowup_value)
         elif wid % 5 or wid == 0:
             grad = honest + 0.3 * noise
         else:
@@ -77,7 +87,7 @@ def _assert_value_close(a, b, label):
 
 
 def assert_records_match(scalar_records, vector_records):
-    """Every FIFLRoundRecord field agrees across the two engines."""
+    """Every FIFLRoundRecord field agrees between oracle and mechanism."""
     assert len(scalar_records) == len(vector_records)
     dict_fields = (
         "scores", "accepted", "reputations", "distances",
@@ -97,16 +107,24 @@ def assert_records_match(scalar_records, vector_records):
             _assert_value_close(s.b_h, v.b_h, f"round {s.round_idx} b_h")
 
 
+def assert_all_finite(record):
+    """No NaN or ±inf anywhere in a round record."""
+    for name in ("scores", "reputations", "distances", "contribs",
+                 "shares", "rewards"):
+        values = list(getattr(record, name).values())
+        assert np.isfinite(values).all(), f"round {record.round_idx} {name}"
+    assert record.b_h is None or math.isfinite(record.b_h)
+
+
 def run_engines(contexts, **cfg_kwargs):
-    """Same rounds through both engines; returns (scalar, vectorized) records."""
-    out = {}
-    for engine in ("scalar", "vectorized"):
-        mech = make_mechanism("fifl", engine=engine, **cfg_kwargs)
-        with np.errstate(all="ignore"):
-            for ctx in contexts:
-                mech.process_round(ctx)
-        out[engine] = mech.records
-    return out["scalar"], out["vectorized"]
+    """Same rounds through the oracle and the mechanism; their records."""
+    mech = make_mechanism("fifl", **cfg_kwargs)
+    oracle = ReferenceFIFL(mech.config)
+    with np.errstate(all="ignore"):
+        for ctx in contexts:
+            oracle.process_round(ctx)
+            mech.process_round(ctx)
+    return oracle.records, mech.records
 
 
 # -- RoundBatch layout --------------------------------------------------------
@@ -229,7 +247,7 @@ class TestRoundBatch:
             np.testing.assert_array_equal(sl, expected)
 
 
-# -- differential: vectorized == scalar ---------------------------------------
+# -- differential: mechanism == per-worker oracle ------------------------------
 
 
 class TestEngineDifferential:
@@ -281,8 +299,8 @@ class TestEngineDifferential:
         ))
 
     def test_reference_baseline_with_reference_worker_missing(self):
-        # the reference worker lost its upload: both engines fall back to
-        # the zero baseline for that round
+        # the reference worker lost its upload: both fall back to the
+        # zero baseline for that round
         contexts = [
             make_ctx(num_workers=9, round_idx=t, uncertain=(3,)) for t in range(2)
         ]
@@ -309,7 +327,7 @@ class TestEngineDifferential:
 
     def test_server_mean_with_contribution_filter_keeps_first_pass(self):
         # filter + server_mean: the second re-aggregation pass only applies
-        # to the "aggregate" reference; both engines must skip it
+        # to the "aggregate" reference; both must skip it
         contexts = [make_ctx(num_workers=10, round_idx=t) for t in range(3)]
         assert_records_match(*run_engines(
             contexts,
@@ -334,17 +352,19 @@ class TestEngineDifferential:
         )
 
     def test_non_finite_gradient_from_blown_up_worker(self):
-        # high-intensity attacks legitimately produce inf gradients; the
-        # vectorized expansion-form distances must repair those rows to
-        # the scalar answer instead of emitting NaN
+        # high-intensity attacks legitimately produce inf gradients: the
+        # blown-up worker is rejected unscored and every record stays
+        # finite (the oracle applies the same rule)
         contexts = [
             make_ctx(num_workers=8, round_idx=t, blowup=(6,)) for t in range(2)
         ]
-        assert_records_match(*run_engines(contexts, threshold=0.0, gamma=0.2))
-
-    def test_fifl_scalar_factory_preset_matches_explicit_engine(self):
-        mech = make_mechanism("fifl-scalar", threshold=0.0)
-        assert mech.config.engine == "scalar"
+        oracle, mech = run_engines(contexts, threshold=0.0, gamma=0.2)
+        assert_records_match(oracle, mech)
+        for rec in mech:
+            assert rec.accepted[6] is False
+            assert rec.scores[6] == NON_FINITE_SCORE
+            assert 6 not in rec.rewards and 6 not in rec.contribs
+            assert_all_finite(rec)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -355,15 +375,20 @@ class TestEngineDifferential:
         threshold=st.sampled_from([-1.0, 0.0, 0.5]),
         punish_mode=st.sampled_from(["contribution", "eq15"]),
         contribution_filter=st.booleans(),
+        blowup=st.sets(st.integers(0, 15), max_size=2),
+        blowup_value=st.sampled_from([np.nan, np.inf, -np.inf]),
     )
     def test_property_seeded_rounds_agree(
         self, seed, num_workers, num_servers, n_uncertain,
-        threshold, punish_mode, contribution_filter,
+        threshold, punish_mode, contribution_filter, blowup, blowup_value,
     ):
         num_servers = min(num_servers, num_workers)
         uncertain = tuple(
             range(num_servers, min(num_servers + n_uncertain, num_workers))
         )
+        # keep one server finite: with every benchmark gone there is
+        # nothing to detect against, and both sides raise
+        blowup = tuple(w for w in blowup if w < num_workers and w != 0)
         contexts = [
             make_ctx(
                 num_workers=num_workers,
@@ -372,6 +397,8 @@ class TestEngineDifferential:
                 round_idx=t,
                 seed=seed,
                 uncertain=uncertain,
+                blowup=blowup,
+                blowup_value=blowup_value,
             )
             for t in range(3)
         ]
@@ -383,39 +410,150 @@ class TestEngineDifferential:
         ))
 
 
+# -- non-finite uploads: flag and exclude --------------------------------------
+
+
+def _lost_upload_rounds(bad, rounds, **ctx_kwargs):
+    """The same rounds with ``bad``'s upload lost instead of blown up; a
+    server also loses its benchmark (its local gradient is unusable)."""
+    contexts = []
+    for t in range(rounds):
+        ctx = make_ctx(round_idx=t, uncertain=(bad,), **ctx_kwargs)
+        if bad in ctx.server_ranks:
+            del ctx.updates[bad]
+        contexts.append(ctx)
+    return contexts
+
+
+class TestNonFiniteUploads:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [6, 1], ids=["worker", "server"])
+    @pytest.mark.parametrize("punish_mode", ["contribution", "eq15"])
+    def test_other_workers_match_the_lost_upload_run(
+        self, value, bad, punish_mode
+    ):
+        cfg = dict(threshold=0.0, gamma=0.2, initial_reputation=0.5,
+                   punish_mode=punish_mode)
+        blown = make_mechanism("fifl", **cfg)
+        lost = make_mechanism("fifl", **cfg)
+        with np.errstate(all="ignore"):
+            for t in range(3):
+                blown.process_round(make_ctx(
+                    num_workers=8, round_idx=t, blowup=(bad,), blowup_value=value
+                ))
+            for ctx in _lost_upload_rounds(bad, 3, num_workers=8):
+                lost.process_round(ctx)
+        for rb, rl in zip(blown.records, lost.records):
+            assert rb.accepted[bad] is False
+            assert rb.scores[bad] == NON_FINITE_SCORE
+            assert bad not in rb.distances and bad not in rb.rewards
+            assert_all_finite(rb)
+            for name in ("scores", "accepted", "reputations", "distances",
+                         "contribs", "shares", "rewards"):
+                others, want = (
+                    {w: v for w, v in getattr(r, name).items() if w != bad}
+                    for r in (rb, rl)
+                )
+                assert others.keys() == want.keys(), name
+                for w in want:
+                    _assert_value_close(
+                        others[w], want[w], f"round {rb.round_idx} {name}[{w}]"
+                    )
+            _assert_value_close(rb.b_h, rl.b_h, f"round {rb.round_idx} b_h")
+        # a rejection, not an uncertain event: the reputation decays
+        assert blown.reputation.reputation(bad) < 0.5
+        assert lost.reputation.reputation(bad) == 0.5
+        cum = blown.cumulative_rewards()
+        assert bad not in cum and np.isfinite(list(cum.values())).all()
+
+    def test_punishments_survive_an_inf_upload(self):
+        # one inf row must not reach abs_total: a NaN denominator fails
+        # every `abs_total > 0` test and zeroes the round's punishments
+        clean = make_mechanism("fifl")
+        blown = make_mechanism("fifl")
+        with np.errstate(all="ignore"):
+            clean.process_round(make_ctx(num_workers=8, uncertain=(6,)))
+            blown.process_round(make_ctx(num_workers=8, blowup=(6,)))
+        punished = [w for w, r in clean.records[0].rewards.items() if r < 0]
+        assert punished
+        for w in punished:
+            assert blown.records[0].rewards[w] == clean.records[0].rewards[w]
+
+    def test_ledger_and_trace_stay_json_compliant(self, tmp_path):
+        from repro.ledger import Blockchain
+        from repro.telemetry import JsonlSink, Telemetry
+
+        path = tmp_path / "trace.jsonl"
+        hub = Telemetry(sinks=[JsonlSink(path)])
+        mech = make_mechanism("fifl", ledger=Blockchain())
+        mech.profiler = hub
+        with np.errstate(all="ignore"):
+            for t in range(2):
+                mech.process_round(make_ctx(
+                    num_workers=8, round_idx=t, blowup=(3, 6),
+                    blowup_value=np.nan if t else np.inf,
+                ))
+        hub.flush()  # the JSONL encoder raises on any NaN or ±inf
+        margins = hub.metrics_snapshot()["histograms"]["fifl.detect_margin"]
+        assert margins["total"] == 2 * 6 and math.isfinite(margins["sum"])
+        hub.close()
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        rounds = [e["data"] for e in events if e["type"] == "fifl.round"]
+        assert len(rounds) == 2
+        for data in rounds:
+            assert {3, 6} <= set(data["flagged"])
+        for block in mech.ledger.blocks[1:]:
+            json.dumps(block.payload, allow_nan=False)
+
+    def test_all_uploads_non_finite(self):
+        mech = make_mechanism("fifl")
+        ctx = make_ctx(num_workers=4, num_servers=2, uncertain=(0,),
+                       blowup=(1, 2, 3))
+        with np.errstate(all="ignore"):
+            decision = mech.process_round(ctx)
+        assert decision.accept == {1: False, 2: False, 3: False}
+        rec = mech.records[0]
+        assert rec.rewards == {} and rec.b_h is None
+
+
 # -- differential on the paper-figure configs ---------------------------------
 
 
 @pytest.mark.slow
 class TestFigureConfigDifferential:
-    """End-to-end training agrees across engines on real figure configs."""
+    """End-to-end training agrees with the oracle on real figure configs."""
 
     @staticmethod
-    def _run_both(fed_cfg, attackers):
-        from repro.experiments.common import run_federated
+    def _run_both(fed_cfg, attackers, monkeypatch):
+        from repro.experiments import common
 
-        out = {}
-        for engine in ("scalar", "vectorized"):
-            history, mech = run_federated(
-                fed_cfg.scaled(engine=engine), attackers, with_fifl=True
-            )
-            out[engine] = (history, mech)
-        (h_s, m_s), (h_v, m_v) = out["scalar"], out["vectorized"]
+        h_v, m_v = common.run_federated(fed_cfg, attackers, with_fifl=True)
+
+        def oracle_mechanism(name, ledger=None, **kwargs):
+            config = make_mechanism(name, **kwargs).config
+            return ReferenceFIFL(config, ledger=ledger)
+
+        with monkeypatch.context() as m:
+            m.setattr(common, "make_mechanism", oracle_mechanism)
+            h_s, m_s = common.run_federated(fed_cfg, attackers, with_fifl=True)
+        assert isinstance(m_s, ReferenceFIFL)
         acc_s = [a for a in h_s.series("test_acc") if a is not None]
         acc_v = [a for a in h_v.series("test_acc") if a is not None]
         np.testing.assert_allclose(acc_s, acc_v, atol=TOL, rtol=0)
         assert_records_match(m_s.records, m_v.records)
 
-    def test_fig09_config(self):
+    def test_fig09_config(self, monkeypatch):
         from repro.experiments import fig09_detection
         from repro.experiments.common import data_poison
 
         fed = fig09_detection._default_fed().scaled(
             rounds=4, eval_every=4, detection_threshold=0.1
         )
-        self._run_both(fed, {6: data_poison(0.5), 7: data_poison(0.5)})
+        self._run_both(
+            fed, {6: data_poison(0.5), 7: data_poison(0.5)}, monkeypatch
+        )
 
-    def test_fig11_config(self):
+    def test_fig11_config(self, monkeypatch):
         from repro.experiments import fig11_reputation
         from repro.experiments.common import probabilistic
 
@@ -424,9 +562,9 @@ class TestFigureConfigDifferential:
             i: probabilistic(p_a, 4.0)
             for i, p_a in zip((4, 5, 6, 7), (0.2, 0.4, 0.6, 0.8))
         }
-        self._run_both(fed, attackers)
+        self._run_both(fed, attackers, monkeypatch)
 
-    def test_fig12_config(self):
+    def test_fig12_config(self, monkeypatch):
         from repro.experiments import fig12_contribution
         from repro.experiments.common import data_poison
 
@@ -441,4 +579,4 @@ class TestFigureConfigDifferential:
             i: data_poison(p_d)
             for i, p_d in zip((5, 6, 7, 8, 9), (0.0, 0.1, 0.2, 0.3, 0.4))
         }
-        self._run_both(fed, attackers)
+        self._run_both(fed, attackers, monkeypatch)

@@ -60,8 +60,13 @@ class TestFIFLConstruction:
     def test_raw_preset(self):
         assert make_mechanism("fifl-raw").config.detection.mode == "raw"
 
-    def test_scalar_preset(self):
-        assert make_mechanism("fifl-scalar").config.engine == "scalar"
+    def test_engine_keyword_accepts_only_vectorized(self):
+        # the single round engine: the old engine="vectorized" spelling
+        # still builds FIFL, anything else points at the test oracle
+        assert make_mechanism("fifl", engine="vectorized").config == FIFLConfig()
+        with pytest.raises(ValueError, match="tests/core/reference.py"):
+            make_mechanism("fifl", engine="scalar")
+        assert "fifl-scalar" not in MECHANISM_NAMES
 
     def test_preset_override_wins_over_preset_default(self):
         # explicit keywords beat the preset's baked-in value
@@ -96,6 +101,17 @@ class TestSimpleMechanisms:
         assert isinstance(make_mechanism("accept_all"), AcceptAllMechanism)
         assert isinstance(make_mechanism("none"), AcceptAllMechanism)
 
+    def test_trainer_default_is_the_same_accept_all(self):
+        from repro.fl import FederatedTrainer
+        from repro.population import WorkerPopulation
+        from tests.helpers import make_federation, model_fn
+
+        workers, _, _ = make_federation(num_workers=2)
+        trainer = FederatedTrainer(
+            model_fn()(), WorkerPopulation.from_workers(workers), [0]
+        )
+        assert isinstance(trainer.mechanism, AcceptAllMechanism)
+
     def test_ledger_rejected_for_mechanisms_without_audit(self):
         with pytest.raises(TypeError, match="ledger"):
             make_mechanism("krum", ledger=Blockchain())
@@ -108,7 +124,7 @@ class TestRegistry:
 
     def test_mechanism_names_cover_builders(self):
         assert set(MECHANISM_NAMES) >= {
-            "fifl", "fifl-slm", "fifl-raw", "fifl-scalar",
+            "fifl", "fifl-slm", "fifl-raw",
             "krum", "median", "accept_all", "none",
         }
 

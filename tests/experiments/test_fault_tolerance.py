@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import fault_tolerance
 from repro.nn import build_logreg
 from repro.fl import FederatedTrainer
+from repro.population import WorkerPopulation
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -13,7 +14,9 @@ class TestFailNode:
     def test_failed_worker_stops_uploading(self):
         workers, _, test = make_federation(num_workers=4)
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
-        trainer = FederatedTrainer(model, workers, [0], test_data=test)
+        trainer = FederatedTrainer(
+            model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+        )
         trainer.fail_node(3)
         rec = trainer.run_round(0)
         assert 3 not in rec.accepted or rec.accepted.get(3) is False
@@ -22,7 +25,9 @@ class TestFailNode:
     def test_failed_server_stalls_training(self):
         workers, _, test = make_federation(num_workers=4)
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
-        trainer = FederatedTrainer(model, workers, [0], test_data=test)
+        trainer = FederatedTrainer(
+            model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+        )
         trainer.fail_node(0)
         theta = model.get_flat_params()
         rec = trainer.run_round(0)
@@ -32,7 +37,9 @@ class TestFailNode:
     def test_rank_validation(self):
         workers, _, test = make_federation(num_workers=3)
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
-        trainer = FederatedTrainer(model, workers, [0], test_data=test)
+        trainer = FederatedTrainer(
+            model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+        )
         with pytest.raises(ValueError):
             trainer.fail_node(7)
 

@@ -7,6 +7,7 @@ from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
 from repro.datasets import flip_labels
 from repro.fl import FederatedTrainer, GaussianNoiseAttacker, ReplayFreeRider
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation, model_fn
 
@@ -42,8 +43,10 @@ class TestGaussianNoiseAttacker:
             FIFLConfig(detection=DetectionConfig(threshold=0.15), gamma=0.3)
         )
         model = build_logreg(N_FEATURES, N_CLASSES, seed=1)
-        trainer = FederatedTrainer(model, workers, [0, 1], test_data=test,
-                                   mechanism=mech, server_lr=0.1)
+        trainer = FederatedTrainer(
+            model, WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
+            mechanism=mech, server_lr=0.1,
+        )
         trainer.run(10, eval_every=10)
         rejected = sum(1 for rec in mech.records if not rec.accepted[3])
         assert rejected >= 8
@@ -89,8 +92,10 @@ class TestReplayFreeRider:
             FIFLConfig(detection=DetectionConfig(threshold=0.0), gamma=0.3)
         )
         model = build_logreg(N_FEATURES, N_CLASSES, seed=2)
-        trainer = FederatedTrainer(model, workers, [0], test_data=test,
-                                   mechanism=mech, server_lr=0.1)
+        trainer = FederatedTrainer(
+            model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+            mechanism=mech, server_lr=0.1,
+        )
         trainer.run(8, eval_every=8)
         later_scores = [rec.scores[4] for rec in mech.records[2:]]
         assert np.mean(later_scores) > 0.0  # evades a zero threshold

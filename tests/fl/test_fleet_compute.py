@@ -1,10 +1,11 @@
 """Fleet local engine: RNG fidelity, attacker parity, fallbacks, e2e differential.
 
-The engine's contract (see ``repro.fl.fleet_compute``) is that switching
-``local_engine`` between "fleet" and "scalar" is *observationally
-invisible*: identical minibatch draws, identical uploads for every
-worker type (honest, every attacker, free-riders), identical training
-histories. These tests pin each clause.
+The engine's contract (see ``repro.fl.fleet_compute``) is that batching
+is *observationally invisible* next to each worker running its own
+``compute_update``: identical minibatch draws, identical uploads for
+every worker type (honest, every attacker, free-riders), identical
+training histories. These tests pin each clause; the end-to-end cases
+swap the per-worker loop into the trainer as the oracle.
 """
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.fl import (
 )
 from repro.nn import SGD, Dense, Dropout, ReLU, Sequential, build_logreg, build_mlp
 from repro.parallel import ThreadBackend
+from repro.population import WorkerPopulation
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -280,8 +282,9 @@ class TestTrainerIntegration:
     def test_run_restores_test_data_on_exception(self):
         workers, _, test = make_federation(num_workers=3)
         trainer = FederatedTrainer(
-            build_logreg(N_FEATURES, N_CLASSES, seed=0), workers, [0],
-            test_data=test, mechanism=_BoomMechanism(),
+            build_logreg(N_FEATURES, N_CLASSES, seed=0),
+            WorkerPopulation.from_workers(workers), [0], test_data=test,
+            mechanism=_BoomMechanism(),
         )
         with pytest.raises(RuntimeError, match="boom"):
             # eval_every=5: round 1 runs with test_data toggled to None,
@@ -289,19 +292,11 @@ class TestTrainerIntegration:
             trainer.run(5, eval_every=5)
         assert trainer.test_data is test
 
-    def test_rejects_unknown_local_engine(self):
-        workers, _, test = make_federation(num_workers=2)
-        with pytest.raises(ValueError):
-            FederatedTrainer(
-                build_logreg(N_FEATURES, N_CLASSES, seed=0), workers, [0],
-                test_data=test, local_engine="warp",
-            )
-
     def test_failed_node_excluded_from_fleet(self):
         workers, _, test = make_federation(num_workers=4)
         trainer = FederatedTrainer(
-            build_logreg(N_FEATURES, N_CLASSES, seed=0), workers, [0],
-            test_data=test, local_engine="fleet",
+            build_logreg(N_FEATURES, N_CLASSES, seed=0),
+            WorkerPopulation.from_workers(workers), [0], test_data=test,
         )
         trainer.fail_node(2)
         rec = trainer.run_round(0)
@@ -328,24 +323,48 @@ _E2E_CASES = {
 }
 
 
+class PerWorkerLocal:
+    """Local-compute oracle: every live worker's own ``compute_update``,
+    one after another in worker order, in place of the fleet engine."""
+
+    def __init__(self, workers):
+        self.workers = workers
+
+    def compute_updates(self, theta, global_buffers=None, exclude=None):
+        exclude = exclude or ()
+        return {
+            w.worker_id: w.compute_update(theta, global_buffers)
+            for w in self.workers
+            if w.worker_id not in exclude
+        }
+
+
+def run_both(cfg, attackers, with_fifl, monkeypatch):
+    """One federation through the fleet engine, then through the oracle."""
+    fleet, _ = run_federated(cfg, attackers, with_fifl=with_fifl)
+    with monkeypatch.context() as m:
+        m.setattr(
+            FederatedTrainer, "_fleet_for",
+            lambda self, workers: PerWorkerLocal(workers),
+        )
+        scalar, _ = run_federated(cfg, attackers, with_fifl=with_fifl)
+    return scalar, fleet
+
+
 class TestEndToEndDifferential:
     @pytest.mark.parametrize("name", sorted(_E2E_CASES))
-    def test_histories_match(self, name):
+    def test_histories_match(self, name, monkeypatch):
         fed_kwargs, attackers, with_fifl = _E2E_CASES[name]
-        histories = {}
-        for engine in ("scalar", "fleet"):
-            cfg = FedExpConfig(
-                dataset="blobs",
-                num_workers=6,
-                samples_per_worker=40,
-                test_samples=80,
-                local_iters=1,
-                server_ranks=(0, 1),
-                local_engine=engine,
-                **fed_kwargs,
-            )
-            histories[engine], _ = run_federated(cfg, attackers, with_fifl=with_fifl)
-        scalar, fleet = histories["scalar"], histories["fleet"]
+        cfg = FedExpConfig(
+            dataset="blobs",
+            num_workers=6,
+            samples_per_worker=40,
+            test_samples=80,
+            local_iters=1,
+            server_ranks=(0, 1),
+            **fed_kwargs,
+        )
+        scalar, fleet = run_both(cfg, attackers, with_fifl, monkeypatch)
         assert len(scalar.rounds) == len(fleet.rounds)
         for rs, rf in zip(scalar.rounds, fleet.rounds):
             assert rs.accepted == rf.accepted
@@ -356,28 +375,76 @@ class TestEndToEndDifferential:
                 assert abs(rs.test_acc - rf.test_acc) <= TOL
 
     @pytest.mark.slow
-    def test_histories_match_image_models(self):
+    def test_histories_match_image_models(self, monkeypatch):
         """LeNet (Conv/pool) and mini-ResNet (BatchNorm/Residual) paths."""
         for dataset in ("mnist", "cifar10"):
-            histories = {}
-            for engine in ("scalar", "fleet"):
-                cfg = FedExpConfig(
-                    dataset=dataset,
-                    num_workers=4,
-                    samples_per_worker=24,
-                    test_samples=40,
-                    image_size=14 if dataset == "mnist" else 8,
-                    rounds=2,
-                    eval_every=1,
-                    batch_size=8,
-                    server_ranks=(0, 1),
-                    local_engine=engine,
-                )
-                histories[engine], _ = run_federated(
-                    cfg, {3: sign_flip(2.0)}, with_fifl=True
-                )
-            for rs, rf in zip(histories["scalar"].rounds, histories["fleet"].rounds):
+            cfg = FedExpConfig(
+                dataset=dataset,
+                num_workers=4,
+                samples_per_worker=24,
+                test_samples=40,
+                image_size=14 if dataset == "mnist" else 8,
+                rounds=2,
+                eval_every=1,
+                batch_size=8,
+                server_ranks=(0, 1),
+            )
+            scalar, fleet = run_both(
+                cfg, {3: sign_flip(2.0)}, True, monkeypatch
+            )
+            for rs, rf in zip(scalar.rounds, fleet.rounds):
                 assert rs.accepted == rf.accepted
                 assert abs(rs.grad_norm - rf.grad_norm) <= TOL
                 if rs.test_loss is not None:
                     assert abs(rs.test_loss - rf.test_loss) <= TOL
+
+    @staticmethod
+    def _mlp_trainer(num_workers=8, n_attackers=2, seed=0):
+        """``benchmarks/bench_local_step.py``'s federation: a 16→64→4 MLP
+        on blobs, 100 samples and batch 8 per worker, the last two ranks
+        sign-flippers."""
+        data = make_blobs(
+            n_samples=num_workers * 100 + 400, n_features=16, num_classes=4,
+            seed=seed,
+        )
+        train, test = train_test_split(data, 400 / len(data), seed=seed)
+        shards = iid_partition(train, num_workers, seed=seed)
+
+        def model_fn():
+            return build_mlp(16, 4, hidden=(64,), seed=seed)
+
+        workers = []
+        for wid in range(num_workers):
+            attacker = wid >= num_workers - n_attackers
+            cls = SignFlippingWorker if attacker else HonestWorker
+            workers.append(cls(
+                wid, shards[wid], model_fn, lr=0.05, batch_size=8,
+                local_iters=1, seed=seed + 1000 + wid,
+                **({"p_s": 4.0} if attacker else {}),
+            ))
+        return FederatedTrainer(
+            model_fn(), WorkerPopulation.from_workers(workers), [0, 1],
+            test_data=test, server_lr=0.05, seed=seed,
+        )
+
+    def test_mlp_histories_match(self, monkeypatch):
+        """The MLP federation the local-step benchmark times, 4 rounds."""
+        fleet = self._mlp_trainer()
+        h_f = fleet.run(4, eval_every=1)
+        with monkeypatch.context() as m:
+            m.setattr(
+                FederatedTrainer, "_fleet_for",
+                lambda self, workers: PerWorkerLocal(workers),
+            )
+            scalar = self._mlp_trainer()
+            h_s = scalar.run(4, eval_every=1)
+        assert len(h_s.rounds) == len(h_f.rounds) == 4
+        for rs, rf in zip(h_s.rounds, h_f.rounds):
+            assert rs.accepted == rf.accepted
+            assert abs(rs.grad_norm - rf.grad_norm) <= TOL
+            assert abs(rs.test_loss - rf.test_loss) <= TOL
+            assert abs(rs.test_acc - rf.test_acc) <= TOL
+        np.testing.assert_allclose(
+            scalar.model.get_flat_params(), fleet.model.get_flat_params(),
+            atol=TOL, rtol=0,
+        )

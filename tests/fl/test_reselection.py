@@ -5,6 +5,7 @@ import pytest
 from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
 from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -20,14 +21,17 @@ class TestReselection:
         workers, _, test = make_federation(num_workers=4)
         model = build_logreg(N_FEATURES, N_CLASSES)
         with pytest.raises(ValueError):
-            FederatedTrainer(model, workers, [0], test_data=test, reselect_every=2)
+            FederatedTrainer(
+                model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+                reselect_every=2,
+            )
 
     def test_rejects_negative_interval(self):
         workers, _, test = make_federation(num_workers=4)
         model = build_logreg(N_FEATURES, N_CLASSES)
         with pytest.raises(ValueError):
             FederatedTrainer(
-                model, workers, [0], test_data=test,
+                model, WorkerPopulation.from_workers(workers), [0], test_data=test,
                 mechanism=fifl_mech(), reselect_every=-1,
             )
 
@@ -41,7 +45,7 @@ class TestReselection:
         )[0][0]
         model = build_logreg(N_FEATURES, N_CLASSES, seed=3)
         trainer = FederatedTrainer(
-            model, workers, [0, 1], test_data=test,
+            model, WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
             mechanism=fifl_mech(), server_lr=0.1, reselect_every=3,
         )
         assert 0 in trainer.server_ranks
@@ -53,7 +57,8 @@ class TestReselection:
         workers, _, test = make_federation(num_workers=4)
         model = build_logreg(N_FEATURES, N_CLASSES)
         trainer = FederatedTrainer(
-            model, workers, [0], test_data=test, mechanism=fifl_mech()
+            model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+            mechanism=fifl_mech(),
         )
         trainer.run(5, eval_every=5)
         assert trainer.server_ranks == [0]
@@ -66,7 +71,7 @@ class TestReselection:
         )[0][0]
         model = build_logreg(N_FEATURES, N_CLASSES, seed=3)
         trainer = FederatedTrainer(
-            model, workers, [0, 1], test_data=test,
+            model, WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
             mechanism=fifl_mech(), server_lr=0.1, reselect_every=2,
         )
         trainer.run(8, eval_every=8)
@@ -81,7 +86,7 @@ class TestReselection:
         workers, _, test = make_federation(num_workers=5, seed=4)
         model = build_logreg(N_FEATURES, N_CLASSES, seed=4)
         trainer = FederatedTrainer(
-            model, workers, [0, 1], test_data=test,
+            model, WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
             mechanism=fifl_mech(), server_lr=0.1, reselect_every=5,
         )
         history = trainer.run(30, eval_every=30)

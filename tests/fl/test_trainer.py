@@ -5,6 +5,7 @@ import pytest
 
 from repro.fl import FederatedTrainer, RoundDecision, SignFlippingWorker
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -18,8 +19,9 @@ def make_trainer(num_workers=4, server_ranks=(0,), mechanism=None, drop_prob=0.0
     workers, _, test = make_federation(num_workers=num_workers, seed=seed, **kwargs)
     model = build_logreg(N_FEATURES, N_CLASSES, seed=seed)
     return FederatedTrainer(
-        model, workers, list(server_ranks), test_data=test,
-        mechanism=mechanism, server_lr=0.1, drop_prob=drop_prob, seed=seed,
+        model, WorkerPopulation.from_workers(workers), list(server_ranks),
+        test_data=test, mechanism=mechanism, server_lr=0.1, drop_prob=drop_prob,
+        seed=seed,
     )
 
 
@@ -29,18 +31,22 @@ class TestConstruction:
         workers[0].worker_id = 7
         model = build_logreg(N_FEATURES, N_CLASSES)
         with pytest.raises(ValueError):
-            FederatedTrainer(model, workers, [0], test_data=test)
+            FederatedTrainer(
+                model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+            )
 
     def test_rejects_invalid_server_rank(self):
         workers, _, test = make_federation(num_workers=3)
         model = build_logreg(N_FEATURES, N_CLASSES)
         with pytest.raises(ValueError):
-            FederatedTrainer(model, workers, [9], test_data=test)
+            FederatedTrainer(
+                model, WorkerPopulation.from_workers(workers), [9], test_data=test,
+            )
 
     def test_rejects_no_workers(self):
         model = build_logreg(N_FEATURES, N_CLASSES)
         with pytest.raises(ValueError):
-            FederatedTrainer(model, [], [0])
+            FederatedTrainer(model, WorkerPopulation.from_workers([]), [0])
 
     def test_architecture_extremes(self):
         assert make_trainer(server_ranks=[0]).num_servers == 1
@@ -164,6 +170,9 @@ class TestAttackDamage:
         )[0][0]
         workers[0] = attacker
         model = build_logreg(N_FEATURES, N_CLASSES, seed=2)
-        dirty = FederatedTrainer(model, workers, [1], test_data=test, server_lr=0.1)
+        dirty = FederatedTrainer(
+            model, WorkerPopulation.from_workers(workers), [1], test_data=test,
+            server_lr=0.1,
+        )
         acc_dirty = dirty.run(30, eval_every=30).final_accuracy()
         assert acc_dirty < acc_clean

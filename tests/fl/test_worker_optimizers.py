@@ -5,6 +5,7 @@ import pytest
 
 from repro.fl import FederatedTrainer, HonestWorker
 from repro.nn import SGD, Adam, build_logreg
+from repro.population import WorkerPopulation
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation, model_fn
 
@@ -53,6 +54,9 @@ class TestWorkerOptimizers:
             worker_kwargs={"optimizer": Adam(lr=0.05)},
         )
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
-        trainer = FederatedTrainer(model, workers, [0], test_data=test, server_lr=0.1)
+        trainer = FederatedTrainer(
+            model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+            server_lr=0.1,
+        )
         history = trainer.run(25, eval_every=25)
         assert history.final_accuracy() > 0.7

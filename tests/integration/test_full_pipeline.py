@@ -13,6 +13,7 @@ from repro.core import (
 from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.ledger import Blockchain, audit_reputation
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -41,8 +42,8 @@ def full_pipeline(num_workers=8, attacker_ids=(6, 7), rounds=20, seed=0,
     )
     model = build_logreg(N_FEATURES, N_CLASSES, seed=seed)
     trainer = FederatedTrainer(
-        model, workers, servers, test_data=test, mechanism=mech,
-        server_lr=0.1, drop_prob=drop_prob, seed=seed,
+        model, WorkerPopulation.from_workers(workers), servers, test_data=test,
+        mechanism=mech, server_lr=0.1, drop_prob=drop_prob, seed=seed,
         reselect_every=reselect_every,
     )
     history = trainer.run(rounds, eval_every=rounds)

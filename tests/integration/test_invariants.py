@@ -9,6 +9,7 @@ from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
 from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.ledger import Blockchain
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -32,8 +33,8 @@ def random_federation(seed, num_workers, n_attackers, gamma, drop_prob):
     )
     model = build_logreg(N_FEATURES, N_CLASSES, seed=seed)
     trainer = FederatedTrainer(
-        model, workers, [0, 1], test_data=test, mechanism=mech,
-        server_lr=0.1, drop_prob=drop_prob, seed=seed,
+        model, WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
+        mechanism=mech, server_lr=0.1, drop_prob=drop_prob, seed=seed,
     )
     return trainer, mech, chain, set(int(a) for a in attacker_ids)
 

@@ -6,6 +6,7 @@ from repro.core import DecayReputation, DetectionConfig, FIFLConfig, FIFLMechani
 from repro.fl import FederatedTrainer
 from repro.ledger import Blockchain, audit_reputation
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 from repro.telemetry import JsonlSink, Telemetry, read_trace, set_telemetry
 
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
@@ -124,7 +125,8 @@ class TestEndToEndWithMechanism:
         )
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
         trainer = FederatedTrainer(
-            model, workers, [0], test_data=test, mechanism=mech, server_lr=0.1
+            model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+            mechanism=mech, server_lr=0.1,
         )
         trainer.run(8, eval_every=8)
         assert len(chain) == 8

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.monitor import Monitor, MonitorConfig, MonitorError, scan_events
+from repro.population import WorkerPopulation
 from repro.telemetry import (
     JsonlSink,
     MemorySink,
@@ -209,7 +210,7 @@ class TestTrainerWiring:
         try:
             trainer = FederatedTrainer(
                 model=build_logreg(8, 3, seed=0),
-                workers=workers,
+                population=WorkerPopulation.from_workers(workers),
                 server_ranks=[0, 1],
                 test_data=test,
                 monitor=monitor,

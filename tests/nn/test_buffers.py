@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import BatchNorm, Dense, ReLU, Sequential, build_mini_resnet
+from repro.population import WorkerPopulation
 
 
 def bn_model(seed=0):
@@ -109,7 +110,9 @@ class TestFederatedBufferSync:
         ]
         global_model = bn_model()
         before = global_model.get_flat_buffers()
-        trainer = FederatedTrainer(global_model, workers, [0], test_data=test)
+        trainer = FederatedTrainer(
+            global_model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+        )
         trainer.run(3, eval_every=3)
         after = global_model.get_flat_buffers()
         assert not np.allclose(before, after)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import ConstantLR, CosineLR, StepLR
+from repro.population import WorkerPopulation
 
 
 class TestConstantLR:
@@ -74,7 +75,7 @@ class TestTrainerIntegration:
         workers, _, test = make_federation(num_workers=3)
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
         trainer = FederatedTrainer(
-            model, workers, [0], test_data=test,
+            model, WorkerPopulation.from_workers(workers), [0], test_data=test,
             server_lr=StepLR(0.2, step_size=5, gamma=0.5),
         )
         assert trainer._round_lr(0) == 0.2
@@ -91,7 +92,8 @@ class TestTrainerIntegration:
         workers, _, test = make_federation(num_workers=3)
         model = build_logreg(N_FEATURES, N_CLASSES, seed=0)
         trainer = FederatedTrainer(
-            model, workers, [0], test_data=test, server_lr=lambda t: -1.0
+            model, WorkerPopulation.from_workers(workers), [0], test_data=test,
+            server_lr=lambda t: -1.0,
         )
         with pytest.raises(ValueError):
             trainer.run_round(0)

@@ -7,6 +7,7 @@ from repro.core import FIFLConfig, FIFLMechanism
 from repro.fl import FederatedTrainer, FleetLocalEngine
 from repro.fl.gradients import slice_offsets
 from repro.core.engine import RoundBatch
+from repro.population import WorkerPopulation
 from repro.population.sharding import iter_row_shards
 
 from ..helpers import make_federation, model_fn
@@ -97,8 +98,8 @@ class TestMechanismShardDifferential:
             workers, _, test = make_federation(num_workers=6, seed=4)
             mech = FIFLMechanism(FIFLConfig(shard_size=shard))
             trainer = FederatedTrainer(
-                model_fn(seed=4)(), workers=workers, server_ranks=[0, 1],
-                test_data=test, mechanism=mech, seed=4,
+                model_fn(seed=4)(), population=WorkerPopulation.from_workers(workers),
+                server_ranks=[0, 1], test_data=test, mechanism=mech, seed=4,
             )
             records = [trainer._run_round(r) for r in range(4)]
             return records, trainer.model.get_flat_params()

@@ -1,7 +1,5 @@
 """Population-first trainer surface: validation, skips, differentials."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -40,31 +38,22 @@ class TestConstructorValidation:
         with pytest.raises(ValueError):
             make_trainer(pop, test, cohort_size=0)
 
-    def test_population_and_workers_are_exclusive(self):
-        pop, test = make_population(4)
+    def test_worker_list_rejected(self):
         workers, _, _ = make_federation(num_workers=4)
-        with pytest.raises(ValueError, match="not both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                FederatedTrainer(
-                    model_fn()(), workers=workers, population=pop,
-                    server_ranks=[0, 1],
-                )
+        with pytest.raises(TypeError, match="WorkerPopulation.from_workers"):
+            FederatedTrainer(model_fn()(), workers, server_ranks=[0, 1])
 
     def test_server_ranks_required(self):
         pop, test = make_population(4)
         with pytest.raises(ValueError, match="server_ranks"):
             FederatedTrainer(model_fn()(), population=pop)
 
-    def test_sampler_requires_explicit_population(self):
-        workers, _, _ = make_federation(num_workers=4)
-        with pytest.raises(ValueError, match="explicit population"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                FederatedTrainer(
-                    model_fn()(), workers=workers, server_ranks=[0, 1],
-                    sampler="uniform",
-                )
+    def test_sampler_on_pinned_roster(self):
+        pop, test = make_population(4)
+        t = make_trainer(pop, test, cohort_size=3, sampler="uniform")
+        rec = t.run_round(0)
+        assert not rec.skipped
+        assert len(rec.accepted) == 3
 
     def test_sampler_and_scenario_are_exclusive(self):
         from repro.sim import FaultScenario
@@ -74,21 +63,6 @@ class TestConstructorValidation:
             make_trainer(
                 pop, test, cohort_size=2, scenario=FaultScenario()
             )
-
-    def test_legacy_workers_surface_warns_once_per_process(self):
-        # the module-level flag may already be set by another test; reset
-        import repro.fl.trainer as trainer_mod
-
-        trainer_mod._WARNED_LEGACY_WORKERS = False
-        workers, _, _ = make_federation(num_workers=4)
-        with pytest.warns(DeprecationWarning, match="population"):
-            FederatedTrainer(model_fn()(), workers=workers,
-                             server_ranks=[0, 1])
-        workers2, _, _ = make_federation(num_workers=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            FederatedTrainer(model_fn()(), workers=workers2,
-                             server_ranks=[0, 1])
 
     def test_population_accepted_positionally(self):
         pop, test = make_population(4)

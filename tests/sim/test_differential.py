@@ -17,6 +17,7 @@ from repro.experiments.fig09_detection import default_config as fig09_config
 from repro.experiments.fig11_reputation import default_config as fig11_config
 from repro.fl import FederatedTrainer
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 from repro.sim import FaultScenario
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -26,7 +27,7 @@ def _run_trainer(scenario, drop_prob=0.1, rounds=6):
     model = build_logreg(N_FEATURES, N_CLASSES, seed=3)
     trainer = FederatedTrainer(
         model,
-        workers,
+        WorkerPopulation.from_workers(workers),
         [0, 1],
         test_data=test,
         mechanism=FIFLMechanism(),

@@ -5,6 +5,7 @@ import pytest
 
 from repro.fl import FederatedTrainer, HonestWorker
 from repro.nn import build_logreg
+from repro.population import WorkerPopulation
 from repro.sim import FaultScenario, LatencyConfig
 from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
@@ -16,7 +17,7 @@ def make_trainer(scenario, num_workers=5, drop_prob=0.0, seed=7, **worker_kwargs
     model = build_logreg(N_FEATURES, N_CLASSES, seed=3)
     return FederatedTrainer(
         model,
-        workers,
+        WorkerPopulation.from_workers(workers),
         [0, 1],
         test_data=test,
         drop_prob=drop_prob,

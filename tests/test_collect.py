@@ -25,13 +25,17 @@ def _load_collect():
 collect = _load_collect()
 
 
-def engine_manifest(speedup=2.0, kernels=3.0, overhead=1.0):
+def engine_manifest(overhead=1.0):
+    return {"monitor_overhead": {"overhead_pct": overhead}}
+
+
+def parallel_manifest(speedup=2.0, identical=True):
     return {
         "by_size": {
-            "16": {"speedup_total": 1.1, "speedup_kernels": 1.2},
-            "256": {"speedup_total": speedup, "speedup_kernels": kernels},
+            "16": {"speedup_best": 1.1},
+            "256": {"speedup_best": speedup},
         },
-        "monitor_overhead": {"overhead_pct": overhead},
+        "bitwise_identical": identical,
     }
 
 
@@ -53,6 +57,7 @@ def bench_dir(tmp_path):
     d = tmp_path / "benchmarks"
     d.mkdir()
     (d / "BENCH_engine.json").write_text(json.dumps(engine_manifest()))
+    (d / "BENCH_parallel.json").write_text(json.dumps(parallel_manifest()))
     (d / "BENCH_sim.json").write_text(json.dumps(sim_manifest()))
     return d
 
@@ -65,10 +70,9 @@ def trajectory(tmp_path):
 class TestCollectCurrent:
     def test_extracts_headlines_at_largest_size(self, bench_dir):
         current = collect.collect_current(bench_dir)
-        assert set(current) == {"engine", "sim"}
-        engine = current["engine"]
-        assert engine["speedup_total_n256"]["value"] == 2.0
-        assert engine["monitor_overhead_pct"]["better"] == "lower"
+        assert set(current) == {"engine", "parallel", "sim"}
+        assert current["parallel"]["speedup_parallel_n256"]["value"] == 2.0
+        assert current["engine"]["monitor_overhead_pct"]["better"] == "lower"
         assert current["sim"]["bitwise_identical"]["better"] == "exact"
 
     def test_unknown_manifest_skipped_with_notice(self, bench_dir, capsys):
@@ -82,14 +86,14 @@ class TestRecord:
     def test_record_appends_then_replaces_same_label(self, bench_dir,
                                                      trajectory):
         collect.record("PR5", path=trajectory, bench_dir=bench_dir)
-        (bench_dir / "BENCH_engine.json").write_text(
-            json.dumps(engine_manifest(speedup=2.5))
+        (bench_dir / "BENCH_parallel.json").write_text(
+            json.dumps(parallel_manifest(speedup=2.5))
         )
         collect.record("PR5", path=trajectory, bench_dir=bench_dir)
         traj = json.loads(trajectory.read_text())
-        rows = traj["benches"]["engine"]
+        rows = traj["benches"]["parallel"]
         assert len(rows) == 1  # replaced in place, not duplicated
-        assert rows[0]["metrics"]["speedup_total_n256"]["value"] == 2.5
+        assert rows[0]["metrics"]["speedup_parallel_n256"]["value"] == 2.5
 
     def test_distinct_labels_accumulate(self, bench_dir, trajectory):
         collect.record("PR4", path=trajectory, bench_dir=bench_dir)
@@ -110,11 +114,11 @@ class TestStaleRows:
     def test_fresh_rerun_clears_the_mark(self, bench_dir, trajectory):
         collect.record("PR4", path=trajectory, bench_dir=bench_dir)
         collect.record("PR5", path=trajectory, bench_dir=bench_dir)
-        (bench_dir / "BENCH_engine.json").write_text(
-            json.dumps(engine_manifest(speedup=2.1))
+        (bench_dir / "BENCH_parallel.json").write_text(
+            json.dumps(parallel_manifest(speedup=2.1))
         )
         collect.record("PR5", path=trajectory, bench_dir=bench_dir)
-        rows = json.loads(trajectory.read_text())["benches"]["engine"]
+        rows = json.loads(trajectory.read_text())["benches"]["parallel"]
         assert "stale" not in rows[1]
 
     def test_check_baseline_skips_stale_rows(self, bench_dir, trajectory):
@@ -123,11 +127,11 @@ class TestStaleRows:
         collect.record("PR4", path=trajectory, bench_dir=bench_dir)
         collect.record("PR5", path=trajectory, bench_dir=bench_dir)
         traj = json.loads(trajectory.read_text())
-        rows = traj["benches"]["engine"]
+        rows = traj["benches"]["parallel"]
         assert rows[1]["stale"] is True
         # sanity-check the selection: poison the stale row's value so
         # using it as baseline would flag the (unchanged) current state
-        rows[1]["metrics"]["speedup_total_n256"]["value"] = 99.0
+        rows[1]["metrics"]["speedup_parallel_n256"]["value"] = 99.0
         trajectory.write_text(json.dumps(traj))
         assert collect.check(path=trajectory, bench_dir=bench_dir) == []
 
@@ -147,19 +151,19 @@ class TestCheck:
 
     def test_small_wobble_within_tolerance(self, bench_dir, trajectory):
         collect.record("PR5", path=trajectory, bench_dir=bench_dir)
-        (bench_dir / "BENCH_engine.json").write_text(
-            json.dumps(engine_manifest(speedup=1.9))  # -5% on a 20% budget
+        (bench_dir / "BENCH_parallel.json").write_text(
+            json.dumps(parallel_manifest(speedup=1.9))  # -5% on a 20% budget
         )
         assert collect.check(path=trajectory, bench_dir=bench_dir) == []
 
     def test_degraded_speedup_flagged(self, bench_dir, trajectory):
         collect.record("PR5", path=trajectory, bench_dir=bench_dir)
-        (bench_dir / "BENCH_engine.json").write_text(
-            json.dumps(engine_manifest(speedup=1.0))  # -50%
+        (bench_dir / "BENCH_parallel.json").write_text(
+            json.dumps(parallel_manifest(speedup=1.0))  # -50%
         )
         problems = collect.check(path=trajectory, bench_dir=bench_dir)
         assert len(problems) == 1
-        assert "engine.speedup_total_n256" in problems[0]
+        assert "parallel.speedup_parallel_n256" in problems[0]
         assert "fell below" in problems[0]
 
     def test_overhead_rise_flagged_beyond_abs_slack(self, bench_dir,
@@ -329,7 +333,8 @@ class TestShow:
         collect.record("PR5", path=trajectory, bench_dir=bench_dir)
         lines = collect.show(path=trajectory)
         assert "=== engine" in lines
-        assert sum(1 for l in lines if l.strip().startswith("PR")) == 4
+        # two labels for each of the three fixture benches
+        assert sum(1 for l in lines if l.strip().startswith("PR")) == 6
 
 
 class TestRepoTrajectory:

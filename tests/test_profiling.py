@@ -4,6 +4,7 @@ snapshots, deltas."""
 import numpy as np
 import pytest
 
+from repro.population import WorkerPopulation
 from repro.telemetry import (
     Telemetry,
     format_profile,
@@ -127,7 +128,7 @@ class TestPipelineIntegration:
         try:
             trainer = FederatedTrainer(
                 build_logreg(N_FEATURES, N_CLASSES),
-                workers,
+                WorkerPopulation.from_workers(workers),
                 [0, 1],
                 test_data=test,
                 mechanism=make_mechanism("fifl", threshold=0.0),
@@ -162,7 +163,7 @@ class TestPipelineIntegration:
         try:
             trainer = FederatedTrainer(
                 build_logreg(N_FEATURES, N_CLASSES),
-                workers,
+                WorkerPopulation.from_workers(workers),
                 [0],
                 test_data=test,
                 mechanism=make_mechanism("fifl", threshold=0.0),
