@@ -17,7 +17,12 @@ Speedup expectations are core-gated: the machine's usable core count is
 recorded in the manifest, the smoke gate (``speedup > 1.0``) applies
 from 2 cores and the 2x target from 4 cores. On a 1-core container the
 curve is still recorded (it documents dispatch overhead) but no speedup
-assertion can be meaningful.
+assertion can be meaningful. A host can report 2 cores and still have
+no free second one (a neighbour keeps it busy), so when the smoke gate
+fails the benchmark times two busy processes against one and reports
+that contention ratio in the failure line and the ``--json`` output:
+about 1.0 means the second core was free and the parallel path is at
+fault, about 2.0 means the two processes shared one core.
 
 CLI (no pytest needed)::
 
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +249,29 @@ def run_benchmark(
     }
 
 
+def _busy_loop(n: int) -> int:
+    total = 0
+    for i in range(n):
+        total += i
+    return total
+
+
+def contention_ratio(loops: int = 2_000_000) -> float:
+    """Wall time of two concurrent busy processes over that of one.
+
+    The pool is warmed up first so process start-up is not timed.
+    """
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        list(pool.map(_busy_loop, [1, 1]))
+        t0 = time.perf_counter()
+        pool.submit(_busy_loop, loops).result()
+        alone = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        list(pool.map(_busy_loop, [loops, loops]))
+        together = time.perf_counter() - t0
+    return together / max(alone, 1e-12)
+
+
 def format_report(result: dict) -> list[str]:
     rows = [
         f"Parallel-backend benchmark ({result['model']}, B={result['batch_size']}, "
@@ -305,7 +334,16 @@ def main(argv: list[str] | None = None) -> int:
     # behaviour, not scheduler luck on an oversubscribed single core.
     best = max(r["speedup_best"] for r in result["by_size"].values())
     if cores >= 2 and best <= 1.0:
-        print(f"FAIL: best parallel speedup {best:.2f}x <= 1.0 on {cores} cores")
+        ratio = contention_ratio()
+        result["contention_ratio"] = ratio
+        print(
+            f"FAIL: best parallel speedup {best:.2f}x <= 1.0 on {cores} cores; "
+            f"two busy processes take {ratio:.2f}x the wall time of one "
+            f"(~1.0: a free second core; ~2.0: they share one)"
+        )
+        if args.json:
+            write_manifest(Path(args.json), result)
+            print(f"[saved {args.json}]")
         return 1
     if cores >= 4 and not args.quick and 256 in result["by_size"]:
         target = result["by_size"][256]["speedup_best"]

@@ -15,9 +15,9 @@ that promise two ways:
   identical cohorts: the bigger one's tracemalloc peak must stay within
   a constant factor of the smaller one's (an O(N) allocation anywhere in
   the round path fails this immediately);
-* **null-cohort differential** — a full-population uniform cohort must
-  reproduce the static (unsampled) trainer bit-for-bit (same accepted
-  sets, same final parameters).
+* **null-cohort differential** — an explicit full-population uniform
+  cohort must reproduce the trainer given no sampler (the full roster)
+  bit-for-bit (same accepted sets, same final parameters).
 
 CLI (no pytest needed)::
 
@@ -139,7 +139,7 @@ def check_cohort_memory(cohort: int, rounds: int,
 
 def check_null_cohort(num_workers: int = 8, rounds: int = 5,
                       seed: int = 0) -> dict:
-    """Full-population uniform cohort == static trainer, bit-for-bit."""
+    """Full-population uniform cohort == no-sampler trainer, bit-for-bit."""
     def build(kind: str) -> FederatedTrainer:
         data = make_blobs(
             n_samples=num_workers * 80,
@@ -155,7 +155,7 @@ def check_null_cohort(num_workers: int = 8, rounds: int = 5,
         ]
         sampling = (
             dict(cohort_size=num_workers, sampler="uniform")
-            if kind == "dynamic" else {}
+            if kind == "sampled" else {}
         )
         return FederatedTrainer(
             model_fn(),
@@ -166,14 +166,14 @@ def check_null_cohort(num_workers: int = 8, rounds: int = 5,
             **sampling,
         )
 
-    static, dynamic = build("static"), build("dynamic")
+    roster, sampled = build("roster"), build("sampled")
     identical = True
     for t in range(rounds):
-        ra, rb = static.run_round(t), dynamic.run_round(t)
+        ra, rb = roster.run_round(t), sampled.run_round(t)
         identical = identical and ra.accepted == rb.accepted
     identical = identical and (
-        static.model.get_flat_params().tobytes()
-        == dynamic.model.get_flat_params().tobytes()
+        roster.model.get_flat_params().tobytes()
+        == sampled.model.get_flat_params().tobytes()
     )
     return {"rounds": rounds, "bitwise_identical": identical}
 
@@ -221,7 +221,7 @@ def format_report(result: dict) -> list[str]:
         f"{'OK' if result['cohort_memory_ok'] else 'VIOLATED'}"
     )
     rows.append(
-        f"  null-cohort differential vs static trainer: "
+        f"  null-cohort differential vs no-sampler trainer: "
         f"{'bit-identical' if result['bitwise_identical'] else 'DIVERGED'}"
     )
     return rows

@@ -7,8 +7,9 @@ an in-process network that keeps MPI's send/recv/bcast/gather vocabulary
 adding three things the experiments need:
 
 * **failure injection** — each link can drop messages with a configured
-  probability, and links can be deterministically blocked (partitions,
-  crashed nodes); drops surface as the SLM reputation module's
+  probability, links can be deterministically blocked (partitions), and
+  whole nodes can be down (crashed or offline: every message to or from
+  them is lost); drops surface as the SLM reputation module's
   *uncertain events* (S4.2);
 * **byte accounting** — every payload accepted onto a link is tallied,
   so the communication-overhead ablations can compare centralized,
@@ -131,6 +132,7 @@ class Network:
         self.default_drop_prob = drop_prob
         self._link_drop: dict[tuple[int, int], float] = {}
         self._blocked: set[tuple[int, int]] = set()
+        self._down: frozenset[int] = frozenset()
         self._rng = np.random.default_rng(seed)
         # The latency stream is separate from the drop stream: attaching
         # a latency model must not change which messages drop.
@@ -179,6 +181,18 @@ class Network:
             self._check_rank(dst)
         self._blocked = set(links)
 
+    def set_down_nodes(self, nodes) -> None:
+        """Replace the set of down nodes (crashed or offline).
+
+        Every message to or from a down node is dropped the way a
+        :meth:`block_link` outage drops it — deterministically, with no
+        RNG draw — but the state is one entry per node, not one per link.
+        """
+        nodes = frozenset(nodes)
+        for rank in nodes:
+            self._check_rank(rank)
+        self._down = nodes
+
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.num_nodes:
             raise ValueError(f"rank {rank} outside [0, {self.num_nodes})")
@@ -202,7 +216,7 @@ class Network:
         tele = get_telemetry()
         self.messages_sent += 1
         tele.count("comm.messages_sent")
-        if (src, dst) in self._blocked:
+        if (src, dst) in self._blocked or src in self._down or dst in self._down:
             self.drop_log.drops.append((src, dst, tag))
             tele.count("comm.drops")
             return False
@@ -274,9 +288,14 @@ class Network:
         # message i (row-major, as the per-message loop sends them) goes
         # from srcs[i // nd] to dsts[i % nd]
         p = float(self.default_drop_prob)
-        if self._blocked or self._link_drop:
+        if self._blocked or self._link_drop or self._down:
             keys = (srcs[:, None] * n + dsts[None, :]).reshape(-1)
             dropped = np.isin(keys, _link_keys(self._blocked, n))
+            if self._down:
+                down = np.fromiter(self._down, np.int64, len(self._down))
+                dropped |= (
+                    np.isin(srcs, down)[:, None] | np.isin(dsts, down)[None, :]
+                ).reshape(-1)
             prob = np.full(total, p)
             if self._link_drop:
                 link_keys = _link_keys(self._link_drop, n)

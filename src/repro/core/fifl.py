@@ -285,20 +285,10 @@ class FIFLMechanism:
 
         with prof.phase("fifl.batch"):
             batch = RoundBatch.from_context(ctx)
-            dim = None
-            for srv in ctx.server_ranks:
-                upd = ctx.updates.get(srv)
-                if upd is not None:
-                    dim = np.asarray(upd.gradient).size
-                    break
-            if dim is None:
-                raise RuntimeError(
-                    "no server produced a local gradient; cannot detect"
-                )
             offsets = (
                 batch.offsets
                 if batch is not None
-                else slice_offsets(dim, len(ctx.server_ranks))
+                else slice_offsets(ctx.global_params.size, len(ctx.server_ranks))
             )
 
         # 1) attack detection: one GEMM per server over the slice blocks.

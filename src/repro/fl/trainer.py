@@ -11,23 +11,28 @@ per-server slices each round and decides which workers' gradients enter the
 aggregate; with no mechanism every delivered update is accepted, which is
 the undefended baseline of Figures 7, 8 and 10.
 
-Population-first surface (cross-device scale)
----------------------------------------------
-The primary constructor takes a
-:class:`~repro.population.WorkerPopulation` plus an optional cohort size
-and :class:`~repro.population.CohortSampler`::
+One round path
+--------------
+The trainer takes a :class:`~repro.population.WorkerPopulation` plus an
+optional cohort size and :class:`~repro.population.CohortSampler`::
 
     FederatedTrainer(model, population=pop, cohort_size=64,
                      sampler="reputation", server_ranks=[0, 1], ...)
 
-With a full-population cohort (or no sampler at all) the trainer runs in
-**static** mode: every worker is materialized once and the round loop is
-the classic cross-silo path. With a sampler or a sub-population cohort it
-runs in **dynamic** mode: each round samples a cohort (server ranks
-always included — they produce the detection benchmarks), materializes
-only those workers, and trains. Per-round cost is O(cohort), never
-O(population). In both modes the round's reputation verdicts are written
-back into the population's out-of-core store.
+Every round samples a cohort (server ranks always included — they
+produce the detection benchmarks), drops failed and unavailable ids,
+materializes only those workers and trains them. A federation with no
+sampler is the uniform sampler at ``cohort_size = population.size``,
+which returns the whole roster without drawing: a static cross-silo
+federation is a full-roster cohort, not a second mode. Per-round cost is
+O(cohort), never O(population), and the round's reputation verdicts are
+written back into the population's out-of-core store.
+
+A failed node (:meth:`FederatedTrainer.fail_node`) means the same thing
+in every federation: it leaves every cohort, and the network drops every
+message to or from it. A round with no cohort, no live server, or no
+(finite) server gradient is recorded as skipped, with the model left
+untouched.
 
 A ready-made list of workers becomes a population through
 :meth:`WorkerPopulation.from_workers`. Local training always runs
@@ -43,7 +48,7 @@ from typing import Protocol
 
 import numpy as np
 
-from ..comm import Network, polycentric_topology, validate_roles
+from ..comm import Network
 from ..datasets import Dataset
 from ..nn import Sequential
 from ..parallel.backend import ExecutionBackend, make_backend
@@ -230,44 +235,22 @@ class FederatedTrainer:
         self.model = model
         self.num_workers = population.size
         self.server_ranks = sorted(set(server_ranks))
-        self.cohort_size = cohort_size
-        self.sampler = sampler
-        self.fleet_shard_size = fleet_shard_size
-        # Dynamic (cross-device) mode: an explicit sampler or a
-        # sub-population cohort means per-round sampling + lazy
-        # materialization. Otherwise static mode keeps the classic
-        # cross-silo loop, bit-for-bit.
-        self._dynamic = sampler is not None or (
-            cohort_size is not None and cohort_size < population.size
-        )
-        if self._dynamic:
-            if scenario is not None:
-                raise ValueError(
-                    "cohort sampling and FaultScenario are mutually "
-                    "exclusive; model device availability/churn on the "
-                    "WorkerPopulation instead"
-                )
-            if self.sampler is None:
-                self.sampler = make_sampler("uniform", seed=seed)
-            if self.cohort_size is None:
-                self.cohort_size = population.size
-            bad = [r for r in self.server_ranks if not 0 <= r < self.num_workers]
-            if bad or not self.server_ranks:
-                raise ValueError(
-                    f"server ranks {bad} outside [0, {self.num_workers})"
-                )
-            # polycentric_topology materializes an O(N·M) networkx graph —
-            # at 10^6 workers that is neither affordable nor needed: the
-            # round loop only ever touches cohort-sized structures.
-            self.topology = None
-            self.workers: list[Worker] = []
-        else:
-            self.workers = population.checkout(range(population.size))
-            # Validate S ⊂ W via the topology module (raises on bad ranks).
-            self.topology = polycentric_topology(
-                self.num_workers, self.server_ranks
+        self._check_server_ranks(self.server_ranks)
+        # No sampler means the full roster every round: the uniform
+        # sampler at full size returns it without drawing.
+        self.cohort_size = population.size if cohort_size is None else cohort_size
+        if scenario is not None and (
+            sampler is not None or self.cohort_size < population.size
+        ):
+            raise ValueError(
+                "cohort sampling and FaultScenario are mutually "
+                "exclusive; model device availability/churn on the "
+                "WorkerPopulation instead"
             )
-            validate_roles(self.topology)
+        self.sampler = sampler if sampler is not None else make_sampler(
+            "uniform", seed=seed
+        )
+        self.fleet_shard_size = fleet_shard_size
         self.test_data = test_data
         self.mechanism: RoundMechanism = (
             mechanism if mechanism is not None else AcceptAllMechanism()
@@ -324,26 +307,32 @@ class FederatedTrainer:
     def num_servers(self) -> int:
         return len(self.server_ranks)
 
+    def _check_server_ranks(self, ranks: list[int]) -> None:
+        """Servers are workers (S ⊂ W): every rank must lie in ``[0, N)``."""
+        bad = [r for r in ranks if not 0 <= r < self.num_workers]
+        if bad or not ranks:
+            raise ValueError(
+                f"server ranks {bad} outside [0, {self.num_workers})"
+            )
+
     def fail_node(self, rank: int) -> None:
-        """Simulate a device crash: the node stops computing and all of
-        its links go dark (S3.2's fault-tolerance discussion).
+        """Simulate a device crash (S3.2's fault-tolerance discussion).
+
+        From the next round on, the node leaves every cohort and the
+        network drops every message to or from it, deterministically and
+        without an RNG draw (:meth:`Network.set_down_nodes`). The failed
+        set lives here, one entry per node, never as per-link state.
 
         A failed plain worker just disappears from the federation. A
-        failed *server* silently loses every slice addressed to it, which
-        stalls aggregation in a static cluster — the paper's
-        "decentralized architecture lacks fault tolerance" scenario —
-        unless re-selection replaces it.
+        failed *server* keeps its slice slot, so every upload loses a
+        slice and every worker's round is uncertain: the stall the paper
+        warns about for a static cluster, until re-selection (S4.5)
+        replaces the server. With every server failed, rounds are
+        recorded as skipped ("no live server").
         """
         if not 0 <= rank < self.num_workers:
             raise ValueError(f"rank {rank} outside [0, {self.num_workers})")
         self._failed.add(rank)
-        if self._dynamic:
-            # Cross-device mode: the failed id is simply excluded from
-            # every future cohort — no O(population) link sweep needed.
-            return
-        for other in range(self.num_workers):
-            self.network.set_link_drop_prob(rank, other, 1.0)
-            self.network.set_link_drop_prob(other, rank, 1.0)
 
     @property
     def failed_nodes(self) -> set[int]:
@@ -355,21 +344,14 @@ class FederatedTrainer:
         The max over nodes is the deployment bottleneck S3.2 discusses:
         one central server carries O(N·P) per round, M polycentric
         servers carry O(N·P/M) each, and fully decentralized nodes carry
-        O(P) regardless of N.
+        O(P) regardless of N. Only nodes that moved bytes appear, in
+        ascending id order.
         """
-        if self._dynamic:
-            # O(population) dicts are off the table at cross-device scale;
-            # report only the nodes that actually moved bytes.
-            load: dict[int, int] = {}
-            for (src, dst), nbytes in self.network.bytes_sent.items():
-                load[src] = load.get(src, 0) + nbytes
-                load[dst] = load.get(dst, 0) + nbytes
-            return load
-        load = {n: 0 for n in range(self.num_workers)}
+        load: dict[int, int] = {}
         for (src, dst), nbytes in self.network.bytes_sent.items():
-            load[src] += nbytes
-            load[dst] += nbytes
-        return load
+            load[src] = load.get(src, 0) + nbytes
+            load[dst] = load.get(dst, 0) + nbytes
+        return dict(sorted(load.items()))
 
     def _round_lr(self, round_idx: int) -> float:
         """The server learning rate for this round (constant or scheduled)."""
@@ -380,10 +362,10 @@ class FederatedTrainer:
             return lr
         return self.server_lr
 
-    # -- cohort selection (dynamic mode) --------------------------------------
+    # -- cohort selection ------------------------------------------------------
 
     def _select_cohort(self, round_idx: int) -> list[Worker]:
-        """Sample, availability-filter and materialize this round's cohort.
+        """Sample, liveness-filter and materialize this round's cohort.
 
         Server ranks are pinned into every cohort (they produce the
         detection benchmarks ``g_j^j``); they skip the per-round
@@ -395,22 +377,14 @@ class FederatedTrainer:
         sampled = self.sampler.sample(
             round_idx, pop, self.cohort_size, required=self.server_ranks
         )
-        required = set(self.server_ranks)
-        live: list[int] = []
-        for wid in sampled:
-            wid = int(wid)
-            if wid in self._failed:
-                continue
-            if wid in required:
-                if pop.is_live(wid):
-                    live.append(wid)
-            elif pop.is_available(wid, round_idx):
-                live.append(wid)
-        cohort = pop.checkout(live, round_idx=round_idx)
+        live = np.asarray(sampled, dtype=np.int64)
+        if self._failed:
+            failed = np.fromiter(self._failed, np.int64, len(self._failed))
+            live = live[~np.isin(live, failed)]
+        live = pop.available_ids(live, round_idx, required=self.server_ranks)
+        cohort = pop.checkout(live.tolist(), round_idx=round_idx)
         coverage = pop.coverage()
         prof.count("trainer.cohort_workers", len(live))
-        prof.gauge("population.cohort_live", len(live))
-        prof.gauge("population.coverage", coverage)
         prof.event(
             "population.cohort",
             {
@@ -552,35 +526,35 @@ class FederatedTrainer:
 
     def _run_round(self, round_idx: int) -> RoundRecord:
         prof = self.profiler
+        with prof.phase("trainer.cohort"):
+            cohort = self._select_cohort(round_idx)
         plan = None
+        offline: frozenset[int] = frozenset()
         if self._sim_runner is not None:
             # Fault scenario: apply churn/partitions and draw this
             # round's compute-time plan before anyone trains.
-            plan = self._sim_runner.begin_round(round_idx)
-        exclude = (
-            self._failed if plan is None else self._failed | set(plan.offline)
-        )
-        if self._dynamic:
-            with prof.phase("trainer.cohort"):
-                active = self._select_cohort(round_idx)
-            if not active:
-                return self._skipped_round(round_idx, "empty cohort")
-            if not any(w.worker_id in self.server_ranks for w in active):
-                return self._skipped_round(round_idx, "no live server")
-        else:
-            active = self.workers
+            plan = self._sim_runner.begin_round(round_idx, cohort)
+            offline = plan.offline
+        # Crashed and offline nodes are one outage: nothing reaches them
+        # and nothing they send arrives.
+        self.network.set_down_nodes(self._failed | offline)
+        if not cohort:
+            return self._skipped_round(round_idx, "empty cohort")
+        servers = set(self.server_ranks)
+        if not any(w.worker_id in servers for w in cohort):
+            return self._skipped_round(round_idx, "no live server")
         theta = self.model.get_flat_params()
         global_buffers = self.model.get_flat_buffers()
         with prof.phase("trainer.local_compute"):
-            updates = self._fleet_for(active).compute_updates(
-                theta, global_buffers, exclude=exclude
+            updates = self._fleet_for(cohort).compute_updates(
+                theta, global_buffers, exclude=offline
             )
         server_grads = [
             updates[srv].gradient for srv in self.server_ranks if srv in updates
         ]
-        if self._dynamic and not server_grads:
+        if not server_grads:
             return self._skipped_round(round_idx, "no server update")
-        if server_grads and not any(map(finite_sqnorm, server_grads)):
+        if not any(map(finite_sqnorm, server_grads)):
             # Every live server's own gradient blew up: no server holds a
             # usable detection benchmark, so the round is void, like one
             # in which no server delivered.
@@ -608,7 +582,7 @@ class FederatedTrainer:
             slices=delivered,
             updates=updates,
             uncertain=uncertain,
-            sample_counts={w.worker_id: w.num_samples for w in active},
+            sample_counts={w.worker_id: w.num_samples for w in cohort},
             uploads=uploads,
         )
         with prof.phase("trainer.mechanism"):
@@ -639,12 +613,9 @@ class FederatedTrainer:
             prof.gauge("trainer.grad_norm", grad_norm)
             lr = self._round_lr(round_idx)
             self.model.set_flat_params(theta - lr * global_grad)
-            dests = (
-                [w.worker_id for w in active]
-                if self._dynamic
-                else range(self.num_workers)
+            self._broadcast(
+                [w.worker_id for w in cohort], agg_slices, round_idx
             )
-            self._broadcast(dests, agg_slices, round_idx)
             # FedAvg-BN: average accepted workers' running statistics into
             # the global model so evaluation normalizes with live stats.
             buffer_vecs = [
@@ -761,9 +732,5 @@ class FederatedTrainer:
         new_ranks = sorted(set(new_ranks))
         if new_ranks == self.server_ranks:
             return
+        self._check_server_ranks(new_ranks)
         self.server_ranks = new_ranks
-        if not self._dynamic:
-            self.topology = polycentric_topology(
-                self.num_workers, self.server_ranks
-            )
-            validate_roles(self.topology)

@@ -58,7 +58,8 @@ def canonicalize(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [canonicalize(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [canonicalize(v) for v in obj.tolist()]
+        # tolist() is a nested list, or the scalar of a 0-d array
+        return canonicalize(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):

@@ -187,12 +187,33 @@ class WorkerPopulation:
         self._check_id(worker_id)
         if worker_id in self._left:
             return False
-        if self.availability >= 1.0:
-            return True
+        return self.availability >= 1.0 or self._checks_in(worker_id, round_idx)
+
+    def _checks_in(self, worker_id: int, round_idx: int) -> bool:
         rng = np.random.default_rng(
             (_SALT_AVAILABILITY, self.seed, round_idx, worker_id)
         )
         return bool(rng.random() < self.availability)
+
+    def available_ids(
+        self, ids: np.ndarray, round_idx: int, required=()
+    ) -> np.ndarray:
+        """The ids of ``ids`` that take part in this round, in order.
+
+        An id takes part if it is live and, unless it is ``required``,
+        checked in (:meth:`is_available`, same per-id draws). Churn is
+        one ``isin`` over the array; per-id draws happen only when
+        availability is below 1.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        keep = np.ones(ids.size, dtype=bool)
+        if self._left:
+            keep &= ~np.isin(ids, np.fromiter(self._left, np.int64, len(self._left)))
+        if self.availability < 1.0:
+            draw = keep & ~np.isin(ids, np.asarray(list(required), dtype=np.int64))
+            for i in np.flatnonzero(draw).tolist():
+                keep[i] = self._checks_in(int(ids[i]), round_idx)
+        return ids[keep]
 
     @property
     def offline_count(self) -> int:

@@ -392,9 +392,8 @@ def _restore_population(pop, state: dict) -> None:
     pop._churn_applied_through = state["churn_applied_through"]
     pop._rng_states = dict(state["evicted_rng"])
     # Workers the rebuilt federation already materialized (the pinned
-    # from_workers roster, or a lazy population checked out whole by a
-    # static-mode trainer) must keep their object identity — the trainer
-    # holds references — so overlay their state in place. Workers only
+    # from_workers roster) must keep their object identity — the fleet
+    # engine holds references — so overlay their state in place. Workers only
     # the *saved* run had cached are materialized now, in saved insertion
     # order, reproducing the LRU ordering draw-for-draw.
     for wid, wst in state["cached"]:

@@ -5,8 +5,10 @@ and drives one communication round on the virtual clock:
 
 1. **round start** — apply the scenario's churn schedule (join/leave,
    which is also worker/server crash + restart), install this round's
-   link partitions, black out offline nodes' links, and draw the
-   round's stragglers from the simulator's seeded stream;
+   link partitions, and draw the round's stragglers from the
+   simulator's seeded stream over the round's cohort; the trainer then
+   takes offline nodes down with the same node-level outage as a
+   crashed node (:meth:`~repro.comm.Network.set_down_nodes`);
 2. **upload** — each online worker becomes a process-style actor that
    fires at ``t0 + compute_time`` and sends its gradient slices; a
    dropped send is retried up to ``max_retries`` times with exponential
@@ -36,7 +38,6 @@ import numpy as np
 from ..fl.gradients import split_views
 from .faults import FaultScenario
 from .kernel import Simulator
-from .latency import make_latency
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fl.trainer import FederatedTrainer
@@ -70,6 +71,9 @@ class _RoundPlan:
     compute_s: dict[int, float]
 
 
+_NULL_PLAN = _RoundPlan(offline=frozenset(), stragglers=(), compute_s={})
+
+
 class SimRoundRunner:
     """Drives fault-scenario rounds for one :class:`FederatedTrainer`."""
 
@@ -81,29 +85,24 @@ class SimRoundRunner:
         # rng feeds the fault processes (stragglers, compute-time models),
         # independent of the network's drop and latency streams, so
         # adding faults never reshuffles other randomness.
-        sim = getattr(trainer.network, "sim", None)
-        self.sim: Simulator = sim if sim is not None else Simulator(
-            seed=(trainer_seed_of(trainer), scenario.seed, 0x51D)
-        )
+        self.sim: Simulator = trainer.network.sim
         self.offline: set[int] = set()
-        # A null scenario with no per-worker compute models yields the
-        # same (empty) plan every round — skip the per-round planning.
-        self._static_plan: _RoundPlan | None = None
-        if scenario.is_null and all(
-            getattr(w, "compute_time", None) is None for w in trainer.workers
-        ):
-            self._static_plan = _RoundPlan(
-                offline=frozenset(), stragglers=(), compute_s={}
-            )
         trainer.profiler.register_histogram("sim.latency", _LATENCY_EDGES)
 
     # -- round boundary --------------------------------------------------------
 
-    def begin_round(self, round_idx: int) -> _RoundPlan:
-        """Apply churn/partitions and draw this round's timing plan."""
-        if self._static_plan is not None:
-            return self._static_plan
+    def begin_round(self, round_idx: int, cohort) -> _RoundPlan:
+        """Apply churn/partitions and draw this round's timing plan.
+
+        ``cohort`` is the round's workers in ascending id order (failed
+        nodes already gone); plan draws run over its online members.
+        """
         scenario = self.scenario
+        if scenario.is_null and all(
+            getattr(w, "compute_time", None) is None for w in cohort
+        ):
+            # nothing to apply and nothing to draw
+            return _NULL_PLAN
         trainer = self.trainer
         for wid, action in scenario.churn_at(round_idx):
             if not 0 <= wid < trainer.num_workers:
@@ -112,21 +111,18 @@ class SimRoundRunner:
                 self.offline.add(wid)
             else:
                 self.offline.discard(wid)
-        blocked = scenario.partition_links(round_idx, trainer.num_workers)
-        for off in self.offline:
-            for other in range(trainer.num_workers):
-                blocked.add((off, other))
-                blocked.add((other, off))
-        trainer.network.set_blocked_links(blocked)
+        trainer.network.set_blocked_links(
+            scenario.partition_links(round_idx, trainer.num_workers)
+        )
 
         rng = self.sim.rng
         rate = scenario.straggler_rate
         stragglers: list[int] = []
         compute_s: dict[int, float] = {}
-        for wid in range(trainer.num_workers):
-            if wid in trainer._failed or wid in self.offline:
+        for worker in cohort:
+            wid = worker.worker_id
+            if wid in self.offline:
                 continue
-            worker = trainer.workers[wid]
             base = worker.local_compute_seconds(round_idx, rng)
             if base is None:
                 base = scenario.base_compute_s
@@ -346,12 +342,3 @@ class SimRoundRunner:
             },
         )
 
-
-def trainer_seed_of(trainer) -> int:
-    """The trainer's integer seed (kept separate for testability)."""
-    return int(getattr(trainer, "seed", 0))
-
-
-def build_network_kwargs(scenario: FaultScenario, sim: Simulator) -> dict:
-    """Network constructor extras for a scenario (latency + simulator)."""
-    return {"latency": make_latency(scenario.latency), "sim": sim}

@@ -1,13 +1,29 @@
 """Tests for the fault-tolerance experiment and trainer failure support."""
 
+import numpy as np
 import pytest
 
+from repro.core import MECHANISM_NAMES, make_mechanism
 from repro.experiments import fault_tolerance
 from repro.nn import build_logreg
 from repro.fl import FederatedTrainer
 from repro.population import WorkerPopulation
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import (
+    N_CLASSES, N_FEATURES, BlobDataFn, LogregFactory, make_federation,
+)
+
+#: the pinned roster and a full-size sampled cohort over the same workers
+FEDERATIONS = {"pinned": {}, "sampled": {"cohort_size": 6, "sampler": "uniform"}}
+
+
+def six_worker_trainer(mechanism=None, **kwargs):
+    workers, _, test = make_federation(num_workers=6)
+    return FederatedTrainer(
+        build_logreg(N_FEATURES, N_CLASSES, seed=0),
+        WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
+        mechanism=mechanism, **kwargs,
+    )
 
 
 class TestFailNode:
@@ -33,6 +49,48 @@ class TestFailNode:
         rec = trainer.run_round(0)
         assert rec.grad_norm == 0.0
         assert (model.get_flat_params() == theta).all()
+
+    @pytest.mark.parametrize("name", MECHANISM_NAMES)
+    def test_all_servers_failed_is_a_skipped_round(self, name):
+        trainer = six_worker_trainer(make_mechanism(name))
+        trainer.fail_node(0)
+        trainer.fail_node(1)
+        theta = trainer.model.get_flat_params().copy()
+        history = trainer.run(2)
+        for rec in history.rounds:
+            assert rec.skipped
+            assert rec.mechanism_records == {"skipped": "no live server"}
+        assert np.array_equal(trainer.model.get_flat_params(), theta)
+
+    @pytest.mark.parametrize("federation", sorted(FEDERATIONS))
+    def test_dead_server_leaves_every_worker_uncertain(self, federation):
+        trainer = six_worker_trainer(
+            make_mechanism("fifl"), **FEDERATIONS[federation]
+        )
+        trainer.fail_node(1)
+        theta = trainer.model.get_flat_params().copy()
+        rec = trainer.run_round(0)
+        assert not rec.skipped
+        assert rec.uncertain == {0, 2, 3, 4, 5}
+        assert rec.grad_norm == 0.0
+        assert np.array_equal(trainer.model.get_flat_params(), theta)
+        # the dead server's inbound links dropped every slice, untraced
+        dropped_to_1 = trainer.network.drop_log.count(dst=1)
+        assert dropped_to_1 == 5
+        assert not trainer.network._link_drop
+
+    def test_fail_node_keeps_no_per_link_state(self):
+        population = WorkerPopulation(
+            10**4, data_fn=BlobDataFn(), model_fn=LogregFactory(),
+        )
+        trainer = FederatedTrainer(LogregFactory()(), population, [0, 1])
+        trainer.fail_node(1)
+        trainer.fail_node(9_999)
+        assert trainer.failed_nodes == {1, 9_999}
+        assert not trainer.network._link_drop
+        assert not trainer.network._blocked
+        # the full-roster federation materializes nobody before a round
+        assert population.cached_count == 0
 
     def test_rank_validation(self):
         workers, _, test = make_federation(num_workers=3)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
 from repro.fl import FederatedTrainer, SignFlippingWorker
+from repro.fl.trainer import AcceptAllMechanism
 from repro.nn import build_logreg
 from repro.population import WorkerPopulation
 
@@ -63,24 +64,23 @@ class TestReselection:
         trainer.run(5, eval_every=5)
         assert trainer.server_ranks == [0]
 
-    def test_topology_follows_reselection(self):
+    @pytest.mark.parametrize("sampled", [False, True], ids=["pinned", "sampled"])
+    def test_out_of_range_reselected_ranks_raise(self, sampled):
+        class OutOfRange(AcceptAllMechanism):
+            def recommend_servers(self, m, exclude=()):
+                return [0, 9]
+
         workers, _, test = make_federation(num_workers=6, seed=3)
-        workers[0] = make_federation(
-            num_workers=6, seed=3,
-            worker_cls=SignFlippingWorker, worker_kwargs={"p_s": 6.0},
-        )[0][0]
-        model = build_logreg(N_FEATURES, N_CLASSES, seed=3)
+        kwargs = {"cohort_size": 6, "sampler": "uniform"} if sampled else {}
         trainer = FederatedTrainer(
-            model, WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
-            mechanism=fifl_mech(), server_lr=0.1, reselect_every=2,
+            build_logreg(N_FEATURES, N_CLASSES, seed=3),
+            WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
+            mechanism=OutOfRange(), reselect_every=1, **kwargs,
         )
-        trainer.run(8, eval_every=8)
-        servers = {
-            n for n, d in trainer.topology.nodes(data=True)
-            if "server" in d["role"] and "worker" in d["role"] and
-            n in trainer.server_ranks
-        }
-        assert sorted(servers) == trainer.server_ranks
+        with pytest.raises(ValueError, match=r"server ranks \[9\] outside"):
+            trainer.run(2)
+        # the rejected cluster never replaces the working one
+        assert trainer.server_ranks == [0, 1]
 
     def test_training_still_converges_with_reselection(self):
         workers, _, test = make_federation(num_workers=5, seed=4)

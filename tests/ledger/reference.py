@@ -26,6 +26,8 @@ def reference_canonicalize(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [reference_canonicalize(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 0:
+            return reference_canonicalize(obj.item())
         return [reference_canonicalize(v) for v in obj.tolist()]
     if isinstance(obj, np.integer):
         return int(obj)

@@ -40,7 +40,10 @@ scalars = st.one_of(
 )
 arrays = hnp.arrays(
     dtype=st.sampled_from([np.float64, np.int32, np.bool_]),
-    shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=3),
+    shape=st.one_of(
+        hnp.array_shapes(min_dims=1, max_dims=2, max_side=3),
+        st.just(()),  # 0-d arrays canonicalize to their scalar
+    ),
 )
 keys = st.one_of(st.integers(-3, 20), st.text(max_size=4))
 

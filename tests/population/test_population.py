@@ -145,6 +145,22 @@ class TestChurnAvailability:
         second = [pop.is_available(w, 3) for w in reversed(range(20))]
         assert first == list(reversed(second))
 
+    @pytest.mark.parametrize("availability", [1.0, 0.5])
+    def test_available_ids_match_scalar_queries(self, availability):
+        pop = lazy_population(
+            availability=availability, seed=1,
+            churn=((1, 3, "leave"), (1, 7, "leave")),
+        )
+        pop.begin_round(2)
+        required = [0, 3]
+        expected = [
+            w for w in range(20)
+            if (pop.is_live(w) if w in required else pop.is_available(w, 2))
+        ]
+        got = pop.available_ids(np.arange(20), 2, required=required)
+        assert got.tolist() == expected
+        assert 3 not in expected and 7 not in expected
+
     def test_full_availability_no_draws(self):
         pop = lazy_population(availability=1.0)
         assert all(pop.is_available(w, 0) for w in range(20))

@@ -7,7 +7,7 @@ from repro.core import FIFLConfig, FIFLMechanism
 from repro.experiments.common import AttackerSpec, FedExpConfig, run_federated
 from repro.fl import FederatedTrainer
 from repro.population import WorkerPopulation
-from repro.telemetry import Telemetry
+from repro.telemetry import MemorySink, Telemetry
 
 from ..helpers import make_federation, model_fn
 
@@ -166,3 +166,30 @@ class TestReputationWriteback:
         t._run_round(0)
         snap = prof.snapshot()
         assert snap["counters"]["trainer.cohort_workers"] == 4
+
+
+class TestFullRosterCohort:
+    """No sampler: the whole roster is each round's cohort."""
+
+    def test_pinned_roster_honours_availability(self):
+        workers, _, test = make_federation(num_workers=8)
+        pop = WorkerPopulation.from_workers(workers, availability=0.5)
+        t = make_trainer(pop, test)
+        sizes = []
+        for r in range(4):
+            rec = t.run_round(r)
+            expected = {0, 1} | {w for w in range(2, 8) if pop.is_available(w, r)}
+            assert set(rec.accepted) == expected
+            sizes.append(len(expected))
+        assert min(sizes) < 8
+
+    def test_one_cohort_event_per_round(self):
+        pop, test = make_population(4)
+        sink = MemorySink(maxlen=None)
+        t = make_trainer(pop, test)
+        t.profiler = Telemetry(sinks=[sink])
+        t.run(3)
+        t.profiler.flush()
+        cohorts = [e for e in sink.events if e["type"] == "population.cohort"]
+        assert [e["data"]["round"] for e in cohorts] == [0, 1, 2]
+        assert all(e["data"]["live"] == 4 for e in cohorts)
