@@ -121,6 +121,25 @@ class TestFailureInjection:
         with pytest.raises(ValueError):
             net.set_blocked_links({(0, 9)})
 
+    def test_down_node_is_every_link_blocked(self):
+        # Same seed, same sends: a down node must drop exactly what
+        # blocking each of its links drops, draw for draw.
+        a = Network(4, drop_prob=0.3, seed=7)
+        b = Network(4, drop_prob=0.3, seed=7)
+        a.set_down_nodes({2})
+        for other in range(4):
+            b.block_link(2, other)
+            b.block_link(other, 2)
+        for src in range(4):
+            for dst in range(4):
+                assert a.send(src, dst, "t", 1) == b.send(src, dst, "t", 1)
+        assert a.drop_log.drops == b.drop_log.drops
+        assert a._rng.bit_generator.state == b._rng.bit_generator.state
+        a.set_down_nodes(())
+        assert a.send(2, 0, "t", 1)
+        with pytest.raises(ValueError):
+            a.set_down_nodes({4})
+
 
 class TestCollectives:
     def test_bcast_reaches_all(self):

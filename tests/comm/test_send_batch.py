@@ -21,6 +21,7 @@ links = st.tuples(ranks, ranks)
 def exchanges(draw):
     """A network configuration plus one to three batched sends on it."""
     blocked = draw(st.sets(links, max_size=8))
+    down = draw(st.sets(ranks, max_size=2))
     overrides = draw(
         st.dictionaries(
             links,
@@ -37,17 +38,18 @@ def exchanges(draw):
                                max_size=len(dsts)))
         received = draw(st.sampled_from([None, "after", "each"]))
         batches.append((srcs, dsts, f"t{k}", nbytes, received))
-    return blocked, overrides, default, batches, draw(st.integers(0, 2**16))
+    return blocked, down, overrides, default, batches, draw(st.integers(0, 2**16))
 
 
 def _run(exchange, batched):
-    blocked, overrides, default, batches, seed = exchange
+    blocked, down, overrides, default, batches, seed = exchange
     hub = Telemetry(sinks=[])
     previous = set_telemetry(hub)
     try:
         net = Network(NODES, drop_prob=default, seed=seed)
         for src, dst in sorted(blocked):
             net.block_link(src, dst)
+        net.set_down_nodes(down)
         for (src, dst), p in overrides.items():
             net.set_link_drop_prob(src, dst, p)
         send = net.send_batch if batched else (
