@@ -22,6 +22,16 @@ adding three things the experiments need:
   legacy instantaneous path is taken unchanged (and makes no extra RNG
   draws), which is what keeps zero-latency simulated runs bit-identical
   to direct ones.
+
+Besides per-message :meth:`Network.send`, the protocol's slice exchange
+sends in batches: :meth:`Network.send_pairs` (message ``i`` on link
+``(srcs[i], dsts[i])``) and :meth:`Network.send_batch` (a ``srcs ×
+dsts`` grid) make, draw for draw, the drops, latency draws, drop log,
+byte tallies and ``comm.*`` counts of the per-message loop, on either
+kind of link. Nothing is queued — the caller holds the payloads — and
+on a latency network a batch's deliveries take one simulator event, at
+its last arrival; the caller resolves each message from the returned
+delays.
 """
 
 from __future__ import annotations
@@ -249,53 +259,76 @@ class Network:
     ) -> np.ndarray:
         """Send one message on every link of the ``srcs × dsts`` grid at once.
 
+        :meth:`send_pairs` over the grid's links in row-major order, with
+        ``nbytes`` per destination column (or one size for all). Returns
+        the ``(len(srcs), len(dsts))`` delivered mask.
+        """
+        srcs, dsts = self._ranks(srcs), self._ranks(dsts)
+        ns, nd = srcs.size, dsts.size
+        sizes = np.broadcast_to(np.asarray(nbytes, dtype=np.int64), (nd,))
+        delays = self.send_pairs(
+            np.repeat(srcs, nd), np.tile(dsts, ns), tag, np.tile(sizes, ns),
+            received,
+        )
+        return ~np.isnan(delays).reshape(ns, nd)
+
+    def send_pairs(
+        self,
+        srcs,
+        dsts,
+        tag: str,
+        nbytes,
+        received: str | None = None,
+    ) -> np.ndarray:
+        """Send message ``i`` on link ``(srcs[i], dsts[i])``, for every ``i``.
+
         Equivalent, draw for draw, to calling :meth:`send` for each
-        ``(src, dst)`` pair in row-major order on a network without a
-        latency model: the same drops (``Generator.random(k)`` yields the
-        same doubles as ``k`` scalar draws), the same drop-log order, byte
-        tallies and ``comm.*`` counter totals, with counters first touched
-        in the order the per-message loop touches them. Ranks are checked
-        before anything is sent.
+        message in index order: the same drops (``Generator.random(k)``
+        yields the same doubles as ``k`` scalar draws), the same latency
+        draws (the model's ``sample_many``, over the delivered messages),
+        the same drop-log order, byte tallies, ``sim.latency`` histogram
+        and ``comm.*`` counter totals, with counters first touched in the
+        order the per-message loop touches them. Ranks are checked before
+        anything is sent.
 
         Nothing is queued: the caller holds the payloads, and ``nbytes``
-        (per destination column, or one size for all) gives each message's
-        wire size. ``received`` says how the destinations consume their
+        (per message, or one size for all) gives each message's wire
+        size. ``received`` says how the destinations consume their
         messages, which is what :meth:`recv` would have counted as
-        delivered: ``None`` — never (a protocol-fidelity broadcast);
-        ``"after"`` — once every message is sent; ``"each"`` — as soon as
-        each one is sent (a zero-delay simulated round).
+        delivered: ``None`` — never, or later through
+        :meth:`mark_received`; ``"after"`` — once every message is sent;
+        ``"each"`` — as soon as each one is sent. On a latency network
+        messages arrive later, so ``received`` must be ``None``; the
+        batch's deliveries occupy one simulator event, at its last
+        arrival.
 
-        Returns the ``(len(srcs), len(dsts))`` delivered mask.
+        Returns each message's delay in virtual seconds (0 on instant
+        links), NaN where the message dropped.
         """
-        if self.latency is not None:
-            raise RuntimeError("send_batch needs instant links; use send()")
         if received not in (None, "after", "each"):
             raise ValueError(
                 f"received must be None, 'after' or 'each', got {received!r}"
             )
-        n = self.num_nodes
-        srcs = np.asarray(srcs, dtype=np.int64).reshape(-1)
-        dsts = np.asarray(dsts, dtype=np.int64).reshape(-1)
-        for ranks in (srcs, dsts):
-            # negative ranks wrap to huge unsigned values
-            bad = ranks.view(np.uint64) >= n
-            if bad.any():
-                raise ValueError(f"rank {int(ranks[bad][0])} outside [0, {n})")
-        nd = dsts.size
-        total = srcs.size * nd
+        if received is not None and self.latency is not None:
+            raise ValueError("a latency network delivers later: received=None")
+        srcs, dsts = self._ranks(srcs), self._ranks(dsts)
+        if srcs.size != dsts.size:
+            raise ValueError(
+                f"{srcs.size} sources for {dsts.size} destinations"
+            )
+        total = srcs.size
+        delays = np.full(total, np.nan)
         if total == 0:
-            return np.zeros((srcs.size, nd), dtype=bool)
-        # message i (row-major, as the per-message loop sends them) goes
-        # from srcs[i // nd] to dsts[i % nd]
+            return delays
+        sizes = np.broadcast_to(np.asarray(nbytes, dtype=np.int64), (total,))
+        n = self.num_nodes
         p = float(self.default_drop_prob)
         if self._blocked or self._link_drop or self._down:
-            keys = (srcs[:, None] * n + dsts[None, :]).reshape(-1)
+            keys = srcs * n + dsts
             dropped = np.isin(keys, _link_keys(self._blocked, n))
             if self._down:
                 down = np.fromiter(self._down, np.int64, len(self._down))
-                dropped |= (
-                    np.isin(srcs, down)[:, None] | np.isin(dsts, down)[None, :]
-                ).reshape(-1)
+                dropped |= np.isin(srcs, down) | np.isin(dsts, down)
             prob = np.full(total, p)
             if self._link_drop:
                 link_keys = _link_keys(self._link_drop, n)
@@ -317,21 +350,14 @@ class Network:
         self.messages_sent += total
         lost = np.flatnonzero(dropped)
         self.drop_log.drops.extend(
-            zip(
-                srcs[lost // nd].tolist(),
-                dsts[lost % nd].tolist(),
-                [tag] * lost.size,
-            )
+            zip(srcs[lost].tolist(), dsts[lost].tolist(), [tag] * lost.size)
         )
         sent = np.flatnonzero(~dropped)
-        col = sent % nd
-        sizes = np.asarray(nbytes, dtype=np.int64)
-        sent_bytes = (
-            sizes[col] if sizes.ndim else np.full(sent.size, sizes)
-        ).tolist()
+        sent_src, sent_dst = srcs[sent], dsts[sent]
+        sent_bytes = sizes[sent]
         tally = self.bytes_sent
         for link, size in zip(
-            zip(srcs[sent // nd].tolist(), dsts[col].tolist()), sent_bytes
+            zip(sent_src.tolist(), sent_dst.tolist()), sent_bytes.tolist()
         ):
             tally[link] += size
         if received is not None:
@@ -345,22 +371,55 @@ class Network:
             counts.append(((int(lost[0]), 1), "comm.drops", int(lost.size)))
         if sent.size:
             first = int(sent[0])
-            counts.append(((first, 1), "comm.bytes_sent", sum(sent_bytes)))
+            counts.append(
+                ((first, 1), "comm.bytes_sent", int(sent_bytes.sum()))
+            )
             if received is not None:
                 at = (first, 2) if received == "each" else (total, 0)
                 counts.append((at, "comm.messages_delivered", int(sent.size)))
         tele = get_telemetry()
         for _, name, count in sorted(counts):
             tele.count(name, count)
-        return ~dropped.reshape(srcs.size, dsts.size)
 
-    def _deliver(self, msg: Message) -> None:
-        """Delivery event: the in-flight message lands in its queue."""
-        self.in_flight -= 1
-        dead = msg.tag in self._dead_tags
+        if self.latency is None:
+            delays[sent] = 0.0
+        elif sent.size:
+            lat = self.latency.sample_many(
+                self._lat_rng, sent_src, sent_dst, sent_bytes
+            )
+            delays[sent] = lat
+            tele.observe_many("sim.latency", lat)
+            self.in_flight += sent.size
+            self.sim.schedule(float(lat.max()), self._land, sent.size)
+        return delays
+
+    def _ranks(self, ranks) -> np.ndarray:
+        ranks = np.asarray(ranks, dtype=np.int64).reshape(-1)
+        # negative ranks wrap to huge unsigned values
+        bad = ranks.view(np.uint64) >= self.num_nodes
+        if bad.any():
+            raise ValueError(
+                f"rank {int(ranks[bad][0])} outside [0, {self.num_nodes})"
+            )
+        return ranks
+
+    def mark_received(self, count: int) -> None:
+        """Count ``count`` batched messages as received by their
+        destinations — what :meth:`recv` would have counted."""
+        self.messages_delivered += count
+        get_telemetry().count("comm.messages_delivered", count)
+
+    def _land(self, count: int) -> None:
+        """Delivery event: ``count`` in-flight messages reach their nodes."""
+        self.in_flight -= count
         if self.in_flight == 0:
             # nothing left that could land on a closed tag
             self._dead_tags.clear()
+
+    def _deliver(self, msg: Message) -> None:
+        """Delivery event: the in-flight message lands in its queue."""
+        dead = msg.tag in self._dead_tags
+        self._land(1)
         if dead:
             return  # round already closed; late arrival is discarded
         self._queues[(msg.dst, msg.src, msg.tag)].append(msg)

@@ -450,12 +450,13 @@ class FederatedTrainer:
         with the ``(N, M)`` per-link delivery mask.
         """
         ids = list(updates)
-        servers = self.server_ranks
         dim = np.asarray(updates[ids[0]].gradient).size if ids else 0
-        # a (j, slice) payload: the 8-byte slot index plus float64 values
-        nbytes = 8 + 8 * np.diff(slice_offsets(dim, len(servers)))
         mask = self.network.send_batch(
-            ids, servers, f"slice:{round_idx}", nbytes, received=received
+            ids,
+            self.server_ranks,
+            f"slice:{round_idx}",
+            self._slice_nbytes(dim),
+            received=received,
         )
         delivered: list[int] = []
         uncertain: set[int] = set()
@@ -467,6 +468,11 @@ class FederatedTrainer:
                 # worker: an SLM uncertain event, excluded from aggregation.
                 uncertain.add(wid)
         return delivered, uncertain, mask
+
+    def _slice_nbytes(self, dim: int) -> np.ndarray:
+        """Wire size of each server's ``(j, slice)`` upload message: the
+        8-byte slot index plus the slice's float64 values."""
+        return 8 + 8 * np.diff(slice_offsets(dim, len(self.server_ranks)))
 
     def _delivered_slices(
         self, updates: dict[int, WorkerUpdate], delivered: list[int], dim: int
@@ -498,19 +504,13 @@ class FederatedTrainer:
         exists for protocol fidelity — byte accounting and drop
         statistics per link (the per-node communication load is what
         S3.2's scalability argument is about). Nothing ever receives it.
-        Instant links take it as one batched exchange per server; a
-        latency model schedules every message on the virtual clock.
+        Each server sends as one batched exchange; on a latency network
+        its messages are in flight on the virtual clock until they land.
         """
         tag = f"global:{round_idx}"
-        net = self.network
         dests = np.fromiter(dests, dtype=np.int64)
         for srv, part in zip(self.server_ranks, agg_slices):
-            others = dests[dests != srv]
-            if net.latency is None:
-                net.send_batch([srv], others, tag, part.nbytes)
-            else:
-                for wid in others.tolist():
-                    net.send(srv, wid, tag, part)
+            self.network.send_batch([srv], dests[dests != srv], tag, part.nbytes)
 
     def run_round(self, round_idx: int) -> RoundRecord:
         """Execute one synchronous round and update the global model."""

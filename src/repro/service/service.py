@@ -209,8 +209,10 @@ class FederationService:
             runner = self.trainer._sim_runner
             if runner is not None:
                 # Drain the event heap: what remains after a round are
-                # dead-tagged broadcast deliveries and suspended retry
-                # actors (generators — unpicklable). Running them dry is
+                # landings of messages still in flight and send groups
+                # due after the deadline (a straggler's first send goes
+                # out, a retry of a closed round sends nothing). Running
+                # them dry advances the clock to the last of them, is
                 # deterministic, happens at every checkpoint in every
                 # run (killed or not), and leaves the kernel in the
                 # idle state the snapshot inventory can capture.

@@ -17,6 +17,12 @@ with an explicit ``rng`` owned by the network, so the latency stream is
 seeded and independent of the drop stream — adding latency to a
 scenario never perturbs which messages drop.
 
+Every model also draws a whole batch at once: ``sample_many(rng, srcs,
+dsts, nbytes)`` returns the delays of messages ``i = 0..k-1`` on links
+``(srcs[i], dsts[i])`` and equals ``k`` scalar :meth:`sample` calls in
+message order, value for value and in the generator state it leaves
+(``tests/sim/test_latency.py`` pins each model to its loop).
+
 :func:`make_latency` builds a model from the declarative
 :class:`LatencyConfig` that experiment configs embed (kind + params),
 keeping :class:`~repro.sim.faults.FaultScenario` JSON-friendly.
@@ -47,6 +53,14 @@ class LatencyModel(Protocol):
         self, rng: np.random.Generator, src: int, dst: int, nbytes: int
     ) -> float: ...
 
+    def sample_many(
+        self,
+        rng: np.random.Generator,
+        srcs: np.ndarray,
+        dsts: np.ndarray,
+        nbytes: np.ndarray,
+    ) -> np.ndarray: ...
+
 
 class ConstantLatency:
     """Fixed delay plus an optional per-byte (bandwidth) term."""
@@ -61,6 +75,9 @@ class ConstantLatency:
         self, rng: np.random.Generator, src: int, dst: int, nbytes: int
     ) -> float:
         return self.delay_s + self.per_byte_s * nbytes
+
+    def sample_many(self, rng, srcs, dsts, nbytes) -> np.ndarray:
+        return self.delay_s + self.per_byte_s * np.asarray(nbytes)
 
 
 class UniformLatency:
@@ -85,6 +102,15 @@ class UniformLatency:
         )
         return base + self.per_byte_s * nbytes
 
+    def sample_many(self, rng, srcs, dsts, nbytes) -> np.ndarray:
+        nbytes = np.asarray(nbytes)
+        base = (
+            self.low_s
+            if self.high_s == self.low_s
+            else rng.uniform(self.low_s, self.high_s, nbytes.size)
+        )
+        return base + self.per_byte_s * nbytes
+
 
 class LognormalLatency:
     """Heavy-tailed delay: ``median_s * exp(sigma * N(0, 1))``."""
@@ -104,6 +130,13 @@ class LognormalLatency:
         base = self.median_s * float(np.exp(self.sigma * rng.standard_normal()))
         return base + self.per_byte_s * nbytes
 
+    def sample_many(self, rng, srcs, dsts, nbytes) -> np.ndarray:
+        nbytes = np.asarray(nbytes)
+        base = self.median_s * np.exp(
+            self.sigma * rng.standard_normal(nbytes.size)
+        )
+        return base + self.per_byte_s * nbytes
+
 
 class PerLinkLatency:
     """A default model with per-directed-link overrides."""
@@ -121,6 +154,22 @@ class PerLinkLatency:
     ) -> float:
         model = self.overrides.get((src, dst), self.default)
         return model.sample(rng, src, dst, nbytes)
+
+    def sample_many(self, rng, srcs, dsts, nbytes) -> np.ndarray:
+        if not self.overrides:
+            return self.default.sample_many(rng, srcs, dsts, nbytes)
+        # overrides interleave models draw by draw: keep message order
+        return np.array(
+            [
+                self.sample(rng, src, dst, size)
+                for src, dst, size in zip(
+                    np.asarray(srcs).tolist(),
+                    np.asarray(dsts).tolist(),
+                    np.asarray(nbytes).tolist(),
+                )
+            ],
+            dtype=np.float64,
+        )
 
 
 @dataclass(frozen=True)

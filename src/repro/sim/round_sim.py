@@ -9,33 +9,44 @@ and drives one communication round on the virtual clock:
    simulator's seeded stream over the round's cohort; the trainer then
    takes offline nodes down with the same node-level outage as a
    crashed node (:meth:`~repro.comm.Network.set_down_nodes`);
-2. **upload** — each online worker becomes a process-style actor that
-   fires at ``t0 + compute_time`` and sends its gradient slices; a
-   dropped send is retried up to ``max_retries`` times with exponential
-   backoff; each successful send arrives after its sampled latency;
-3. **collection** — the server cluster drains arrivals in event order
-   and closes the round when every slice has resolved (delivered or
-   abandoned) or at the deadline ``t0 + round_timeout_s``, whichever
-   comes first. Late or missing slices make that worker's round an
-   *uncertain event* — exactly the reputation path instantaneous drops
-   already take (S4.2), so SLM reputation and rewards respond to
-   realistic failures with no mechanism changes.
+2. **upload** — the online workers that finish local compute at the
+   same virtual time ``t0 + compute_time`` form one *send group*: one
+   simulator event that sends all their gradient slices with one
+   :meth:`~repro.comm.Network.send_pairs`, in spawn order. The group's
+   dropped slices go back on the clock as one retry group after the
+   exponential backoff, up to ``max_retries`` times; each delivered
+   slice arrives after its sampled latency;
+3. **collection** — every ``(worker, server)`` slice resolves at its
+   arrival time (delivered) or when its last send dropped (abandoned).
+   The server cluster closes the round at the last resolution or at the
+   deadline ``t0 + round_timeout_s``, whichever comes first, after
+   running every event up to that time. Late or missing slices make
+   that worker's round an *uncertain event* — exactly the reputation
+   path instantaneous drops already take (S4.2), so SLM reputation and
+   rewards respond to realistic failures with no mechanism changes.
 
-The zero-fault, zero-latency scenario runs the same machinery (events,
-virtual clock, collection loop) but makes exactly the same RNG draws in
-exactly the same order as the direct loop — differential-tested to
-reproduce ``FederatedTrainer`` histories bit-for-bit, and benchmarked
-to stay within 5% of the direct loop (``benchmarks/bench_sim.py``).
+A group that first fires after its round closed still sends (a
+straggler finishing past the deadline); a retry group that fires after
+the close sends nothing. Events left on the heap when a round closes —
+those sends, retries and deliveries still in flight — run in the next
+round's window, or when a checkpoint drains the heap.
+
+Every group makes the draws of the per-message sends it batches, in
+the same order (``tests/comm/per_message.py`` keeps the per-message
+actors as the differential oracle). The zero-fault, zero-latency
+scenario replays the direct loop draw for draw — differential-tested
+to reproduce ``FederatedTrainer`` histories bit-for-bit, and
+benchmarked to stay within 5% of the direct loop
+(``benchmarks/bench_sim.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..fl.gradients import split_views
 from .faults import FaultScenario
 from .kernel import Simulator
 
@@ -52,14 +63,28 @@ _LATENCY_EDGES = (
 
 
 @dataclass
-class _RoundState:
-    """Mutable per-round collection state shared with upload actors."""
+class _Round:
+    """One round's slice exchange, with one entry per ``(worker, server)``.
+
+    Slice ``i * M + j`` is the ``i``-th uploader's slice for server ``j``,
+    so index order is the order the per-message sends take.
+    """
 
     tag: str
+    src: np.ndarray
+    dst: np.ndarray
+    nbytes: np.ndarray
+    #: arrival time of each delivered slice (inf: not delivered)
+    arrive: np.ndarray
+    #: arrival or abandonment time (inf: not yet resolved)
+    resolve: np.ndarray
+    #: slices whose fate no send has decided yet
+    undecided: int
+    first_arrival: float = np.inf
+    #: slices already counted as received by their server
+    received: int = 0
     closed: bool = False
     retries: int = 0
-    #: slices that will never arrive (drop budget exhausted)
-    abandoned: set[tuple[int, int]] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -86,6 +111,11 @@ class SimRoundRunner:
         # independent of the network's drop and latency streams, so
         # adding faults never reshuffles other randomness.
         self.sim: Simulator = trainer.network.sim
+        # fail at build, not in the round the entry fires: a service
+        # could never get past that round, even after a resume
+        for _, wid, _ in scenario.churn:
+            if wid >= trainer.num_workers:
+                raise ValueError(f"churn rank {wid} outside the federation")
         self.offline: set[int] = set()
         trainer.profiler.register_histogram("sim.latency", _LATENCY_EDGES)
 
@@ -105,8 +135,6 @@ class SimRoundRunner:
             return _NULL_PLAN
         trainer = self.trainer
         for wid, action in scenario.churn_at(round_idx):
-            if not 0 <= wid < trainer.num_workers:
-                raise ValueError(f"churn rank {wid} outside the federation")
             if action == "leave":
                 self.offline.add(wid)
             else:
@@ -138,36 +166,37 @@ class SimRoundRunner:
 
     # -- upload + collection ---------------------------------------------------
 
-    def _upload_proc(
-        self,
-        wid: int,
-        parts: list[np.ndarray],
-        servers: list[int],
-        state: _RoundState,
-    ):
-        """Actor: send every slice, retrying dropped sends with backoff."""
-        net = self.trainer.network
-        scenario = self.scenario
-        pending = list(enumerate(servers))
-        attempt = 0
-        while True:
-            failed = [
-                (j, srv)
-                for j, srv in pending
-                if not net.send(wid, srv, state.tag, (j, parts[j]))
-            ]
-            if not failed:
-                return
-            if attempt >= scenario.max_retries:
-                for _, srv in failed:
-                    state.abandoned.add((wid, srv))
-                return
-            yield scenario.retry_delay(attempt)
-            attempt += 1
-            if state.closed:
+    def _fire(self, rnd: _Round, idx: np.ndarray, attempt: int) -> None:
+        """Send-group event: send slices ``idx``, then retry what dropped.
+
+        ``attempt`` 0 is the group's first send, which goes out even
+        after the round closed; a retry of a closed round sends nothing.
+        """
+        if attempt:
+            if rnd.closed:
                 return  # the round deadline passed while backing off
-            state.retries += len(failed)
-            pending = failed
+            rnd.retries += idx.size
+        now = self.sim.now
+        delays = self.trainer.network.send_pairs(
+            rnd.src[idx], rnd.dst[idx], rnd.tag, rnd.nbytes[idx]
+        )
+        ok = ~np.isnan(delays)
+        failed = idx[~ok]
+        if ok.any():
+            arrive = now + delays[ok]
+            rnd.arrive[idx[ok]] = arrive
+            rnd.resolve[idx[ok]] = arrive
+            rnd.first_arrival = min(rnd.first_arrival, float(arrive.min()))
+        if attempt >= self.scenario.max_retries:
+            rnd.resolve[failed] = now  # abandoned: drop budget exhausted
+            rnd.undecided -= idx.size
+            return
+        rnd.undecided -= idx.size - failed.size
+        if failed.size:
+            self.sim.schedule(
+                self.scenario.retry_delay(attempt),
+                self._fire, rnd, failed, attempt + 1,
+            )
 
     def collect(
         self,
@@ -184,10 +213,9 @@ class SimRoundRunner:
         """
         sim = self.sim
         trainer = self.trainer
+        net = trainer.network
         scenario = self.scenario
-        servers = list(trainer.server_ranks)
         t0 = sim.now
-        state = _RoundState(tag=f"slice:{round_idx}")
         deadline = (
             t0 + scenario.round_timeout_s
             if scenario.round_timeout_s is not None
@@ -196,70 +224,92 @@ class SimRoundRunner:
 
         # Degenerate rounds — no latency, no retries, no compute delay,
         # nothing already in flight — need no events at all: every send
-        # resolves at t0, in exactly the order the actors would fire.
+        # resolves at t0, in exactly the order the groups would fire.
         # Replaying them synchronously keeps the zero-fault path within
         # the direct loop's budget (see benchmarks/bench_sim.py).
         if (
             scenario.max_retries == 0
-            and trainer.network.latency is None
+            and net.latency is None
             and sim.idle()
             and all(v == 0.0 for v in plan.compute_s.values())
         ):
-            return self._collect_fast(updates, round_idx, plan, state)
+            return self._collect_fast(updates, round_idx, plan)
 
-        for wid, upd in updates.items():
-            sim.spawn(
-                self._upload_proc(
-                    wid, split_views(upd.gradient, len(servers)), servers, state
-                ),
-                delay=plan.compute_s.get(wid, 0.0),
-            )
+        ids = list(updates)
+        servers = np.asarray(trainer.server_ranks, dtype=np.int64)
+        m = servers.size
+        dim = np.asarray(updates[ids[0]].gradient).size if ids else 0
+        total = len(ids) * m
+        rnd = _Round(
+            tag=f"slice:{round_idx}",
+            src=np.repeat(np.asarray(ids, dtype=np.int64), m),
+            dst=np.tile(servers, len(ids)),
+            nbytes=np.tile(trainer._slice_nbytes(dim), len(ids)),
+            arrive=np.full(total, np.inf),
+            resolve=np.full(total, np.inf),
+            undecided=total,
+        )
+        # one send group per distinct firing time, members in spawn order
+        groups: dict[float, list[int]] = {}
+        for i, wid in enumerate(ids):
+            fire_at = t0 + float(plan.compute_s.get(wid, 0.0))
+            groups.setdefault(fire_at, []).append(i)
+        for fire_at, rows in groups.items():
+            idx = (np.asarray(rows)[:, None] * m + np.arange(m)).reshape(-1)
+            sim.schedule_at(fire_at, self._fire, rnd, idx, 0)
 
-        outstanding = {(wid, srv) for wid in updates for srv in servers}
-        got: dict[int, set[int]] = {wid: set() for wid in updates}
-        resolve_at: dict[int, float] = {}
-        while outstanding:
-            outstanding -= state.abandoned
-            if not outstanding:
+        # Run events in order until every slice is decided (or the
+        # deadline passes), then on to the close: the last resolution,
+        # or the deadline if a slice resolves after it.
+        close = None
+        while True:
+            if close is None and not rnd.undecided:
+                last = float(rnd.resolve.max(initial=t0))
+                close = last if deadline is None or last <= deadline else deadline
+            t = sim.peek()
+            limit = deadline if close is None else close
+            if t is None or (limit is not None and t > limit):
                 break
-            t_next = sim.peek()
-            if t_next is None:
-                break  # nothing in flight: the rest will never arrive
-            if deadline is not None and t_next > deadline:
-                break  # deadline cut: whatever is left is late
-            sim.run_batch()
-            for wid, srv in sorted(outstanding):
-                if trainer.network.recv(srv, wid, state.tag) is not None:
-                    got[wid].add(srv)
-                    resolve_at[wid] = sim.now
-                    outstanding.discard((wid, srv))
+            if not rnd.received and rnd.first_arrival < t:
+                # a server first takes in slices before a later event,
+                # which fixes where comm.messages_delivered first counts
+                rnd.received = int(np.count_nonzero(rnd.arrive < t))
+                net.mark_received(rnd.received)
+            sim.step()
+        if close is None:
+            # undecided slices remain: the deadline cuts the round
+            close = deadline if deadline is not None else sim.now
+        got = rnd.arrive <= close
+        more = int(np.count_nonzero(got)) - rnd.received
+        if more:
+            net.mark_received(more)
+        rnd.closed = True
+        sim.advance_to(close)
 
-        outstanding -= state.abandoned
-        late_pairs = sorted(outstanding)
-        state.closed = True
-        if deadline is not None and late_pairs:
-            sim.advance_to(deadline)
-        duration = sim.now - t0
-
+        got = got.reshape(len(ids), m)
+        late = (rnd.resolve > close).reshape(len(ids), m).any(axis=1)
+        last_arrival = np.where(got, rnd.arrive.reshape(len(ids), m), -np.inf)
         delivered: list[int] = []
         uncertain: set[int] = set()
-        for wid in updates:
-            if len(got[wid]) == len(servers):
+        worker_time: dict[int, float] = {}
+        for wid, complete, t_last in zip(
+            ids, got.all(axis=1).tolist(), last_arrival.max(axis=1).tolist()
+        ):
+            if complete:
                 delivered.append(wid)
             else:
                 uncertain.add(wid)
+            if t_last > -np.inf:  # at least one slice arrived
+                worker_time[wid] = t_last - t0
 
-        late_workers = sorted({wid for wid, _ in late_pairs})
         sim_info = {
             "t_start_s": t0,
-            "duration_s": duration,
+            "duration_s": close - t0,
             "stragglers": list(plan.stragglers),
             "offline": sorted(plan.offline),
-            "retries": state.retries,
-            "late": late_workers,
-            "worker_time_s": {
-                wid: resolve_at[wid] - t0 for wid in sorted(resolve_at)
-            },
+            "retries": rnd.retries,
+            "late": sorted(w for w, cut in zip(ids, late.tolist()) if cut),
+            "worker_time_s": {wid: worker_time[wid] for wid in sorted(worker_time)},
         }
         self._emit_round_telemetry(round_idx, sim_info, uncertain)
         return delivered, uncertain, sim_info
@@ -269,12 +319,11 @@ class SimRoundRunner:
         updates: dict[int, "WorkerUpdate"],
         round_idx: int,
         plan: _RoundPlan,
-        state: _RoundState,
     ) -> tuple[list[int], set[int], dict]:
         """Synchronous replay of a zero-delay round.
 
         Every slice is sent and received at ``t0`` in the same order the
-        upload actors would fire, making the same drop draws — the
+        send groups would fire, making the same drop draws — the
         trainer's batched exchange, with each delivered slice received as
         soon as it is sent. Identical results to :meth:`collect`, minus
         the event heap. Per-round sim telemetry is skipped too: a
@@ -289,7 +338,6 @@ class SimRoundRunner:
         resolved = [
             wid for wid, hit in zip(updates, mask.any(axis=1).tolist()) if hit
         ]
-        state.closed = True
         sim_info = {
             "t_start_s": t0,
             "duration_s": 0.0,

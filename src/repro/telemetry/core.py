@@ -93,10 +93,13 @@ class TickClock:
 class Histogram:
     """Fixed-bucket histogram: counts per ``(-inf, e0], (e0, e1], ...``.
 
-    Batched observations are buffered and bucketed lazily: the hot path
-    (:meth:`observe_many` from a per-round mechanism loop) is one list
-    append, and the searchsorted/bincount pass runs on the next
-    :meth:`snapshot` (or when the buffer exceeds a bounded chunk count).
+    Batched observations are bucketed lazily: the hot path
+    (:meth:`observe_many` from a per-round mechanism loop) folds the
+    batch into the running sum and appends it to a list, and the
+    searchsorted/bincount pass runs on the next :meth:`snapshot` (or
+    when the buffer exceeds a bounded chunk count). The sum adds values
+    one at a time in observation order, so ``observe_many(v)`` leaves
+    the same ``sum`` as one ``observe`` per value.
     """
 
     _MAX_PENDING = 256
@@ -119,6 +122,8 @@ class Histogram:
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return
+        # add one value at a time, as observe() does (np.sum is pairwise)
+        self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
         self._pending.append(values)
         if len(self._pending) > self._MAX_PENDING:
             self._flush()
@@ -131,7 +136,6 @@ class Histogram:
         idx = np.searchsorted(self.edges, values)
         self.counts += np.bincount(idx, minlength=self.counts.size)
         self.total += int(values.size)
-        self.sum += float(values.sum())
 
     def snapshot(self) -> dict:
         self._flush()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     ConstantLatency,
@@ -73,6 +75,81 @@ class TestPerLink:
         assert m.sample(rng(), 0, 1, 0) == 9.0
         assert m.sample(rng(), 1, 0, 0) == 0.1  # direction matters
         assert m.sample(rng(), 2, 3, 0) == 0.1
+
+
+# -- vector draws ------------------------------------------------------------
+
+messages = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 10**6)),
+    max_size=40,
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def assert_matches_scalar_loop(model, seed, batch):
+    """``sample_many`` == one ``sample`` per message, in value and in the
+    generator state it leaves."""
+    srcs, dsts, nbytes = (
+        np.array([msg[k] for msg in batch], dtype=np.int64) for k in range(3)
+    )
+    vec_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = model.sample_many(vec_rng, srcs, dsts, nbytes)
+    want = [model.sample(loop_rng, s, d, b) for s, d, b in batch]
+    assert np.asarray(got, dtype=np.float64).tolist() == want
+    assert vec_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+class TestVectorDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds,
+        batch=messages,
+        delay=st.sampled_from([0.0, 0.01, 2.5]),
+        per_byte=st.sampled_from([0.0, 1e-6, 3e-9]),
+    )
+    def test_constant(self, seed, batch, delay, per_byte):
+        assert_matches_scalar_loop(
+            ConstantLatency(delay, per_byte_s=per_byte), seed, batch
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds,
+        batch=messages,
+        band=st.sampled_from([(0.0, 0.1), (0.01, 0.3), (0.2, 0.2), (0.0, 0.0)]),
+        per_byte=st.sampled_from([0.0, 1e-6]),
+    )
+    def test_uniform(self, seed, batch, band, per_byte):
+        assert_matches_scalar_loop(
+            UniformLatency(*band, per_byte_s=per_byte), seed, batch
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds,
+        batch=messages,
+        median=st.sampled_from([0.001, 0.05, 1.0]),
+        sigma=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        per_byte=st.sampled_from([0.0, 1e-6]),
+    )
+    def test_lognormal(self, seed, batch, median, sigma, per_byte):
+        assert_matches_scalar_loop(
+            LognormalLatency(median, sigma, per_byte_s=per_byte), seed, batch
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, batch=messages, overridden=st.booleans())
+    def test_per_link_with_overrides_keeps_message_order(
+        self, seed, batch, overridden
+    ):
+        overrides = {
+            (0, 1): ConstantLatency(9.0),
+            (1, 0): UniformLatency(0.0, 0.5),
+            (2, 3): LognormalLatency(0.2, 1.0),
+        } if overridden else {}
+        assert_matches_scalar_loop(
+            PerLinkLatency(LognormalLatency(0.01, 1.0), overrides), seed, batch
+        )
 
 
 class TestLatencyConfig:

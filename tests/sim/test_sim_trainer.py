@@ -117,6 +117,13 @@ class TestChurn:
         assert not history.rounds[0].uncertain
         assert not history.rounds[2].uncertain
 
+    def test_out_of_range_churn_rank_fails_at_build(self):
+        # not in round 3, when the entry would fire: a service could never
+        # get past that round, even after a resume
+        scen = FaultScenario(churn=((3, 99, "leave"),))
+        with pytest.raises(ValueError, match="churn rank 99 outside"):
+            make_trainer(scen, num_workers=6)
+
 
 class TestPartitions:
     def test_partitioned_workers_become_uncertain_for_the_window(self):
