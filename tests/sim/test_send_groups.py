@@ -9,7 +9,7 @@ after every batch of events (``tests/comm/per_message.py``) — is the
 oracle: a seeded run must match it round by round, in the records, the
 drop log, all three generator states, the virtual clock (after each
 round and after a checkpoint-style drain of the heap), the counters and
-their key order, the latency histogram and the JSONL trace bytes.
+their key order and the latency histogram, and in the JSONL trace bytes.
 """
 
 import pickle
@@ -138,17 +138,13 @@ def _run(cls, spec, path):
                     net._lat_rng.bit_generator.state,
                     sim.rng.bit_generator.state,
                     list(hub.snapshot()["counters"].items()),
+                    hub.metrics_snapshot()["histograms"].get("sim.latency"),
                     net.messages_sent,
                     net.messages_delivered,
                     list(net.bytes_sent.items()),
                 ))
         sim.run()
-        end = (
-            sim.now,
-            net.in_flight,
-            hub.metrics_snapshot()["histograms"].get("sim.latency"),
-            list(hub.snapshot()["counters"].items()),
-        )
+        end = (sim.now, net.in_flight, list(hub.snapshot()["counters"].items()))
     finally:
         hub.close()
         set_telemetry(previous)
