@@ -53,9 +53,8 @@ from repro.audit import (
     verify_trace,
 )
 from repro.core import make_mechanism
-from repro.fl.gradients import split_gradient
+from repro.fl.fleet_compute import LocalUpdates
 from repro.fl.trainer import RoundContext
-from repro.fl.workers import WorkerUpdate
 from repro.parallel import blas_limits
 from repro.telemetry import MemorySink, Telemetry, run_manifest, write_manifest
 
@@ -79,27 +78,32 @@ def make_round(
     rng = np.random.default_rng(seed * 7919 + round_idx)
     server_ranks = list(range(num_servers))
     honest = rng.standard_normal(dim)
-    updates: dict[int, WorkerUpdate] = {}
-    slices: dict[int, dict[int, np.ndarray]] = {}
-    uncertain_ids = set(range(num_servers, num_servers + uncertain))
+    grads = np.empty((num_workers, dim))
     for wid in range(num_workers):
         noise = rng.standard_normal(dim)
-        grad = honest + 0.3 * noise if wid % 5 else -2.0 * honest + noise
-        updates[wid] = WorkerUpdate(
-            worker_id=wid, gradient=grad, num_samples=100
-        )
-        if wid in uncertain_ids:
-            continue  # lost a slice: uncertain event, no delivery
-        parts = split_gradient(grad, num_servers)
-        slices[wid] = {srv: parts[j] for j, srv in enumerate(server_ranks)}
+        grads[wid] = honest + 0.3 * noise if wid % 5 else -2.0 * honest + noise
+    grads.flags.writeable = False
+    ids = np.arange(num_workers, dtype=np.int64)
+    counts = np.full(num_workers, 100, dtype=np.int64)
+    # these workers lost a slice: uncertain events, no upload row
+    uncertain_ids = set(range(num_servers, num_servers + uncertain))
+    delivered = ~np.isin(ids, sorted(uncertain_ids))
+    uploads = grads[delivered]
+    uploads.flags.writeable = False
     return RoundContext(
         round_idx=round_idx,
         global_params=np.zeros(dim),
         server_ranks=server_ranks,
-        slices=slices,
-        updates=updates,
+        worker_ids=ids[delivered],
+        uploads=uploads,
+        sample_counts=counts[delivered],
         uncertain=uncertain_ids,
-        sample_counts={w: 100 for w in range(num_workers)},
+        updates=LocalUpdates(
+            worker_ids=ids,
+            gradients=grads,
+            sample_counts=counts,
+            attacked=np.zeros(num_workers, dtype=bool),
+        ),
     )
 
 

@@ -2,8 +2,10 @@
 
 The FIFL round (Eq. 5-15) runs as batched NumPy phases over one layout:
 
-* all delivered worker gradients stacked row-wise into one ``(N, D)``
-  matrix (:class:`RoundBatch.gradients`), in ascending worker-id order;
+* all delivered worker gradients row-wise in one ``(N, D)`` matrix
+  (:class:`RoundBatch.gradients`), in ascending worker-id order — the
+  trainer's ``RoundContext.uploads``, which is the fleet's own output
+  matrix, taken without a copy;
 * the per-server slice of every gradient is a *column block* of that
   matrix — because the polycentric protocol slices gradients into
   contiguous ``np.array_split`` chunks, server ``j``'s slice matrix is
@@ -13,6 +15,9 @@ The FIFL round (Eq. 5-15) runs as batched NumPy phases over one layout:
 * aligned ``(N,)`` vectors for worker ids and sample counts, so masked
   reductions (accepted-only aggregation, reward allocation) are single
   NumPy expressions.
+
+Results stay vectors until the mechanism records or emits them;
+:meth:`RoundBatch.to_dict` pairs each with the worker ids in one step.
 
 The phase kernels are
 :func:`~repro.core.detection.detection_scores_matrix`,
@@ -48,48 +53,20 @@ class RoundBatch:
 
     @classmethod
     def from_context(cls, ctx: RoundContext) -> "RoundBatch | None":
-        """Stack ``ctx.slices`` into the batched layout (None if empty).
+        """The context's delivered uploads as a batch (None if empty).
 
-        Workers in ``ctx.slices`` delivered a complete slice set (the
-        trainer routes partial deliveries to ``ctx.uncertain`` instead),
-        so each row is the worker's full gradient reassembled in server
-        order — exactly ``recombine(slices)``. When
-        the context carries the trainer's matrix of delivered gradients
-        it is used as is (read-only, no copy); hand-built contexts are
-        restacked.
+        The trainer's upload matrix is taken as is (read-only, no copy):
+        its rows are already the delivered workers' full gradients in
+        ascending id order, and each server's slice is a column block.
         """
-        ids = sorted(ctx.slices)
-        if not ids:
+        if len(ctx.worker_ids) == 0:
             return None
-        server_ranks = list(ctx.server_ranks)
-        first = ctx.slices[ids[0]]
-        dim = sum(first[srv].size for srv in server_ranks)
-        offsets = slice_offsets(dim, len(server_ranks))
-
-        if ctx.uploads is not None and len(ctx.uploads) == len(ids):
-            # The trainer already stacked the delivered rows: take the
-            # matrix as is, reordered only if the upload order was not
-            # ascending, rather than restack N×M slices.
-            upload_order = list(ctx.slices)
-            if upload_order == ids:
-                gradients = ctx.uploads
-            else:
-                rows = np.argsort(np.asarray(upload_order), kind="stable")
-                gradients = ctx.uploads[rows]
-        else:
-            gradients = np.empty((len(ids), dim))
-            for j, srv in enumerate(server_ranks):
-                block = gradients[:, offsets[j] : offsets[j + 1]]
-                for i, wid in enumerate(ids):
-                    block[i] = ctx.slices[wid][srv]
         return cls(
-            worker_ids=np.asarray(ids, dtype=np.int64),
-            gradients=gradients,
-            offsets=offsets,
-            server_ranks=np.asarray(server_ranks, dtype=np.int64),
-            sample_counts=np.asarray(
-                [ctx.sample_counts[w] for w in ids], dtype=np.float64
-            ),
+            worker_ids=np.asarray(ctx.worker_ids, dtype=np.int64),
+            gradients=ctx.uploads,
+            offsets=slice_offsets(ctx.uploads.shape[1], len(ctx.server_ranks)),
+            server_ranks=np.asarray(ctx.server_ranks, dtype=np.int64),
+            sample_counts=np.asarray(ctx.sample_counts, dtype=np.float64),
         )
 
     @property
@@ -162,14 +139,6 @@ class RoundBatch:
             else:
                 yield self.shard(start, stop)
 
-    def mask(self, accepted: np.ndarray | dict[int, bool]) -> np.ndarray:
-        """Boolean row mask from an accept verdict (array or dict form)."""
-        if isinstance(accepted, dict):
-            return np.asarray(
-                [bool(accepted.get(int(w), False)) for w in self.worker_ids]
-            )
-        return np.asarray(accepted, dtype=bool)
-
     def weighted_average(self, keep: np.ndarray) -> np.ndarray | None:
         """Sample-count-weighted mean of the kept rows (Eq. 2 / G̃).
 
@@ -195,16 +164,17 @@ class RoundBatch:
         return (weights / total) @ grads
 
     def to_dict(self, values: np.ndarray) -> dict[int, float]:
-        """Pair an aligned result vector back onto worker ids."""
+        """Pair an aligned result vector back onto worker ids.
+
+        Keys and values are Python scalars, built in one pass (``tolist``
+        converts exactly as a per-element ``item()`` does).
+        """
         values = np.asarray(values)
         if values.shape[0] != self.num_workers:
             raise ValueError(
                 f"expected {self.num_workers} values, got {values.shape[0]}"
             )
-        return {
-            int(w): v.item() if isinstance(v, np.generic) else v
-            for w, v in zip(self.worker_ids, values)
-        }
+        return dict(zip(self.worker_ids.tolist(), values.tolist()))
 
 
 def stack_benchmarks(
@@ -224,11 +194,12 @@ def stack_benchmarks(
     ranks: list[int] = []
     slots: list[int] = []
     slices: list[np.ndarray] = []
+    local = ctx.updates
     for j, srv in enumerate(ctx.server_ranks):
-        upd = ctx.updates.get(srv)
-        if upd is None:
+        row = local.row(srv)
+        if row is None:
             continue
-        grad = np.asarray(upd.gradient, dtype=np.float64)
+        grad = local.gradients[row]
         if not finite_sqnorm(grad):
             continue
         ranks.append(srv)

@@ -15,12 +15,14 @@ round:
 4. **Incentive** — reward shares ``I_i = R_i · C_i / ΣC⁺`` (Eq. 15),
    scaled by the round budget; punishments are negative rewards.
 
-The round's gradients are stacked once into a
-:class:`~repro.core.engine.RoundBatch` matrix and every phase runs as
+The round's uploads arrive as one :class:`~repro.core.engine.RoundBatch`
+matrix (the trainer's upload matrix, not a copy) and every phase runs as
 batched NumPy ops: one GEMM per server for detection, one broadcasted
-reduction for distances, masked arithmetic for rewards. The literal
-per-worker pipeline lives in ``tests/core/reference.py`` as the test
-oracle; the two agree to < 1e-8 on every per-round output (see
+reduction for distances, masked arithmetic for rewards. Per-worker dicts
+are built once per result, for the record, the ledger payload and the
+``fifl.round`` event, with the keys, values and order they always had.
+The literal per-worker pipeline lives in ``tests/core/reference.py`` as
+the test oracle; the two agree to < 1e-8 on every per-round output (see
 ``tests/core/test_engine.py``).
 
 An upload whose squared norm is not finite (a NaN or ±inf entry, e.g.
@@ -186,14 +188,15 @@ class FIFLMechanism:
     @staticmethod
     def _server_mean_gradient(ctx: RoundContext) -> np.ndarray | None:
         """Mean of the server cluster's own full gradients (trusted ref)."""
-        grads = [
-            ctx.updates[srv].gradient
-            for srv in ctx.server_ranks
-            if srv in ctx.updates and finite_sqnorm(ctx.updates[srv].gradient)
+        local = ctx.updates
+        rows = [
+            row
+            for row in map(local.row, ctx.server_ranks)
+            if row is not None and finite_sqnorm(local.gradients[row])
         ]
-        if not grads:
+        if not rows:
             return None
-        return np.mean(grads, axis=0)
+        return np.mean(local.gradients[rows], axis=0)
 
     def _detection_scores_sharded(
         self, batch: RoundBatch, ranks, slots, bench_slices
@@ -258,22 +261,25 @@ class FIFLMechanism:
         return dist_vec, None, np.zeros_like(dist_vec)
 
     def _update_reputations(
-        self, ctx: RoundContext, scores: dict[int, float], accepted: dict[int, bool]
+        self, ctx: RoundContext, accepted: dict[int, bool]
     ) -> tuple[dict[int, bool | None], dict[int, float]]:
-        """Fold detection outcomes (plus uncertain events) into reputations."""
-        outcomes: dict[int, bool | None] = {w: accepted[w] for w in scores}
+        """Fold detection outcomes (plus uncertain events) into reputations.
+
+        The SLM period counts are kept only in ``"slm"`` mode, the one
+        mode that reads them.
+        """
+        outcomes: dict[int, bool | None] = dict(accepted)
         for w in ctx.uncertain:
             outcomes[w] = None
         decayed = self.reputation.update_all(outcomes)
+        self._rounds_seen += 1
+        if self.config.reputation_mode != "slm":
+            return outcomes, decayed
         for w, outcome in outcomes.items():
             self.slm.record(w, outcome)
-        self._rounds_seen += 1
-        if self.config.reputation_mode == "slm":
-            reputations = {w: self.slm.reputation(w) for w in outcomes}
-            if self._rounds_seen % self.config.slm_period == 0:
-                self.slm.reset_period()
-        else:
-            reputations = decayed
+        reputations = {w: self.slm.reputation(w) for w in outcomes}
+        if self._rounds_seen % self.config.slm_period == 0:
+            self.slm.reset_period()
         return outcomes, reputations
 
     # -- main entry point --------------------------------------------------------
@@ -318,7 +324,7 @@ class FIFLMechanism:
 
         # 2) reputation (stateful EMA/SLM; O(N) dict update, not a hot path)
         with prof.phase("fifl.reputation"):
-            outcomes, reputations = self._update_reputations(ctx, scores, accepted)
+            outcomes, reputations = self._update_reputations(ctx, accepted)
 
         # 3) contributions: masked row-average for G̃, one batched reduction
         #    for all distances
@@ -367,8 +373,10 @@ class FIFLMechanism:
             reward_vec = None
             shares, rewards = {}, {}
             if contrib_vec is not None:
-                rep_vec = np.asarray(
-                    [reputations[int(w)] for w in live.worker_ids]
+                rep_vec = np.fromiter(
+                    map(reputations.__getitem__, live.worker_ids.tolist()),
+                    np.float64,
+                    live.num_workers,
                 )
                 share_vec = reward_shares_array(
                     rep_vec, contrib_vec, punish_mode=cfg.punish_mode

@@ -97,8 +97,8 @@ class KrumMechanism:
 
     The trainer's weighted average over one accepted worker reduces to
     exactly that worker's gradient, which is Krum's model update. The
-    delivered slices are stacked once into a :class:`RoundBatch` matrix;
-    Krum's pairwise distances are a single Gram-matrix GEMM over it.
+    round's upload matrix is its :class:`RoundBatch`; Krum's pairwise
+    distances are a single Gram-matrix GEMM over it.
     """
 
     def __init__(self, num_byzantine: int):

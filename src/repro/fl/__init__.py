@@ -1,7 +1,7 @@
 """Federated-learning substrate: workers, gradients, trainer, evaluation."""
 
 from .evaluation import accuracy, evaluate
-from .fleet_compute import FleetLocalEngine
+from .fleet_compute import FleetLocalEngine, LocalUpdates
 from .gradients import fedavg, recombine, slice_bounds, split_gradient
 from .trainer import (
     FederatedTrainer,
@@ -34,6 +34,7 @@ __all__ = [
     "accuracy",
     "evaluate",
     "FleetLocalEngine",
+    "LocalUpdates",
     "fedavg",
     "recombine",
     "slice_bounds",

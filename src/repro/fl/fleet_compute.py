@@ -21,12 +21,15 @@ per-worker loop, and byte-identical where only layout changes):
   worker's row offset into the group's stacked shards, they gather the
   whole fleet's minibatch with one ``take`` per array.
 * **Finalize** turns the trained parameters into gradients in place,
-  ``(theta - params) / lr`` on the gathered ``(n, D)`` copy, then hands
-  each row to its worker.
+  ``(theta - params) / lr`` on the gathered ``(n, D)`` copy. That matrix
+  *is* the round's upload: honest rows are never copied out, and no
+  per-worker :class:`~repro.fl.workers.WorkerUpdate` is built.
 * **Attacker transforms** (sign-flip, probabilistic, noise-calibration,
   collusion, sample-count fraud) commute with batching: they only read
-  the finished local gradient, so they run post-hoc per row via
-  :meth:`Worker.finalize_update`.
+  the finished local gradient, so each worker whose class overrides
+  :meth:`Worker.finalize_update` runs it post-hoc on its row and the
+  result overwrites that row, in worker order — the same draws from the
+  same generators as the per-worker loop.
 * **Fallbacks**: workers with a custom optimizer, a fleet-ineligible
   architecture (e.g. Dropout), a heterogeneous ``model_fn``, or no local
   training at all (free-riders) transparently keep the scalar
@@ -48,6 +51,8 @@ afterwards.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,10 +63,66 @@ from ..population.sharding import balanced_shards
 from ..telemetry import Telemetry, get_telemetry
 from .workers import Worker, WorkerUpdate
 
-__all__ = ["FleetLocalEngine"]
+__all__ = ["FleetLocalEngine", "LocalUpdates"]
 
 #: smallest shard worth a dispatch — below this, task overhead dominates
 _MIN_PARALLEL_SHARD = 8
+
+
+@dataclass(eq=False)
+class LocalUpdates(Mapping):
+    """One round's local updates, one row per live worker.
+
+    The round carries these arrays from the fleet to the aggregate. As a
+    read-only ``Mapping`` from worker id to
+    :class:`~repro.fl.workers.WorkerUpdate` it is also a lazy per-worker
+    view: each lookup builds one update around a row view, for test
+    oracles and the rare consumer that wants one worker.
+    """
+
+    #: ``(K,)`` int64, ascending
+    worker_ids: np.ndarray
+    #: ``(K, D)`` float64, read-only; row ``i`` is ``worker_ids[i]``'s upload
+    gradients: np.ndarray
+    #: ``(K,)`` int64 claimed sample counts
+    sample_counts: np.ndarray
+    #: ``(K,)`` bool ground truth: the upload was attacked
+    attacked: np.ndarray
+    #: ``(K, B)`` non-trainable state, or None when no row carries any
+    buffers: np.ndarray | None = None
+    #: ``(K,)`` bool: the row's worker reported buffers
+    has_buffers: np.ndarray | None = None
+
+    def row(self, worker_id: int) -> int | None:
+        """Row index of ``worker_id``, or None if it has no update."""
+        ids = self.worker_ids
+        i = int(np.searchsorted(ids, worker_id))
+        return i if i < ids.size and ids[i] == worker_id else None
+
+    def __getitem__(self, worker_id: int) -> WorkerUpdate:
+        i = self.row(worker_id)
+        if i is None:
+            raise KeyError(worker_id)
+        buffers = None
+        if self.buffers is not None and self.has_buffers[i]:
+            buffers = self.buffers[i]
+        return WorkerUpdate(
+            int(worker_id),
+            self.gradients[i],
+            int(self.sample_counts[i]),
+            attacked=bool(self.attacked[i]),
+            buffers=buffers,
+        )
+
+    def __iter__(self):
+        return iter(self.worker_ids.tolist())
+
+    def __len__(self) -> int:
+        return self.worker_ids.size
+
+
+def _overrides_finalize(worker: Worker) -> bool:
+    return type(worker).finalize_update is not Worker.finalize_update
 
 
 class _FleetGroup:
@@ -87,6 +148,10 @@ class _FleetGroup:
         self.offsets = np.cumsum([0] + self.sizes[:-1], dtype=np.int64)[:, None]
         #: per-step minibatch rows, drawn in place, then shifted to stack rows
         self.idx = np.empty((len(workers), self.batch), dtype=np.int64)
+        #: members whose upload policy is not the identity, by position
+        self.transforms = [i for i, w in enumerate(workers) if _overrides_finalize(w)]
+        #: each member's row in the round's upload matrix (set at regroup)
+        self.rows = np.arange(len(workers))
         self._model: FleetSequential | None = None
         self._data: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -167,6 +232,8 @@ class FleetLocalEngine:
         self.backend = make_backend(backend) if isinstance(backend, str) else backend
         self._groups: list[_FleetGroup] = []
         self._scalar: list[Worker] = []
+        self._scalar_rows: list[int] = []
+        self._ids = self._counts = np.zeros(0, dtype=np.int64)
         self._grouped_for: frozenset[int] | None = None
 
     @property
@@ -202,9 +269,8 @@ class FleetLocalEngine:
         """(Re)build fleet groups for the current live-worker set."""
         by_key: dict[tuple, list[Worker]] = {}
         self._scalar = []
-        for w in self.workers:
-            if w.worker_id in exclude:
-                continue
+        live = [w for w in self.workers if w.worker_id not in exclude]
+        for w in live:
             key = _group_key(w)
             if key is None:
                 self._scalar.append(w)
@@ -215,6 +281,18 @@ class FleetLocalEngine:
             for shard_members, persistent in self._split_members(members):
                 self._groups.append(_FleetGroup(shard_members, persistent))
         self._grouped_for = exclude
+        # The round's row layout: live workers in ascending id order, each
+        # group's members at their rows. Claimed sample counts are fixed
+        # per worker, so they are read once per grouping.
+        self._ids = np.fromiter((w.worker_id for w in live), np.int64, len(live))
+        self._counts = np.fromiter((w.num_samples for w in live), np.int64, len(live))
+        row = {wid: i for i, wid in enumerate(self._ids.tolist())}
+        for group in self._groups:
+            group.rows = np.fromiter(
+                (row[w.worker_id] for w in group.workers), np.intp, len(group.workers)
+            )
+        self._scalar_rows = [row[w.worker_id] for w in self._scalar]
+        self._ids.flags.writeable = self._counts.flags.writeable = False
         # Fleet-shape telemetry, re-emitted only when the grouping
         # actually changes (worker failure, reselection) — near-zero
         # steady-state cost, and the trace records every fleet reshape.
@@ -234,9 +312,9 @@ class FleetLocalEngine:
         group: _FleetGroup,
         theta: np.ndarray,
         global_buffers: np.ndarray | None,
-        updates: dict[int, WorkerUpdate],
         prof: Telemetry | None = None,
-    ) -> None:
+    ) -> tuple:
+        """Train one group; its ``(rows, grads, buffers, attacked, has_buffers)``."""
         prof = self.profiler if prof is None else prof
         fleet, n, b = group.model, len(group.workers), group.batch
         with prof.phase("fleet.load"):
@@ -269,62 +347,106 @@ class FleetLocalEngine:
             np.subtract(theta, grads, out=grads)
             grads /= group.lrs[:, None]
             bufs = fleet.get_flat_buffers() if fleet.num_buffer_values else None
-            for i, w in enumerate(group.workers):
-                buffers = bufs[i] if bufs is not None else None
-                updates[w.worker_id] = w.finalize_update(grads[i], buffers)
+            attacked = np.zeros(n, dtype=bool)
+            has_bufs = None if bufs is None else np.ones(n, dtype=bool)
+            for i in group.transforms:
+                upd = group.workers[i].finalize_update(
+                    grads[i], bufs[i] if bufs is not None else None
+                )
+                grads[i] = upd.gradient
+                attacked[i] = upd.attacked
+                if bufs is not None:
+                    has_bufs[i] = upd.buffers is not None
+                    if upd.buffers is not None:
+                        bufs[i] = upd.buffers
         group.release()
         prof.count("fleet.batched_workers", n * group.local_iters)
+        return group.rows, grads, bufs, attacked, has_bufs
 
     def _run_groups_threaded(
-        self,
-        theta: np.ndarray,
-        global_buffers: np.ndarray | None,
-        updates: dict[int, WorkerUpdate],
-    ) -> None:
+        self, theta: np.ndarray, global_buffers: np.ndarray | None
+    ) -> list[tuple]:
         """Thread path: the serial kernel body per shard, GIL-released GEMMs.
 
         Safe without locks by construction: worker sets are disjoint
-        across groups, so the per-worker RNG draws, each group's own index
-        and stacked-shard arrays and the ``updates`` writes never overlap.
-        Each task profiles into a disabled hub — the shared hub is
-        single-writer — and the coordinator emits the pooled stats
-        afterwards.
+        across groups, so the per-worker RNG draws and each group's own
+        index, stacked-shard and result arrays never overlap. Each task
+        profiles into a disabled hub — the shared hub is single-writer —
+        and the coordinator emits the pooled stats afterwards.
         """
         quiet = Telemetry(enabled=False)
         tasks = [
-            (self._run_group, (group, theta, global_buffers, updates, quiet))
+            (self._run_group, (group, theta, global_buffers, quiet))
             for group in self._groups
         ]
         with blas_limits(1):
-            self.backend.run(tasks)
+            parts = self.backend.run(tasks)
         emit_parallel_telemetry(self.profiler, "local_compute", self.backend)
         for group in self._groups:
             self.profiler.count(
                 "fleet.batched_workers", len(group.workers) * group.local_iters
             )
+        return parts
 
     def compute_updates(
         self,
         theta: np.ndarray,
         global_buffers: np.ndarray | None = None,
         exclude: set[int] | None = None,
-    ) -> dict[int, WorkerUpdate]:
-        """All live workers' uploads for one round, keyed by worker id.
+    ) -> LocalUpdates:
+        """All live workers' uploads for one round, rows in ascending id order.
 
-        Returns the dict in ascending worker-id order — the same insertion
-        order the scalar loop produces — so downstream consumers that
-        iterate it (the lossy network's per-link RNG, the mechanism) see
-        an identical sequence.
+        A single fleet group already holds every row in that order, so its
+        gradient matrix is returned as is; otherwise each group's rows and
+        each scalar worker's update are placed into one matrix.
         """
         exclude = frozenset(exclude or ())
         if exclude != self._grouped_for:
             self._regroup(exclude)
-        updates: dict[int, WorkerUpdate] = {}
         if not self._parallel or not self._groups:
-            for group in self._groups:
-                self._run_group(group, theta, global_buffers, updates)
+            parts = [
+                self._run_group(group, theta, global_buffers)
+                for group in self._groups
+            ]
         else:
-            self._run_groups_threaded(theta, global_buffers, updates)
-        for w in self._scalar:
-            updates[w.worker_id] = w.compute_update(theta, global_buffers)
-        return {wid: updates[wid] for wid in sorted(updates)}
+            parts = self._run_groups_threaded(theta, global_buffers)
+        for w, row in zip(self._scalar, self._scalar_rows):
+            upd = w.compute_update(theta, global_buffers)
+            has = upd.buffers is not None
+            parts.append((
+                [row], np.asarray(upd.gradient)[None],
+                upd.buffers[None] if has else None,
+                [upd.attacked], [True] if has else None,
+            ))
+        if len(parts) == 1 and not self._scalar:
+            _, grads, bufs, attacked, has_bufs = parts[0]
+        else:
+            grads, bufs, attacked, has_bufs = _place(
+                parts, self._ids.size, theta.size
+            )
+        grads.flags.writeable = False
+        return LocalUpdates(
+            worker_ids=self._ids,
+            gradients=grads,
+            sample_counts=self._counts,
+            attacked=attacked,
+            buffers=bufs,
+            has_buffers=has_bufs,
+        )
+
+
+def _place(parts: list[tuple], k: int, dim: int) -> tuple:
+    """Scatter per-group ``(rows, grads, buffers, attacked, has_buffers)``
+    pieces into one ``k``-row layout."""
+    grads = np.empty((k, dim))
+    attacked = np.zeros(k, dtype=bool)
+    width = next((p[2].shape[1] for p in parts if p[2] is not None), None)
+    bufs = None if width is None else np.zeros((k, width))
+    has_bufs = None if width is None else np.zeros(k, dtype=bool)
+    for rows, g, b, att, has in parts:
+        grads[rows] = g
+        attacked[rows] = att
+        if b is not None:
+            bufs[rows] = b
+            has_bufs[rows] = has
+    return grads, bufs, attacked, has_bufs

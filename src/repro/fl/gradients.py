@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "split_gradient",
     "split_views",
-    "stack_gradients",
     "recombine",
     "fedavg",
     "slice_bounds",
@@ -95,34 +94,6 @@ def split_views(grad: np.ndarray, num_slices: int) -> list[np.ndarray]:
     return views
 
 
-def stack_gradients(
-    grads: list[np.ndarray], num_slices: int, dim: int
-) -> np.ndarray:
-    """Stack flat gradients row-wise into one read-only ``(N, dim)`` matrix.
-
-    Server ``j``'s slice of row ``i`` is the column block
-    ``[offsets[j], offsets[j+1])`` of :func:`slice_offsets`, so per-server
-    slices are views into the matrix, bit-identical to
-    :func:`split_views` of each gradient. ``dim`` sizes the empty matrix
-    when there are no gradients.
-    """
-    if not grads:
-        matrix = np.empty((0, dim))
-    else:
-        first = np.asarray(grads[0])
-        _check_splittable(first, num_slices)
-        matrix = np.empty((len(grads), first.size))
-        for row, grad in zip(matrix, grads):
-            grad = np.asarray(grad)
-            if grad.shape != first.shape:
-                raise ValueError(
-                    f"gradient shapes differ: {grad.shape} vs {first.shape}"
-                )
-            row[:] = grad
-    matrix.flags.writeable = False
-    return matrix
-
-
 def finite_sqnorm(grad: np.ndarray) -> bool:
     """Whether ``||g||²`` is finite: no NaN or ±inf entry, and no entry
     so large (beyond ~1e154) that its square overflows.
@@ -141,13 +112,18 @@ def recombine(slices: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.asarray(s, dtype=np.float64) for s in slices])
 
 
-def fedavg(gradients: list[np.ndarray], weights: list[float] | np.ndarray) -> np.ndarray:
+def fedavg(gradients: list[np.ndarray] | np.ndarray,
+           weights: list[float] | np.ndarray) -> np.ndarray:
     """Weighted average of gradient vectors (paper Eq. 2).
 
-    Weights are normalized internally; typically ``weights[i] = n_i`` (the
-    worker's sample count) possibly zeroed by detection flags ``r_i``.
+    ``gradients`` is a list of flat vectors or a 2-D matrix whose rows are
+    the vectors; the rows are averaged as one contiguous ``(N, D)`` matrix
+    either way. Weights are normalized internally; typically
+    ``weights[i] = n_i`` (the worker's sample count) possibly zeroed by
+    detection flags ``r_i``.
     """
-    if not gradients:
+    matrix = isinstance(gradients, np.ndarray) and gradients.ndim == 2
+    if len(gradients) == 0:
         raise ValueError("no gradients to aggregate")
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(gradients),):
@@ -159,7 +135,10 @@ def fedavg(gradients: list[np.ndarray], weights: list[float] | np.ndarray) -> np
     total = weights.sum()
     if total <= 0:
         raise ValueError("at least one weight must be positive")
-    stacked = np.stack([np.asarray(g, dtype=np.float64) for g in gradients])
+    if matrix:
+        stacked = np.ascontiguousarray(gradients, dtype=np.float64)
+    else:
+        stacked = np.stack([np.asarray(g, dtype=np.float64) for g in gradients])
     if stacked.ndim != 2:
         raise ValueError("gradients must all be flat vectors of equal length")
     return (weights / total) @ stacked

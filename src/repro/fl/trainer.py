@@ -39,11 +39,24 @@ A ready-made list of workers becomes a population through
 through :class:`~repro.fl.fleet_compute.FleetLocalEngine`, which batches
 homogeneous workers and keeps the per-worker ``compute_update`` path for
 the rest.
+
+One matrix from the fleet to the aggregate
+------------------------------------------
+The fleet returns the round's uploads as arrays
+(:class:`~repro.fl.fleet_compute.LocalUpdates`: ascending worker ids, one
+``(K, D)`` gradient matrix, aligned sample counts). The upload exchange
+takes the ids and ``D`` and reports which workers delivered every slice;
+:class:`RoundContext` carries those rows, ids and counts as aligned
+arrays, and each server averages its column block over the accepted rows
+(:func:`server_aggregates`). Per-worker dicts are built once, where
+something is recorded: ``RoundRecord.accepted`` here, the mechanism's
+records, ledger payload and trace event in the mechanism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -56,7 +69,7 @@ from ..parallel.heap import retain_heap
 from ..sim import FaultScenario, SimRoundRunner, Simulator, make_latency
 from ..telemetry import get_telemetry, profile_delta
 from .evaluation import evaluate
-from .fleet_compute import FleetLocalEngine
+from .fleet_compute import FleetLocalEngine, LocalUpdates
 # split_views stays in this namespace for profilers that wrap the
 # trainer's kernels by name (perfbench/spans.py).
 from .gradients import (  # noqa: F401
@@ -66,9 +79,8 @@ from .gradients import (  # noqa: F401
     slice_bounds,
     slice_offsets,
     split_views,
-    stack_gradients,
 )
-from .workers import Worker, WorkerUpdate
+from .workers import Worker
 
 __all__ = [
     "AcceptAllMechanism",
@@ -82,22 +94,40 @@ __all__ = [
 
 @dataclass
 class RoundContext:
-    """Everything a mechanism may inspect in one communication round."""
+    """Everything a mechanism may inspect in one communication round.
+
+    The delivered uploads are arrays aligned row by row: ``worker_ids``,
+    the ``uploads`` matrix and ``sample_counts``. Server ``j``'s slice of
+    row ``i`` is the column block ``slice_offsets(D, M)[j:j+2]`` of
+    ``uploads[i]``. :attr:`slices` is a lazily built per-worker view of
+    the same matrix.
+    """
 
     round_idx: int
     global_params: np.ndarray
     server_ranks: list[int]
-    # worker_id -> {server_rank: delivered gradient slice}
-    slices: dict[int, dict[int, np.ndarray]]
-    # worker_id -> full update (for ground truth / full-vector scoring)
-    updates: dict[int, WorkerUpdate]
-    # workers whose upload was (partly) lost this round: uncertain events
+    #: ``(K,)`` int64 ids of the workers whose every slice arrived, ascending
+    worker_ids: np.ndarray
+    #: ``(K, D)`` read-only; row ``i`` is ``worker_ids[i]``'s gradient
+    uploads: np.ndarray
+    #: ``(K,)`` claimed sample counts, aligned with ``worker_ids``
+    sample_counts: np.ndarray
+    #: workers whose upload was (partly) lost this round: uncertain events
     uncertain: set[int]
-    sample_counts: dict[int, int]
-    # delivered gradients stacked row-wise, row i from the i-th worker of
-    # ``slices``, whose slices are column-block views of it. None in
-    # hand-built contexts, where RoundBatch restacks the slices.
-    uploads: np.ndarray | None = None
+    #: every live worker's local update, delivered or not (the servers'
+    #: own gradients, ground truth); a lazy worker id -> update mapping
+    updates: LocalUpdates
+
+    @cached_property
+    def slices(self) -> dict[int, dict[int, np.ndarray]]:
+        """``worker_id -> {server_rank: slice}``, column-block views of
+        :attr:`uploads`."""
+        bounds = slice_bounds(self.uploads.shape[1], len(self.server_ranks))
+        blocks = [self.uploads[:, lo:hi] for lo, hi in bounds]
+        return {
+            wid: dict(zip(self.server_ranks, parts))
+            for wid, parts in zip(self.worker_ids.tolist(), zip(*blocks))
+        }
 
 
 @dataclass
@@ -121,7 +151,7 @@ class AcceptAllMechanism:
     7, 8 and 10, and the trainer's default mechanism."""
 
     def process_round(self, ctx: RoundContext) -> RoundDecision:
-        return RoundDecision(accept={w: True for w in ctx.slices})
+        return RoundDecision(accept=dict.fromkeys(ctx.worker_ids.tolist(), True))
 
 
 @dataclass
@@ -167,6 +197,31 @@ class TrainingHistory:
             if r.test_acc is not None:
                 return r.test_acc
         return None
+
+
+def server_aggregates(
+    uploads: np.ndarray,
+    sample_counts: np.ndarray,
+    keep: np.ndarray,
+    server_ranks: list[int],
+    profiler,
+) -> list[np.ndarray]:
+    """Each server's FedAvg of its slice over the kept rows (step 2.2).
+
+    Server ``j`` averages the column block of its slice over the rows
+    ``keep`` selects, gathered into one contiguous block — the matrix a
+    stack of the kept workers' slices builds, so the result is that of
+    :func:`fedavg` over the per-worker slices, bit for bit.
+    """
+    rows = slice(None) if keep.all() else keep
+    weights = sample_counts[rows]
+    agg_slices = []
+    for srv, (lo, hi) in zip(
+        server_ranks, slice_bounds(uploads.shape[1], len(server_ranks))
+    ):
+        with profiler.span("trainer.server_slice", kind="slice", server=srv):
+            agg_slices.append(fedavg(uploads[rows, lo:hi], weights))
+    return agg_slices
 
 
 class FederatedTrainer:
@@ -438,62 +493,29 @@ class FederatedTrainer:
 
     def _upload_slices(
         self,
-        updates: dict[int, WorkerUpdate],
+        ids: np.ndarray,
+        dim: int,
         round_idx: int,
         received: str = "after",
-    ) -> tuple[list[int], set[int], np.ndarray]:
+    ) -> np.ndarray:
         """Workers send slice j of their gradient to server j (step 1.3).
 
         One batched exchange over the instant-link network: each worker's
         slice for server ``j`` travels as a ``(j, slice)`` message, in
-        upload order. Returns ``(delivered ids, uncertain ids, mask)``
-        with the ``(N, M)`` per-link delivery mask.
+        ``ids`` order. Returns the ``(K, M)`` per-link delivery mask.
         """
-        ids = list(updates)
-        dim = np.asarray(updates[ids[0]].gradient).size if ids else 0
-        mask = self.network.send_batch(
+        return self.network.send_batch(
             ids,
             self.server_ranks,
             f"slice:{round_idx}",
             self._slice_nbytes(dim),
             received=received,
         )
-        delivered: list[int] = []
-        uncertain: set[int] = set()
-        for wid, complete in zip(ids, mask.all(axis=1).tolist()):
-            if complete:
-                delivered.append(wid)
-            else:
-                # Any lost slice -> the round is unidentifiable for this
-                # worker: an SLM uncertain event, excluded from aggregation.
-                uncertain.add(wid)
-        return delivered, uncertain, mask
 
     def _slice_nbytes(self, dim: int) -> np.ndarray:
         """Wire size of each server's ``(j, slice)`` upload message: the
         8-byte slot index plus the slice's float64 values."""
         return 8 + 8 * np.diff(slice_offsets(dim, len(self.server_ranks)))
-
-    def _delivered_slices(
-        self, updates: dict[int, WorkerUpdate], delivered: list[int], dim: int
-    ) -> tuple[np.ndarray, dict[int, dict[int, np.ndarray]]]:
-        """The delivered gradients as one matrix, and per-server views of it.
-
-        Row ``i`` of the read-only ``(K, D)`` matrix is worker
-        ``delivered[i]``'s gradient; its slice for each server is a
-        column-block view, bit-identical to the slice it sent.
-        """
-        servers = self.server_ranks
-        uploads = stack_gradients(
-            [updates[wid].gradient for wid in delivered], len(servers), dim
-        )
-        bounds = slice_bounds(uploads.shape[1], len(servers))
-        blocks = [uploads[:, lo:hi] for lo, hi in bounds]
-        slices = {
-            wid: dict(zip(servers, parts))
-            for wid, parts in zip(delivered, zip(*blocks))
-        }
-        return uploads, slices
 
     def _broadcast(
         self, dests, agg_slices: list[np.ndarray], round_idx: int
@@ -546,32 +568,38 @@ class FederatedTrainer:
         theta = self.model.get_flat_params()
         global_buffers = self.model.get_flat_buffers()
         with prof.phase("trainer.local_compute"):
-            updates = self._fleet_for(cohort).compute_updates(
+            local = self._fleet_for(cohort).compute_updates(
                 theta, global_buffers, exclude=offline
             )
-        server_grads = [
-            updates[srv].gradient for srv in self.server_ranks if srv in updates
+        server_rows = [
+            i for i in map(local.row, self.server_ranks) if i is not None
         ]
-        if not server_grads:
+        if not server_rows:
             return self._skipped_round(round_idx, "no server update")
-        if not any(map(finite_sqnorm, server_grads)):
+        if not any(finite_sqnorm(local.gradients[i]) for i in server_rows):
             # Every live server's own gradient blew up: no server holds a
             # usable detection benchmark, so the round is void, like one
             # in which no server delivered.
             return self._skipped_round(round_idx, "no finite server update")
         sim_info = None
+        ids = local.worker_ids
         with prof.phase("trainer.upload"):
             if self._sim_runner is not None:
-                delivered_ids, uncertain, sim_info = self._sim_runner.collect(
-                    updates, round_idx, plan
+                complete, sim_info = self._sim_runner.collect(
+                    ids, theta.size, round_idx, plan
                 )
             else:
-                delivered_ids, uncertain, _ = self._upload_slices(
-                    updates, round_idx
-                )
-            uploads, delivered = self._delivered_slices(
-                updates, delivered_ids, theta.size
-            )
+                complete = self._upload_slices(ids, theta.size, round_idx).all(axis=1)
+            # Any lost slice -> the round is unidentifiable for this
+            # worker: an SLM uncertain event, excluded from aggregation.
+            uncertain = set(ids[~complete].tolist())
+            if uncertain:
+                delivered = np.flatnonzero(complete)
+                uploads = local.gradients[delivered]
+                uploads.flags.writeable = False
+            else:
+                delivered = slice(None)
+                uploads = local.gradients
         prof.count("trainer.rounds")
         prof.count("trainer.uncertain_workers", len(uncertain))
 
@@ -579,11 +607,11 @@ class FederatedTrainer:
             round_idx=round_idx,
             global_params=theta,
             server_ranks=list(self.server_ranks),
-            slices=delivered,
-            updates=updates,
-            uncertain=uncertain,
-            sample_counts={w.worker_id: w.num_samples for w in cohort},
+            worker_ids=ids[delivered],
             uploads=uploads,
+            sample_counts=local.sample_counts[delivered],
+            uncertain=uncertain,
+            updates=local,
         )
         with prof.phase("trainer.mechanism"):
             decision = self.mechanism.process_round(ctx)
@@ -594,20 +622,19 @@ class FederatedTrainer:
         if reps:
             self.population.write_reputations(reps)
 
-        accepted_ids = [w for w in sorted(delivered) if decision.accept.get(w, False)]
+        accept = decision.accept
+        keep = np.fromiter(
+            (bool(accept.get(w, False)) for w in ctx.worker_ids.tolist()),
+            bool, ctx.worker_ids.size,
+        )
         grad_norm = 0.0
-        if accepted_ids:
+        if keep.any():
             # Servers aggregate their slice over accepted workers (step 2.2),
             # then slices recombine into the global gradient (step 1.5).
             with prof.phase("trainer.aggregate"):
-                weights = [ctx.sample_counts[w] for w in accepted_ids]
-                agg_slices = []
-                for srv in self.server_ranks:
-                    with prof.span(
-                        "trainer.server_slice", kind="slice", server=srv
-                    ):
-                        per_server = [delivered[w][srv] for w in accepted_ids]
-                        agg_slices.append(fedavg(per_server, weights))
+                agg_slices = server_aggregates(
+                    uploads, ctx.sample_counts, keep, self.server_ranks, prof
+                )
                 global_grad = recombine(agg_slices)
             grad_norm = float(np.linalg.norm(global_grad))
             prof.gauge("trainer.grad_norm", grad_norm)
@@ -618,18 +645,13 @@ class FederatedTrainer:
             )
             # FedAvg-BN: average accepted workers' running statistics into
             # the global model so evaluation normalizes with live stats.
-            buffer_vecs = [
-                updates[w].buffers
-                for w in accepted_ids
-                if updates[w].buffers is not None
-            ]
-            if buffer_vecs and self.model.num_buffer_values:
-                weights_b = [
-                    ctx.sample_counts[w]
-                    for w in accepted_ids
-                    if updates[w].buffers is not None
-                ]
-                self.model.set_flat_buffers(fedavg(buffer_vecs, weights_b))
+            if local.buffers is not None and self.model.num_buffer_values:
+                rows = np.arange(ids.size)[delivered][keep]
+                rows = rows[local.has_buffers[rows]]
+                if rows.size:
+                    self.model.set_flat_buffers(
+                        fedavg(local.buffers[rows], local.sample_counts[rows])
+                    )
 
         test_loss = test_acc = None
         if self.test_data is not None:
@@ -640,7 +662,7 @@ class FederatedTrainer:
             round_idx=round_idx,
             test_loss=test_loss,
             test_acc=test_acc,
-            accepted={w: decision.accept.get(w, False) for w in sorted(updates)},
+            accepted={w: accept.get(w, False) for w in ids.tolist()},
             uncertain=uncertain,
             mechanism_records=decision.records,
             grad_norm=grad_norm,

@@ -52,7 +52,6 @@ from .kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fl.trainer import FederatedTrainer
-    from ..fl.workers import WorkerUpdate
 
 __all__ = ["SimRoundRunner"]
 
@@ -200,16 +199,18 @@ class SimRoundRunner:
 
     def collect(
         self,
-        updates: dict[int, "WorkerUpdate"],
+        ids: np.ndarray,
+        dim: int,
         round_idx: int,
         plan: _RoundPlan,
-    ) -> tuple[list[int], set[int], dict]:
+    ) -> tuple[np.ndarray, dict]:
         """Run the round's upload/collection on the virtual clock.
 
-        ``updates`` iterate in the same order the direct path sends —
-        with zero faults the event schedule replays exactly that order,
-        draw for draw. Returns ``(delivered ids, uncertain ids, sim
-        info)``: a worker is delivered once every slice arrived.
+        ``ids`` are the uploading workers in the order the direct path
+        sends (ascending), each with a ``dim``-value gradient — with zero
+        faults the event schedule replays exactly that order, draw for
+        draw. Returns ``(complete, sim info)``: ``complete[i]`` is True
+        once every slice of worker ``ids[i]`` arrived.
         """
         sim = self.sim
         trainer = self.trainer
@@ -233,12 +234,11 @@ class SimRoundRunner:
             and sim.idle()
             and all(v == 0.0 for v in plan.compute_s.values())
         ):
-            return self._collect_fast(updates, round_idx, plan)
+            return self._collect_fast(ids, dim, round_idx, plan)
 
-        ids = list(updates)
+        ids = ids.tolist()
         servers = np.asarray(trainer.server_ranks, dtype=np.int64)
         m = servers.size
-        dim = np.asarray(updates[ids[0]].gradient).size if ids else 0
         total = len(ids) * m
         rnd = _Round(
             tag=f"slice:{round_idx}",
@@ -287,21 +287,14 @@ class SimRoundRunner:
         sim.advance_to(close)
 
         got = got.reshape(len(ids), m)
+        complete = got.all(axis=1)
         late = (rnd.resolve > close).reshape(len(ids), m).any(axis=1)
         last_arrival = np.where(got, rnd.arrive.reshape(len(ids), m), -np.inf)
-        delivered: list[int] = []
-        uncertain: set[int] = set()
-        worker_time: dict[int, float] = {}
-        for wid, complete, t_last in zip(
-            ids, got.all(axis=1).tolist(), last_arrival.max(axis=1).tolist()
-        ):
-            if complete:
-                delivered.append(wid)
-            else:
-                uncertain.add(wid)
-            if t_last > -np.inf:  # at least one slice arrived
-                worker_time[wid] = t_last - t0
-
+        worker_time = {
+            wid: t_last - t0
+            for wid, t_last in zip(ids, last_arrival.max(axis=1).tolist())
+            if t_last > -np.inf  # at least one slice arrived
+        }
         sim_info = {
             "t_start_s": t0,
             "duration_s": close - t0,
@@ -309,17 +302,19 @@ class SimRoundRunner:
             "offline": sorted(plan.offline),
             "retries": rnd.retries,
             "late": sorted(w for w, cut in zip(ids, late.tolist()) if cut),
-            "worker_time_s": {wid: worker_time[wid] for wid in sorted(worker_time)},
+            "worker_time_s": worker_time,
         }
+        uncertain = [w for w, ok in zip(ids, complete.tolist()) if not ok]
         self._emit_round_telemetry(round_idx, sim_info, uncertain)
-        return delivered, uncertain, sim_info
+        return complete, sim_info
 
     def _collect_fast(
         self,
-        updates: dict[int, "WorkerUpdate"],
+        ids: np.ndarray,
+        dim: int,
         round_idx: int,
         plan: _RoundPlan,
-    ) -> tuple[list[int], set[int], dict]:
+    ) -> tuple[np.ndarray, dict]:
         """Synchronous replay of a zero-delay round.
 
         Every slice is sent and received at ``t0`` in the same order the
@@ -332,12 +327,8 @@ class SimRoundRunner:
         and drop.
         """
         t0 = self.sim.now
-        delivered, uncertain, mask = self.trainer._upload_slices(
-            updates, round_idx, received="each"
-        )
-        resolved = [
-            wid for wid, hit in zip(updates, mask.any(axis=1).tolist()) if hit
-        ]
+        mask = self.trainer._upload_slices(ids, dim, round_idx, received="each")
+        resolved = ids[mask.any(axis=1)].tolist()
         sim_info = {
             "t_start_s": t0,
             "duration_s": 0.0,
@@ -345,14 +336,14 @@ class SimRoundRunner:
             "offline": sorted(plan.offline),
             "retries": 0,
             "late": [],
-            "worker_time_s": {wid: 0.0 for wid in sorted(resolved)},
+            "worker_time_s": {wid: 0.0 for wid in resolved},
         }
-        return delivered, uncertain, sim_info
+        return mask.all(axis=1), sim_info
 
     # -- telemetry -------------------------------------------------------------
 
     def _emit_round_telemetry(
-        self, round_idx: int, sim_info: dict, uncertain: set[int]
+        self, round_idx: int, sim_info: dict, uncertain: list[int]
     ) -> None:
         tele = self.trainer.profiler
         if not tele.enabled:

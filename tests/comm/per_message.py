@@ -7,7 +7,9 @@ These are the loops they replaced — one :meth:`Network.send` (and
 :meth:`Network.recv`) per message, with one generator actor per
 uploading worker and a ``recv``-polling collection loop on the clock —
 kept as differential oracles: the batched exchange must reproduce them
-draw for draw, byte for byte, and counter for counter.
+draw for draw, byte for byte, and counter for counter. Nothing reads a
+slice's values, so each message carries zeros of its slice's width: the
+wire size the network accounts is what matters.
 """
 
 from dataclasses import dataclass, field
@@ -93,7 +95,7 @@ class PerMessageRoundRunner(SimRoundRunner):
             state.retries += len(failed)
             pending = failed
 
-    def collect(self, updates, round_idx, plan):
+    def collect(self, ids, dim, round_idx, plan):
         sim = self.sim
         trainer = self.trainer
         scenario = self.scenario
@@ -111,18 +113,18 @@ class PerMessageRoundRunner(SimRoundRunner):
             and sim.idle()
             and all(v == 0.0 for v in plan.compute_s.values())
         ):
-            return self._collect_fast(updates, round_idx, plan)
+            return self._collect_fast(ids, dim, round_idx, plan)
 
-        for wid, upd in updates.items():
+        ids = ids.tolist()
+        parts = split_views(np.zeros(dim), len(servers))
+        for wid in ids:
             sim.spawn(
-                self._upload_proc(
-                    wid, split_views(upd.gradient, len(servers)), servers, state
-                ),
+                self._upload_proc(wid, parts, servers, state),
                 delay=plan.compute_s.get(wid, 0.0),
             )
 
-        outstanding = {(wid, srv) for wid in updates for srv in servers}
-        got = {wid: set() for wid in updates}
+        outstanding = {(wid, srv) for wid in ids for srv in servers}
+        got = {wid: set() for wid in ids}
         resolve_at = {}
         while outstanding:
             outstanding -= state.abandoned
@@ -147,12 +149,8 @@ class PerMessageRoundRunner(SimRoundRunner):
             sim.advance_to(deadline)
         duration = sim.now - t0
 
-        delivered, uncertain = [], set()
-        for wid in updates:
-            if len(got[wid]) == len(servers):
-                delivered.append(wid)
-            else:
-                uncertain.add(wid)
+        complete = np.array([len(got[wid]) == len(servers) for wid in ids], bool)
+        uncertain = [wid for wid, ok in zip(ids, complete) if not ok]
         sim_info = {
             "t_start_s": t0,
             "duration_s": duration,
@@ -165,7 +163,7 @@ class PerMessageRoundRunner(SimRoundRunner):
             },
         }
         self._emit_round_telemetry(round_idx, sim_info, uncertain)
-        return delivered, uncertain, sim_info
+        return complete, sim_info
 
 
 class PerMessageTrainer(FederatedTrainer):
@@ -176,28 +174,23 @@ class PerMessageTrainer(FederatedTrainer):
         if self.scenario is not None:
             self._sim_runner = PerMessageRoundRunner(self, self.scenario)
 
-    def _upload_slices(self, updates, round_idx, received="after"):
+    def _upload_slices(self, ids, dim, round_idx, received="after"):
         tag = f"slice:{round_idx}"
         net = self.network
         servers = self.server_ranks
-        mask = np.zeros((len(updates), len(servers)), dtype=bool)
-        for i, (wid, upd) in enumerate(updates.items()):
-            parts = split_views(upd.gradient, len(servers))
+        parts = split_views(np.zeros(dim), len(servers))
+        mask = np.zeros((len(ids), len(servers)), dtype=bool)
+        for i, wid in enumerate(ids.tolist()):
             for j, srv in enumerate(servers):
                 mask[i, j] = net.send(wid, srv, tag, (j, parts[j]))
                 if mask[i, j] and received == "each":
                     net.recv(srv, wid, tag)
-        delivered, uncertain = [], set()
-        for i, wid in enumerate(updates):
-            if received == "after":
+        if received == "after":
+            for i, wid in enumerate(ids.tolist()):
                 for j, srv in enumerate(servers):
                     msg = net.recv(srv, wid, tag)
                     assert (msg is not None) == mask[i, j]
-            if mask[i].all():
-                delivered.append(wid)
-            else:
-                uncertain.add(wid)
-        return delivered, uncertain, mask
+        return mask
 
     def _broadcast(self, dests, agg_slices, round_idx):
         tag = f"global:{round_idx}"

@@ -241,7 +241,8 @@ def _filtered_global_gradient(
     kept = [w for w in workers if keep.get(w, False)]
     if not kept:
         return None
-    weights = [ctx.sample_counts[w] for w in kept]
+    counts = dict(zip(ctx.worker_ids.tolist(), ctx.sample_counts.tolist()))
+    weights = [counts[w] for w in kept]
     return recombine([
         fedavg([ctx.slices[w][srv] for w in kept], weights)
         for srv in ctx.server_ranks
@@ -278,7 +279,7 @@ class ReferenceFIFL(FIFLMechanism):
         accepted = {w: live_accepted.get(w, False) for w in delivered}
 
         # 2) reputation
-        outcomes, reputations = self._update_reputations(ctx, scores, accepted)
+        outcomes, reputations = self._update_reputations(ctx, accepted)
 
         # 3) contributions against the filtered global gradient
         distances: dict[int, float] = {}
@@ -334,3 +335,11 @@ class ReferenceFIFL(FIFLMechanism):
         if b_h > 0.0:
             return distances, b_h, contributions(distances, b_h)
         return distances, None, {w: 0.0 for w in distances}
+
+
+def item_dict(worker_ids, values) -> dict:
+    """``RoundBatch.to_dict`` as it once was: one ``item()`` per element."""
+    return {
+        int(w): v.item() if isinstance(v, np.generic) else v
+        for w, v in zip(worker_ids, np.asarray(values))
+    }

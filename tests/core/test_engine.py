@@ -22,10 +22,10 @@ from repro.core import make_mechanism
 from repro.core.engine import RoundBatch, stack_benchmarks
 from repro.core.fifl import NON_FINITE_SCORE
 from repro.fl.gradients import fedavg, recombine, slice_offsets, split_gradient
-from repro.fl.trainer import RoundContext
 from repro.fl.workers import WorkerUpdate
 
 from tests.core.reference import ReferenceFIFL
+from tests.helpers import round_context, stack_updates
 
 TOL = 1e-8
 
@@ -40,37 +40,41 @@ def make_ctx(
     attacker_scale=-2.0,
     blowup=(),
     blowup_value=np.inf,
+    crashed=(),
 ):
     """Synthetic round: servers are workers 0..M-1, every 5th worker deviates.
 
     Workers in ``blowup`` upload ``blowup_value`` everywhere; the other
-    workers' gradients do not depend on who blows up.
+    workers' gradients do not depend on who blows up. Workers in
+    ``uncertain`` lost a slice (no upload row); workers in ``crashed``
+    have no local update (a crashed server holds no benchmark).
     """
     rng = np.random.default_rng(seed * 7919 + round_idx)
     server_ranks = list(range(num_servers))
     honest = rng.standard_normal(dim)
-    updates, slices = {}, {}
+    grads = {}
     for wid in range(num_workers):
         noise = rng.standard_normal(dim)
         if wid in blowup:
-            grad = np.full(dim, blowup_value)
+            grads[wid] = np.full(dim, blowup_value)
         elif wid % 5 or wid == 0:
-            grad = honest + 0.3 * noise
+            grads[wid] = honest + 0.3 * noise
         else:
-            grad = attacker_scale * honest + noise
-        updates[wid] = WorkerUpdate(worker_id=wid, gradient=grad, num_samples=100)
-        if wid in uncertain:
-            continue  # lost a slice: no delivery this round
-        parts = split_gradient(grad, num_servers)
-        slices[wid] = {srv: parts[j] for j, srv in enumerate(server_ranks)}
-    return RoundContext(
-        round_idx=round_idx,
-        global_params=np.zeros(dim),
-        server_ranks=server_ranks,
-        slices=slices,
-        updates=updates,
-        uncertain=set(uncertain),
+            grads[wid] = attacker_scale * honest + noise
+    updates = stack_updates({
+        wid: WorkerUpdate(worker_id=wid, gradient=grad, num_samples=100)
+        for wid, grad in grads.items()
+        if wid not in crashed
+    }, dim)
+    return round_context(
+        round_idx,
+        np.zeros(dim),
+        server_ranks,
+        grads,
+        delivered=[w for w in grads if w not in uncertain],
+        uncertain=uncertain,
         sample_counts={w: 100 + 10 * (w % 3) for w in range(num_workers)},
+        updates=updates,
     )
 
 
@@ -155,18 +159,24 @@ class TestRoundBatch:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_upload_matrix_is_taken_as_is(self, reverse):
-        """A context carrying the trainer's delivered-gradient matrix
-        batches to the same rows as restacking its slices, without a
-        copy when the upload order is already ascending."""
+        """The batch is the context's upload matrix itself (no copy), and
+        it equals restacking the per-worker slices, whichever order the
+        context was built from."""
         ctx = make_ctx(num_workers=7, num_servers=3, uncertain=(2, 5))
-        restacked = RoundBatch.from_context(ctx)
+        grads = {w: ctx.updates[w].gradient for w in ctx.updates}
         order = sorted(ctx.slices, reverse=reverse)
-        ctx.slices = {w: ctx.slices[w] for w in order}
-        ctx.uploads = np.stack([ctx.updates[w].gradient for w in order])
+        ctx = round_context(
+            0, ctx.global_params, ctx.server_ranks, grads, order,
+            ctx.uncertain, dict.fromkeys(grads, 100), ctx.updates,
+        )
         batch = RoundBatch.from_context(ctx)
-        np.testing.assert_array_equal(batch.worker_ids, restacked.worker_ids)
-        np.testing.assert_array_equal(batch.gradients, restacked.gradients)
-        assert (batch.gradients is ctx.uploads) == (not reverse)
+        assert batch.gradients is ctx.uploads
+        assert list(batch.worker_ids) == sorted(order)
+        restacked = np.stack([
+            recombine([ctx.slices[w][s] for s in ctx.server_ranks])
+            for w in sorted(order)
+        ])
+        np.testing.assert_array_equal(batch.gradients, restacked)
 
     def test_empty_round_stacks_to_none(self):
         ctx = make_ctx(num_workers=4, uncertain=(0, 1, 2, 3))
@@ -177,7 +187,8 @@ class TestRoundBatch:
         batch = RoundBatch.from_context(ctx)
         keep = np.array([True, False, True, True, False, True, True])
         kept_ids = [int(w) for w, k in zip(batch.worker_ids, keep) if k]
-        weights = [ctx.sample_counts[w] for w in kept_ids]
+        counts = dict(zip(ctx.worker_ids.tolist(), ctx.sample_counts.tolist()))
+        weights = [counts[w] for w in kept_ids]
         expected = recombine([
             fedavg([ctx.slices[w][srv] for w in kept_ids], weights)
             for srv in ctx.server_ranks
@@ -199,23 +210,6 @@ class TestRoundBatch:
         np.testing.assert_allclose(drop_none, expected, atol=TOL, rtol=0)
         assert batch.weighted_average(~almost) is None
 
-    def test_mask_accepts_dict_and_array_forms(self):
-        ctx = make_ctx(num_workers=4)
-        batch = RoundBatch.from_context(ctx)
-        verdict = {0: True, 1: False, 2: True, 3: False}
-        np.testing.assert_array_equal(
-            batch.mask(verdict), np.array([True, False, True, False])
-        )
-        np.testing.assert_array_equal(
-            batch.mask(np.array([1, 0, 1, 0], dtype=bool)),
-            np.array([True, False, True, False]),
-        )
-
-    def test_mask_missing_worker_defaults_to_rejected(self):
-        ctx = make_ctx(num_workers=3)
-        batch = RoundBatch.from_context(ctx)
-        assert not batch.mask({0: True})[1:].any()
-
     def test_to_dict_roundtrip_and_shape_guard(self):
         ctx = make_ctx(num_workers=4)
         batch = RoundBatch.from_context(ctx)
@@ -236,8 +230,8 @@ class TestRoundBatch:
         assert batch.row_sqnorms is first
 
     def test_stack_benchmarks_skips_crashed_servers(self):
-        ctx = make_ctx(num_workers=6, num_servers=3)
-        del ctx.updates[1]  # server 1 crashed: no local gradient
+        # server 1 crashed: no local gradient
+        ctx = make_ctx(num_workers=6, num_servers=3, crashed=(1,))
         batch = RoundBatch.from_context(ctx)
         ranks, slots, bench = stack_benchmarks(ctx, batch.offsets)
         assert list(ranks) == [0, 2]
@@ -418,10 +412,10 @@ def _lost_upload_rounds(bad, rounds, **ctx_kwargs):
     server also loses its benchmark (its local gradient is unusable)."""
     contexts = []
     for t in range(rounds):
-        ctx = make_ctx(round_idx=t, uncertain=(bad,), **ctx_kwargs)
-        if bad in ctx.server_ranks:
-            del ctx.updates[bad]
-        contexts.append(ctx)
+        crashed = (bad,) if bad < ctx_kwargs.get("num_servers", 2) else ()
+        contexts.append(make_ctx(
+            round_idx=t, uncertain=(bad,), crashed=crashed, **ctx_kwargs
+        ))
     return contexts
 
 

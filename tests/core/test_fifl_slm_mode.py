@@ -1,5 +1,7 @@
 """Unit tests for the mechanism's SLM reputation mode and config."""
 
+import pickle
+
 import pytest
 
 from repro.core import DetectionConfig, FIFLConfig, FIFLMechanism
@@ -54,11 +56,31 @@ class TestSLMMode:
         # after the reset at round 2, round 3's counts restart: one event
         assert mech.slm.positives.get(0, 0) + mech.slm.negatives.get(0, 0) <= 2
 
-    def test_decay_mode_still_tracks_slm_counts(self):
+    def test_decay_mode_records_no_slm_counts(self):
+        # decay mode never reads the SLM period counts, so it keeps none
         mech = run_mech("decay", rounds=4, slm_period=100)
-        # both estimators observe the same events regardless of mode
+        assert mech.records[-1].accepted[4] is False  # events did happen
+        assert mech.slm.positives == {}
+        assert mech.slm.negatives == {}
+        assert mech.slm.uncertains == {}
+
+    def test_slm_mode_tracks_counts_within_a_period(self):
+        mech = run_mech("slm", rounds=4, slm_period=100)
         assert mech.slm.positives.get(0, 0) == 4
         assert mech.slm.negatives.get(4, 0) == 4
+
+    @pytest.mark.parametrize("mode", ["slm", "decay"])
+    def test_snapshot_slm_field_restores(self, mode):
+        # a snapshot's slm field (written by either mode, or by a build
+        # that counted in decay mode too) restores as it was captured
+        from repro.service.snapshot import _capture_mechanism, _restore_mechanism
+
+        src = run_mech("slm", rounds=2, slm_period=100)
+        state = pickle.loads(pickle.dumps(_capture_mechanism(src)))
+        dst = FIFLMechanism(FIFLConfig(reputation_mode=mode, slm_period=100))
+        _restore_mechanism(dst, state)
+        assert dst.slm.positives == src.slm.positives == {0: 2, 1: 2, 2: 2, 3: 2}
+        assert dst.slm.negatives == src.slm.negatives == {4: 2}
 
     def test_modes_agree_on_who_is_worst(self):
         slm = run_mech("slm")

@@ -20,6 +20,7 @@ from repro.experiments.common import (
     sign_flip,
 )
 from repro.fl import (
+    WORKER_ROLES,
     ColludingAttacker,
     DataPoisonWorker,
     FederatedTrainer,
@@ -32,12 +33,14 @@ from repro.fl import (
     RoundDecision,
     SampleInflationWorker,
     SignFlippingWorker,
+    WorkerSpec,
+    make_worker,
 )
 from repro.nn import SGD, Dense, Dropout, ReLU, Sequential, build_logreg, build_mlp
 from repro.parallel import ThreadBackend
 from repro.population import WorkerPopulation
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, stack_updates
 
 TOL = 1e-8
 
@@ -332,11 +335,11 @@ class PerWorkerLocal:
 
     def compute_updates(self, theta, global_buffers=None, exclude=None):
         exclude = exclude or ()
-        return {
+        return stack_updates({
             w.worker_id: w.compute_update(theta, global_buffers)
             for w in self.workers
             if w.worker_id not in exclude
-        }
+        }, theta.size)
 
 
 def run_both(cfg, attackers, with_fifl, monkeypatch):
@@ -373,6 +376,61 @@ class TestEndToEndDifferential:
             if rs.test_loss is not None:
                 assert abs(rs.test_loss - rf.test_loss) <= TOL
                 assert abs(rs.test_acc - rf.test_acc) <= TOL
+
+    def test_uploads_and_generators_match_for_every_role(self, monkeypatch):
+        """Two honest servers plus one worker of every registered role: each
+        round's upload rows and sample counts equal the per-worker loop's,
+        and every worker's generator ends each round in the same state."""
+
+        class Recorder:
+            def __init__(self):
+                self.rounds = []
+
+            def process_round(self, ctx):
+                self.rounds.append((
+                    ctx.worker_ids.copy(), np.array(ctx.uploads),
+                    ctx.sample_counts.copy(),
+                ))
+                return RoundDecision(
+                    accept=dict.fromkeys(ctx.worker_ids.tolist(), True)
+                )
+
+        def federation():
+            roles = ["honest", "honest"] + sorted(WORKER_ROLES)
+            data = make_blobs(n_samples=40 * len(roles), n_features=N_FEATURES,
+                              num_classes=N_CLASSES, seed=3)
+            shards = iid_partition(data, len(roles), seed=3)
+            workers = [
+                make_worker(WorkerSpec(role), wid, shards[wid],
+                            lambda: build_logreg(N_FEATURES, N_CLASSES, seed=3),
+                            seed=30 + wid, lr=0.1, batch_size=8)
+                for wid, role in enumerate(roles)
+            ]
+            recorder = Recorder()
+            trainer = FederatedTrainer(
+                build_logreg(N_FEATURES, N_CLASSES, seed=3),
+                WorkerPopulation.from_workers(workers), [0, 1],
+                mechanism=recorder, server_lr=0.05,
+            )
+            return trainer, workers, recorder
+
+        fleet, fleet_workers, fleet_rec = federation()
+        scalar, scalar_workers, scalar_rec = federation()
+        monkeypatch.setattr(scalar, "_fleet_for", PerWorkerLocal)
+        for t in range(3):
+            fleet.run_round(t)
+            scalar.run_round(t)
+            for a, b in zip(fleet_workers, scalar_workers):
+                assert a.rng.bit_generator.state == b.rng.bit_generator.state, (
+                    f"round {t}: worker {a.worker_id} generator"
+                )
+        assert len(fleet_rec.rounds) == len(scalar_rec.rounds) == 3
+        for (ids_f, up_f, n_f), (ids_s, up_s, n_s) in zip(
+            fleet_rec.rounds, scalar_rec.rounds
+        ):
+            np.testing.assert_array_equal(ids_f, ids_s)
+            np.testing.assert_array_equal(n_f, n_s)
+            np.testing.assert_allclose(up_f, up_s, atol=TOL, rtol=0)
 
     @pytest.mark.slow
     def test_histories_match_image_models(self, monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.datasets import iid_partition, make_blobs, train_test_split
-from repro.fl import HonestWorker
+from repro.fl import HonestWorker, LocalUpdates, RoundContext
 from repro.nn import build_logreg
 
 N_FEATURES = 8
@@ -74,3 +74,62 @@ def make_federation(
         for i in range(num_workers)
     ]
     return workers, shards, test
+
+
+def stack_updates(updates, dim=None):
+    """Per-worker ``WorkerUpdate`` objects in the fleet's row layout.
+
+    ``updates`` maps worker id to update; rows come out in ascending id
+    order. ``dim`` sizes the matrix when there are no updates.
+    """
+    ids = sorted(updates)
+    ups = [updates[w] for w in ids]
+    gradients = (
+        np.stack([np.asarray(u.gradient, dtype=np.float64) for u in ups])
+        if ups else np.empty((0, dim or 0))
+    )
+    gradients.flags.writeable = False
+    with_buffers = [u.buffers is not None for u in ups]
+    buffers = has_buffers = None
+    if any(with_buffers):
+        width = next(u.buffers.size for u in ups if u.buffers is not None)
+        buffers = np.zeros((len(ups), width))
+        for row, u in zip(buffers, ups):
+            if u.buffers is not None:
+                row[:] = u.buffers
+        has_buffers = np.asarray(with_buffers, dtype=bool)
+    return LocalUpdates(
+        worker_ids=np.asarray(ids, dtype=np.int64),
+        gradients=gradients,
+        sample_counts=np.asarray([u.num_samples for u in ups], dtype=np.int64),
+        attacked=np.asarray([u.attacked for u in ups], dtype=bool),
+        buffers=buffers,
+        has_buffers=has_buffers,
+    )
+
+
+def round_context(round_idx, global_params, server_ranks, gradients,
+                  delivered, uncertain, sample_counts, updates):
+    """A hand-built :class:`RoundContext`.
+
+    ``gradients`` maps worker id to full gradient and ``sample_counts``
+    worker id to claimed count; the ``delivered`` ids become the upload
+    rows in ascending order. ``updates`` is the round's ``LocalUpdates``.
+    """
+    ids = sorted(delivered)
+    dim = np.asarray(global_params).size
+    uploads = (
+        np.stack([np.asarray(gradients[w], dtype=np.float64) for w in ids])
+        if ids else np.empty((0, dim))
+    )
+    uploads.flags.writeable = False
+    return RoundContext(
+        round_idx=round_idx,
+        global_params=global_params,
+        server_ranks=list(server_ranks),
+        worker_ids=np.asarray(ids, dtype=np.int64),
+        uploads=uploads,
+        sample_counts=np.asarray([sample_counts[w] for w in ids], dtype=np.int64),
+        uncertain=set(uncertain),
+        updates=updates,
+    )

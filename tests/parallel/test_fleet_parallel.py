@@ -104,7 +104,7 @@ class TestShardCrash:
         flight recorder still writes its crash post-mortem."""
         from repro.fl.fleet_compute import FleetLocalEngine
 
-        def exploding(self, group, theta, global_buffers, updates, prof=None):
+        def exploding(self, group, theta, global_buffers, prof=None):
             raise RuntimeError("boom in shard")
 
         monkeypatch.setattr(FleetLocalEngine, "_run_group", exploding)
