@@ -87,23 +87,15 @@ def make_round(
     counts = np.full(num_workers, 100, dtype=np.int64)
     # these workers lost a slice: uncertain events, no upload row
     uncertain_ids = set(range(num_servers, num_servers + uncertain))
-    delivered = ~np.isin(ids, sorted(uncertain_ids))
-    uploads = grads[delivered]
-    uploads.flags.writeable = False
-    return RoundContext(
-        round_idx=round_idx,
-        global_params=np.zeros(dim),
-        server_ranks=server_ranks,
-        worker_ids=ids[delivered],
-        uploads=uploads,
-        sample_counts=counts[delivered],
-        uncertain=uncertain_ids,
-        updates=LocalUpdates(
-            worker_ids=ids,
-            gradients=grads,
-            sample_counts=counts,
-            attacked=np.zeros(num_workers, dtype=bool),
-        ),
+    local = LocalUpdates(
+        worker_ids=ids,
+        gradients=grads,
+        sample_counts=counts,
+        attacked=np.zeros(num_workers, dtype=bool),
+    )
+    complete = ~np.isin(ids, sorted(uncertain_ids))
+    return RoundContext.admit(
+        round_idx, np.zeros(dim), server_ranks, local, complete
     )
 
 

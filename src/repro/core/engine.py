@@ -2,7 +2,8 @@
 
 The FIFL round (Eq. 5-15) runs as batched NumPy phases over one layout:
 
-* all delivered worker gradients row-wise in one ``(N, D)`` matrix
+* all admitted (delivered, finite) worker gradients row-wise in one
+  ``(N, D)`` matrix
   (:class:`RoundBatch.gradients`), in ascending worker-id order — the
   trainer's ``RoundContext.uploads``, which is the fleet's own output
   matrix, taken without a copy;
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fl.gradients import finite_sqnorm, slice_offsets
+from ..fl.gradients import slice_offsets
 from ..fl.trainer import RoundContext
 
 __all__ = ["RoundBatch", "stack_benchmarks"]
@@ -42,22 +43,23 @@ __all__ = ["RoundBatch", "stack_benchmarks"]
 
 @dataclass
 class RoundBatch:
-    """One round's delivered gradients in batched layout."""
+    """One round's admitted gradients in batched layout."""
 
     worker_ids: np.ndarray  # (N,) int64, ascending
     gradients: np.ndarray  # (N, D) float64, row i = full gradient of worker_ids[i]
     offsets: np.ndarray  # (M+1,) column offsets of per-server slices
     server_ranks: np.ndarray  # (M,) int64, ascending (slice j -> server_ranks[j])
     sample_counts: np.ndarray  # (N,) float64
-    _row_sqnorms: np.ndarray | None = None  # lazy ||G_i||² cache
+    row_sqnorms: np.ndarray  # (N,) ||G_i||², shared by every distance
 
     @classmethod
     def from_context(cls, ctx: RoundContext) -> "RoundBatch | None":
-        """The context's delivered uploads as a batch (None if empty).
+        """The context's admitted uploads as a batch (None if empty).
 
         The trainer's upload matrix is taken as is (read-only, no copy):
-        its rows are already the delivered workers' full gradients in
+        its rows are already the admitted workers' full gradients in
         ascending id order, and each server's slice is a column block.
+        The row norms are the ones the trainer's admission rule computed.
         """
         if len(ctx.worker_ids) == 0:
             return None
@@ -67,24 +69,12 @@ class RoundBatch:
             offsets=slice_offsets(ctx.uploads.shape[1], len(ctx.server_ranks)),
             server_ranks=np.asarray(ctx.server_ranks, dtype=np.int64),
             sample_counts=np.asarray(ctx.sample_counts, dtype=np.float64),
+            row_sqnorms=ctx.row_sqnorms,
         )
 
     @property
     def num_workers(self) -> int:
         return self.gradients.shape[0]
-
-    @property
-    def row_sqnorms(self) -> np.ndarray:
-        """``||G_i||²`` per row, computed once and cached.
-
-        Shared by every distance computation of the round (contribution
-        scoring and the filter's second pass see the same rows).
-        """
-        if self._row_sqnorms is None:
-            self._row_sqnorms = np.einsum(
-                "ij,ij->i", self.gradients, self.gradients
-            )
-        return self._row_sqnorms
 
     def server_block(self, slot: int) -> np.ndarray:
         """Server ``slot``'s slice matrix: a column-block view, no copy."""
@@ -93,9 +83,7 @@ class RoundBatch:
     def shard(self, start: int, stop: int) -> "RoundBatch":
         """Row window ``[start, stop)`` as a view-backed sub-batch.
 
-        All aligned vectors are sliced views (no copies); the sqnorm
-        cache, when already computed, is sliced too so shard consumers
-        never recompute it.
+        All aligned vectors are sliced views (no copies).
         """
         if not 0 <= start < stop <= self.num_workers:
             raise ValueError(f"bad shard window [{start}, {stop})")
@@ -105,22 +93,7 @@ class RoundBatch:
             offsets=self.offsets,
             server_ranks=self.server_ranks,
             sample_counts=self.sample_counts[start:stop],
-            _row_sqnorms=(
-                self._row_sqnorms[start:stop]
-                if self._row_sqnorms is not None
-                else None
-            ),
-        )
-
-    def select(self, keep: np.ndarray) -> "RoundBatch":
-        """The rows where ``keep`` is True, as a new (copied) batch."""
-        return RoundBatch(
-            worker_ids=self.worker_ids[keep],
-            gradients=self.gradients[keep],
-            offsets=self.offsets,
-            server_ranks=self.server_ranks,
-            sample_counts=self.sample_counts[keep],
-            _row_sqnorms=self.row_sqnorms[keep],
+            row_sqnorms=self.row_sqnorms[start:stop],
         )
 
     def iter_shards(self, shard_size: int | None):
@@ -150,9 +123,7 @@ class RoundBatch:
         if not keep.any():
             return None
         if keep.all():
-            # All-kept fast path: one GEMV, no row copy. (Zeroed weights
-            # can't stand in for dropping a row in general — a rejected
-            # non-finite gradient would turn 0 * inf into NaN.)
+            # All-kept fast path: one GEMV, no row copy.
             weights = self.sample_counts
             grads = self.gradients
         else:
@@ -188,8 +159,8 @@ def stack_benchmarks(
     slices)`` aligned lists: the server's worker id, its slice index in
     the sorted server list, and its own local slice (a view into its
     update, no copy). Servers whose local update is missing (crashed
-    nodes) or non-finite (see :func:`~repro.fl.gradients.finite_sqnorm`)
-    are skipped.
+    nodes) or not :attr:`~repro.fl.fleet_compute.LocalUpdates.finite`
+    are skipped; the trainer never hands over a round with none left.
     """
     ranks: list[int] = []
     slots: list[int] = []
@@ -197,14 +168,11 @@ def stack_benchmarks(
     local = ctx.updates
     for j, srv in enumerate(ctx.server_ranks):
         row = local.row(srv)
-        if row is None:
-            continue
-        grad = local.gradients[row]
-        if not finite_sqnorm(grad):
+        if row is None or not local.finite[row]:
             continue
         ranks.append(srv)
         slots.append(j)
-        slices.append(grad[offsets[j] : offsets[j + 1]])
+        slices.append(local.gradients[row, offsets[j] : offsets[j + 1]])
     if not ranks:
         raise RuntimeError(
             "no server produced a finite local gradient; cannot detect"

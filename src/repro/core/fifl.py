@@ -25,12 +25,10 @@ The literal per-worker pipeline lives in ``tests/core/reference.py`` as
 the test oracle; the two agree to < 1e-8 on every per-round output (see
 ``tests/core/test_engine.py``).
 
-An upload whose squared norm is not finite (a NaN or ±inf entry, e.g.
-from blown-up local training) is flagged and excluded like a lost
-upload, except that its reputation outcome is a rejection: it never
-reaches G̃, the server benchmarks, the server-mean reference, or the
-contribution and reward arithmetic, and its score is recorded as
-:data:`NON_FINITE_SCORE`.
+The trainer admits only finite uploads, for every mechanism: a NaN or
+±inf upload (e.g. from blown-up local training) arrives in
+``ctx.rejected``, outside the batch. FIFL records it as flagged, scored
+:data:`NON_FINITE_SCORE`, with reputation outcome ``False``.
 
 Phase wall-clock lands in :mod:`repro.telemetry` spans under ``fifl.*``
 keys (the legacy ``snapshot()`` phase table still sees them). Each
@@ -51,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fl.gradients import finite_sqnorm, slice_offsets
+from ..fl.gradients import slice_offsets
 from ..fl.trainer import RoundContext, RoundDecision
 from ..metrics.fairness import reward_fairness
 from ..telemetry import Telemetry, get_telemetry
@@ -185,19 +183,6 @@ class FIFLMechanism:
 
     # -- helpers ---------------------------------------------------------------
 
-    @staticmethod
-    def _server_mean_gradient(ctx: RoundContext) -> np.ndarray | None:
-        """Mean of the server cluster's own full gradients (trusted ref)."""
-        local = ctx.updates
-        rows = [
-            row
-            for row in map(local.row, ctx.server_ranks)
-            if row is not None and finite_sqnorm(local.gradients[row])
-        ]
-        if not rows:
-            return None
-        return np.mean(local.gradients[rows], axis=0)
-
     def _detection_scores_sharded(
         self, batch: RoundBatch, ranks, slots, bench_slices
     ) -> np.ndarray:
@@ -298,28 +283,24 @@ class FIFLMechanism:
             )
 
         # 1) attack detection: one GEMM per server over the slice blocks.
-        #    A non-finite upload is flagged unscored and leaves the batch
-        #    (``live``) that every later phase runs on.
+        #    A rejected (non-finite) upload is flagged unscored, in id order.
         with prof.phase("fifl.detect"):
             ranks, slots, bench_slices = stack_benchmarks(ctx, offsets)
-            threshold = cfg.detection.threshold
-            live = batch
-            score_vec = live_accept = None
+            score_vec = np.zeros(0)
+            accept_vec = None
             scores, accepted = {}, {}
             if batch is not None:
-                finite = np.isfinite(batch.row_sqnorms)
-                if not finite.all():
-                    live = batch.select(finite) if finite.any() else None
-                score_vec = np.full(batch.num_workers, NON_FINITE_SCORE)
-                accept_vec = np.zeros(batch.num_workers, dtype=bool)
-                if live is not None:
-                    score_vec[finite] = self._detection_scores_sharded(
-                        live, ranks, slots, bench_slices
-                    )
-                    live_accept = score_vec[finite] >= threshold
-                    accept_vec[finite] = live_accept
+                score_vec = self._detection_scores_sharded(
+                    batch, ranks, slots, bench_slices
+                )
+                accept_vec = score_vec >= cfg.detection.threshold
                 scores = batch.to_dict(score_vec)
                 accepted = batch.to_dict(accept_vec)
+            if ctx.rejected:
+                scores.update(dict.fromkeys(ctx.rejected, NON_FINITE_SCORE))
+                accepted.update(dict.fromkeys(ctx.rejected, False))
+                scores = dict(sorted(scores.items()))
+                accepted = dict(sorted(accepted.items()))
             prof.count("fifl.workers_scored", len(scores))
 
         # 2) reputation (stateful EMA/SLM; O(N) dict update, not a hot path)
@@ -334,18 +315,19 @@ class FIFLMechanism:
             b_h: float | None = None
             contrib_vec = None
             global_grad = None
-            if live is not None:
-                global_grad = live.weighted_average(live_accept)
+            if batch is not None:
+                global_grad = batch.weighted_average(accept_vec)
             if global_grad is not None:
-                reference_grad = (
-                    self._server_mean_gradient(ctx)
-                    if cfg.contribution_reference == "server_mean"
-                    else global_grad
-                )
-                if reference_grad is None:
-                    reference_grad = global_grad
+                reference_grad = global_grad
+                if cfg.contribution_reference == "server_mean":
+                    # the trusted reference (S4.5): the mean of the full
+                    # gradients of the servers that hold a benchmark
+                    local = ctx.updates
+                    reference_grad = local.gradients[
+                        np.searchsorted(local.worker_ids, ranks)
+                    ].mean(axis=0)
                 dist_vec, b_h, contrib_vec = self._score_contributions_batch(
-                    reference_grad, live
+                    reference_grad, batch
                 )
                 if (
                     cfg.contribution_filter
@@ -358,15 +340,15 @@ class FIFLMechanism:
                     # and everyone is re-scored against the cleaned G̃. This
                     # keeps low-quality gradients from biasing the reference
                     # point that scores everyone else.
-                    cleaned = live.weighted_average(
-                        live_accept & (contrib_vec >= 0.0)
+                    cleaned = batch.weighted_average(
+                        accept_vec & (contrib_vec >= 0.0)
                     )
                     if cleaned is not None:
                         dist_vec, b_h, contrib_vec = (
-                            self._score_contributions_batch(cleaned, live)
+                            self._score_contributions_batch(cleaned, batch)
                         )
-                distances = live.to_dict(dist_vec)
-                contribs = live.to_dict(contrib_vec)
+                distances = batch.to_dict(dist_vec)
+                contribs = batch.to_dict(contrib_vec)
 
         # 4) incentive: masked share arithmetic, budget scaling
         with prof.phase("fifl.incentive"):
@@ -374,16 +356,16 @@ class FIFLMechanism:
             shares, rewards = {}, {}
             if contrib_vec is not None:
                 rep_vec = np.fromiter(
-                    map(reputations.__getitem__, live.worker_ids.tolist()),
+                    map(reputations.__getitem__, batch.worker_ids.tolist()),
                     np.float64,
-                    live.num_workers,
+                    batch.num_workers,
                 )
                 share_vec = reward_shares_array(
                     rep_vec, contrib_vec, punish_mode=cfg.punish_mode
                 )
                 reward_vec = share_vec * cfg.budget_per_round
-                shares = live.to_dict(share_vec)
-                rewards = live.to_dict(reward_vec)
+                shares = batch.to_dict(share_vec)
+                rewards = batch.to_dict(reward_vec)
 
         return self._finalize(
             ctx, scores, accepted, outcomes, reputations, distances, b_h,
@@ -402,17 +384,17 @@ class FIFLMechanism:
         contribs: dict[int, float],
         shares: dict[int, float],
         rewards: dict[int, float],
-        score_vec: np.ndarray | None = None,
+        score_vec: np.ndarray,
         reward_vec: np.ndarray | None = None,
     ) -> RoundDecision:
         """Shared bookkeeping: cumulative rewards, records, ledger, verdict.
 
         Also the mechanism's telemetry choke point: flagged workers,
         detection margins, reputation deltas and the reward-fairness
-        gauges are emitted here once per round. ``score_vec`` /
-        ``reward_vec`` are the score and reward vectors aligned with the
-        dicts' key order (``None`` rebuilds them from the dicts), so
-        telemetry skips rebuilding them.
+        gauges are emitted here once per round. ``score_vec`` holds the
+        admitted uploads' detection scores in id order (the rejected
+        ones have no margin); ``reward_vec`` is the reward vector aligned
+        with ``rewards`` (``None`` rebuilds it from the dict).
         """
         for w, amount in rewards.items():
             self._cumulative_rewards[w] = self._cumulative_rewards.get(w, 0.0) + amount
@@ -427,7 +409,7 @@ class FIFLMechanism:
             # the state it captured.
             prof.defer(
                 self._round_telemetry,
-                (ctx.round_idx, ctx.uncertain, scores, accepted,
+                (ctx.round_idx, ctx.uncertain, ctx.rejected, scores, accepted,
                  reputations, rewards, contribs, shares, b_h,
                  score_vec, reward_vec),
                 4,
@@ -478,6 +460,7 @@ class FIFLMechanism:
         tele,
         round_idx: int,
         uncertain,
+        rejected,
         scores: dict[int, float],
         accepted: dict[int, bool],
         reputations: dict[int, float],
@@ -485,7 +468,7 @@ class FIFLMechanism:
         contribs: dict[int, float],
         shares: dict[int, float],
         b_h: float | None,
-        score_vec: np.ndarray | None,
+        score_vec: np.ndarray,
         reward_vec: np.ndarray | None,
     ) -> list[dict]:
         """Deferred emitter for one round's mechanism telemetry.
@@ -499,9 +482,13 @@ class FIFLMechanism:
         threshold = self.config.detection.threshold
         flagged = [w for w, ok in accepted.items() if not ok]
         flagged.sort()
-        if score_vec is None:
-            score_vec = np.fromiter(scores.values(), np.float64, len(scores))
         margins = score_vec - threshold
+        # a rejected upload has no margin to bucket, but its recorded
+        # sentinel score bounds the round's margins from below
+        if margins.size:
+            tele.observe_many("fifl.detect_margin", margins)
+        if rejected:
+            margins = np.append(margins, NON_FINITE_SCORE - threshold)
         # Reputation deltas against last round's vector; the worker set
         # is stable between failures, so the common case is one array
         # subtraction (the dict rebuild only runs on reshapes).
@@ -521,12 +508,6 @@ class FIFLMechanism:
             reward_vec = np.fromiter(rewards.values(), np.float64, len(rewards))
         positive = np.maximum(reward_vec, 0.0)
         reward_gini, reward_entropy = reward_fairness(positive, validate=False)
-        if margins.size:
-            # an unscored (non-finite) upload has no margin to bucket; its
-            # sentinel would also overflow the histogram's running sum
-            tele.observe_many(
-                "fifl.detect_margin", margins[score_vec != NON_FINITE_SCORE]
-            )
         gauges = (
             ("fifl.flagged_workers", float(len(flagged))),
             ("fifl.reward_gini", reward_gini),

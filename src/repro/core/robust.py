@@ -98,7 +98,9 @@ class KrumMechanism:
     The trainer's weighted average over one accepted worker reduces to
     exactly that worker's gradient, which is Krum's model update. The
     round's upload matrix is its :class:`RoundBatch`; Krum's pairwise
-    distances are a single Gram-matrix GEMM over it.
+    distances are a single Gram-matrix GEMM over it. With fewer than
+    ``f + 3`` uploads Krum has no ``n - f - 2 >= 1`` neighbours to score
+    against, so the round accepts nobody and the model stays untouched.
     """
 
     def __init__(self, num_byzantine: int):
@@ -108,8 +110,11 @@ class KrumMechanism:
 
     def process_round(self, ctx: RoundContext) -> RoundDecision:
         batch = RoundBatch.from_context(ctx)
-        if batch is None:
-            return RoundDecision(accept={})
+        if batch is None or batch.num_workers < self.num_byzantine + 3:
+            return RoundDecision(
+                accept=dict.fromkeys(ctx.worker_ids.tolist(), False),
+                records={"krum_selected": None},
+            )
         winner = int(
             batch.worker_ids[krum(batch.gradients, self.num_byzantine)]
         )

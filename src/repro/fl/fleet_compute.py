@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,17 @@ class LocalUpdates(Mapping):
     buffers: np.ndarray | None = None
     #: ``(K,)`` bool: the row's worker reported buffers
     has_buffers: np.ndarray | None = None
+
+    @cached_property
+    def row_sqnorms(self) -> np.ndarray:
+        """``||g_i||²`` per row: one reduction over the matrix, cached."""
+        return np.einsum("ij,ij->i", self.gradients, self.gradients)
+
+    @cached_property
+    def finite(self) -> np.ndarray:
+        """Rows the round admits: no NaN or ±inf entry, and none so large
+        (beyond ~1e154) that the squared norm overflows."""
+        return np.isfinite(self.row_sqnorms)
 
     def row(self, worker_id: int) -> int | None:
         """Row index of ``worker_id``, or None if it has no update."""

@@ -20,7 +20,6 @@ __all__ = [
     "fedavg",
     "slice_bounds",
     "slice_offsets",
-    "finite_sqnorm",
 ]
 
 
@@ -92,17 +91,6 @@ def split_views(grad: np.ndarray, num_slices: int) -> list[np.ndarray]:
         v.flags.writeable = False
         views.append(v)
     return views
-
-
-def finite_sqnorm(grad: np.ndarray) -> bool:
-    """Whether ``||g||²`` is finite: no NaN or ±inf entry, and no entry
-    so large (beyond ~1e154) that its square overflows.
-
-    This is the round's test for a usable upload — the same quantity as
-    :attr:`repro.core.engine.RoundBatch.row_sqnorms`, for one vector.
-    """
-    grad = np.asarray(grad, dtype=np.float64)
-    return bool(np.isfinite(grad @ grad))
 
 
 def recombine(slices: list[np.ndarray]) -> np.ndarray:

@@ -8,7 +8,7 @@ an *uncertain event* (neither positive nor negative for reputation).
 
 A pluggable mechanism (e.g. :class:`repro.core.FIFLMechanism`) inspects the
 per-server slices each round and decides which workers' gradients enter the
-aggregate; with no mechanism every delivered update is accepted, which is
+aggregate; with no mechanism every admitted update is accepted, which is
 the undefended baseline of Figures 7, 8 and 10.
 
 One round path
@@ -31,7 +31,7 @@ written back into the population's out-of-core store.
 A failed node (:meth:`FederatedTrainer.fail_node`) means the same thing
 in every federation: it leaves every cohort, and the network drops every
 message to or from it. A round with no cohort, no live server, or no
-(finite) server gradient is recorded as skipped, with the model left
+finite server gradient is recorded as skipped, with the model left
 untouched.
 
 A ready-made list of workers becomes a population through
@@ -46,11 +46,15 @@ The fleet returns the round's uploads as arrays
 (:class:`~repro.fl.fleet_compute.LocalUpdates`: ascending worker ids, one
 ``(K, D)`` gradient matrix, aligned sample counts). The upload exchange
 takes the ids and ``D`` and reports which workers delivered every slice;
-:class:`RoundContext` carries those rows, ids and counts as aligned
-arrays, and each server averages its column block over the accepted rows
-(:func:`server_aggregates`). Per-worker dicts are built once, where
-something is recorded: ``RoundRecord.accepted`` here, the mechanism's
-records, ledger payload and trace event in the mechanism.
+:class:`RoundContext` carries the admitted rows, ids and counts as
+aligned arrays, and each server averages its column block over the
+accepted rows (:func:`server_aggregates`). Per-worker dicts are built
+once, where something is recorded: ``RoundRecord.accepted`` here, the
+mechanism's records, ledger payload and trace event in the mechanism.
+One admission rule screens uploads for every mechanism: the finite mask
+of the fleet matrix's row norms (:attr:`LocalUpdates.finite`) decides
+whether any server holds a benchmark and which delivered rows are
+admitted (:meth:`RoundContext.admit`); a non-finite row is ``rejected``.
 """
 
 from __future__ import annotations
@@ -74,7 +78,6 @@ from .fleet_compute import FleetLocalEngine, LocalUpdates
 # trainer's kernels by name (perfbench/spans.py).
 from .gradients import (  # noqa: F401
     fedavg,
-    finite_sqnorm,
     recombine,
     slice_bounds,
     slice_offsets,
@@ -96,11 +99,12 @@ __all__ = [
 class RoundContext:
     """Everything a mechanism may inspect in one communication round.
 
-    The delivered uploads are arrays aligned row by row: ``worker_ids``,
-    the ``uploads`` matrix and ``sample_counts``. Server ``j``'s slice of
-    row ``i`` is the column block ``slice_offsets(D, M)[j:j+2]`` of
-    ``uploads[i]``. :attr:`slices` is a lazily built per-worker view of
-    the same matrix.
+    The admitted uploads are arrays aligned row by row: ``worker_ids``,
+    the ``uploads`` matrix, ``sample_counts`` and ``row_sqnorms``. Server
+    ``j``'s slice of row ``i`` is the column block
+    ``slice_offsets(D, M)[j:j+2]`` of ``uploads[i]``. :attr:`slices` is a
+    lazily built per-worker view of the same matrix. Every row is finite:
+    build contexts with :meth:`admit`, the round's one admission rule.
     """
 
     round_idx: int
@@ -114,9 +118,50 @@ class RoundContext:
     sample_counts: np.ndarray
     #: workers whose upload was (partly) lost this round: uncertain events
     uncertain: set[int]
+    #: workers whose upload arrived whole but is not finite: rejected
+    rejected: set[int]
     #: every live worker's local update, delivered or not (the servers'
     #: own gradients, ground truth); a lazy worker id -> update mapping
     updates: LocalUpdates
+    #: ``(K,)`` ``||uploads[i]||²``, aligned with ``worker_ids``
+    row_sqnorms: np.ndarray
+
+    @classmethod
+    def admit(
+        cls,
+        round_idx: int,
+        global_params: np.ndarray,
+        server_ranks: list[int],
+        local: LocalUpdates,
+        complete: np.ndarray,
+    ) -> "RoundContext":
+        """The round's context after the upload exchange.
+
+        ``complete[i]``: every slice of ``local``'s row ``i`` arrived. A
+        row with a lost slice is uncertain; a whole row that is not
+        :attr:`~LocalUpdates.finite` is rejected. Only the rest become
+        upload rows, copied once (not at all when every row is admitted).
+        """
+        ids, finite = local.worker_ids, local.finite
+        admitted = complete & finite
+        if admitted.all():
+            rows, uploads = slice(None), local.gradients
+        else:
+            rows = np.flatnonzero(admitted)
+            uploads = local.gradients[rows]
+            uploads.flags.writeable = False
+        return cls(
+            round_idx=round_idx,
+            global_params=global_params,
+            server_ranks=list(server_ranks),
+            worker_ids=ids[rows],
+            uploads=uploads,
+            sample_counts=local.sample_counts[rows],
+            uncertain=set(ids[~complete].tolist()),
+            rejected=set(ids[complete & ~finite].tolist()),
+            updates=local,
+            row_sqnorms=local.row_sqnorms[rows],
+        )
 
     @cached_property
     def slices(self) -> dict[int, dict[int, np.ndarray]]:
@@ -147,7 +192,7 @@ class RoundMechanism(Protocol):
 
 
 class AcceptAllMechanism:
-    """Accept every delivered update: the undefended baseline of Figures
+    """Accept every admitted update: the undefended baseline of Figures
     7, 8 and 10, and the trainer's default mechanism."""
 
     def process_round(self, ctx: RoundContext) -> RoundDecision:
@@ -576,7 +621,7 @@ class FederatedTrainer:
         ]
         if not server_rows:
             return self._skipped_round(round_idx, "no server update")
-        if not any(finite_sqnorm(local.gradients[i]) for i in server_rows):
+        if not local.finite[server_rows].any():
             # Every live server's own gradient blew up: no server holds a
             # usable detection benchmark, so the round is void, like one
             # in which no server delivered.
@@ -591,28 +636,15 @@ class FederatedTrainer:
             else:
                 complete = self._upload_slices(ids, theta.size, round_idx).all(axis=1)
             # Any lost slice -> the round is unidentifiable for this
-            # worker: an SLM uncertain event, excluded from aggregation.
-            uncertain = set(ids[~complete].tolist())
-            if uncertain:
-                delivered = np.flatnonzero(complete)
-                uploads = local.gradients[delivered]
-                uploads.flags.writeable = False
-            else:
-                delivered = slice(None)
-                uploads = local.gradients
+            # worker: an SLM uncertain event. A whole but non-finite
+            # upload is rejected. Neither reaches the mechanism's rows.
+            ctx = RoundContext.admit(
+                round_idx, theta, self.server_ranks, local, complete
+            )
+        uncertain = ctx.uncertain
         prof.count("trainer.rounds")
         prof.count("trainer.uncertain_workers", len(uncertain))
 
-        ctx = RoundContext(
-            round_idx=round_idx,
-            global_params=theta,
-            server_ranks=list(self.server_ranks),
-            worker_ids=ids[delivered],
-            uploads=uploads,
-            sample_counts=local.sample_counts[delivered],
-            uncertain=uncertain,
-            updates=local,
-        )
         with prof.phase("trainer.mechanism"):
             decision = self.mechanism.process_round(ctx)
         # Round verdicts flow back into the population's out-of-core
@@ -633,7 +665,8 @@ class FederatedTrainer:
             # then slices recombine into the global gradient (step 1.5).
             with prof.phase("trainer.aggregate"):
                 agg_slices = server_aggregates(
-                    uploads, ctx.sample_counts, keep, self.server_ranks, prof
+                    ctx.uploads, ctx.sample_counts, keep, self.server_ranks,
+                    prof,
                 )
                 global_grad = recombine(agg_slices)
             grad_norm = float(np.linalg.norm(global_grad))
@@ -646,7 +679,7 @@ class FederatedTrainer:
             # FedAvg-BN: average accepted workers' running statistics into
             # the global model so evaluation normalizes with live stats.
             if local.buffers is not None and self.model.num_buffer_values:
-                rows = np.arange(ids.size)[delivered][keep]
+                rows = np.searchsorted(ids, ctx.worker_ids[keep])
                 rows = rows[local.has_buffers[rows]]
                 if rows.size:
                     self.model.set_flat_buffers(

@@ -11,10 +11,11 @@ code. The two agree to 1e-8 on every per-round output.
 :class:`ReferenceFIFL` reuses only the mechanism's stateful bookkeeping
 (reputation update, records, ledger, telemetry); detection, aggregation,
 contribution and reward arithmetic are the dict-form functions below.
-It applies the same non-finite rule as the mechanism: an upload whose
-squared norm is not finite is rejected unscored (recorded with
-``NON_FINITE_SCORE``) and kept out of every later phase and of the
-server benchmarks.
+Uploads arrive screened by the trainer's admission rule: a non-finite
+upload is in ``ctx.rejected``, not in ``ctx.slices``, and is recorded
+as a rejection scored ``NON_FINITE_SCORE``. The oracle tests the
+servers' own gradients for finiteness itself, so it still shares no
+array code with the engine.
 """
 
 from __future__ import annotations
@@ -255,12 +256,12 @@ class ReferenceFIFL(FIFLMechanism):
     def process_round(self, ctx: RoundContext) -> RoundDecision:
         cfg = self.config
         m = len(ctx.server_ranks)
-        delivered = sorted(ctx.slices)
+        live = sorted(ctx.slices)
         full = {
             w: recombine([ctx.slices[w][srv] for srv in ctx.server_ranks])
-            for w in delivered
+            for w in live
         }
-        live = [w for w in delivered if _finite(full[w])]
+        recorded = sorted(set(live) | ctx.rejected)
 
         # 1) detection: each server's own slice g_j^j is its benchmark
         benchmarks = {}
@@ -275,8 +276,8 @@ class ReferenceFIFL(FIFLMechanism):
         live_scores, live_accepted = AttackDetector(cfg.detection).detect(
             {w: ctx.slices[w] for w in live}, benchmarks
         )
-        scores = {w: live_scores.get(w, NON_FINITE_SCORE) for w in delivered}
-        accepted = {w: live_accepted.get(w, False) for w in delivered}
+        scores = {w: live_scores.get(w, NON_FINITE_SCORE) for w in recorded}
+        accepted = {w: live_accepted.get(w, False) for w in recorded}
 
         # 2) reputation
         outcomes, reputations = self._update_reputations(ctx, accepted)
@@ -320,6 +321,7 @@ class ReferenceFIFL(FIFLMechanism):
         return self._finalize(
             ctx, scores, accepted, outcomes, reputations, distances, b_h,
             contribs, shares, rewards,
+            np.fromiter(live_scores.values(), np.float64, len(live_scores)),
         )
 
     def _score(

@@ -44,10 +44,11 @@ def make_ctx(
 ):
     """Synthetic round: servers are workers 0..M-1, every 5th worker deviates.
 
-    Workers in ``blowup`` upload ``blowup_value`` everywhere; the other
-    workers' gradients do not depend on who blows up. Workers in
-    ``uncertain`` lost a slice (no upload row); workers in ``crashed``
-    have no local update (a crashed server holds no benchmark).
+    Workers in ``blowup`` upload ``blowup_value`` everywhere (the
+    trainer's screen rejects them); the other workers' gradients do not
+    depend on who blows up. Workers in ``uncertain`` lost a slice (no
+    upload row); workers in ``crashed`` have no local update (a crashed
+    server holds no benchmark).
     """
     rng = np.random.default_rng(seed * 7919 + round_idx)
     server_ranks = list(range(num_servers))
@@ -62,19 +63,14 @@ def make_ctx(
         else:
             grads[wid] = attacker_scale * honest + noise
     updates = stack_updates({
-        wid: WorkerUpdate(worker_id=wid, gradient=grad, num_samples=100)
+        wid: WorkerUpdate(
+            worker_id=wid, gradient=grad, num_samples=100 + 10 * (wid % 3)
+        )
         for wid, grad in grads.items()
         if wid not in crashed
     }, dim)
     return round_context(
-        round_idx,
-        np.zeros(dim),
-        server_ranks,
-        grads,
-        delivered=[w for w in grads if w not in uncertain],
-        uncertain=uncertain,
-        sample_counts={w: 100 + 10 * (w % 3) for w in range(num_workers)},
-        updates=updates,
+        round_idx, np.zeros(dim), server_ranks, updates, uncertain
     )
 
 
@@ -161,20 +157,20 @@ class TestRoundBatch:
     def test_upload_matrix_is_taken_as_is(self, reverse):
         """The batch is the context's upload matrix itself (no copy), and
         it equals restacking the per-worker slices, whichever order the
-        context was built from."""
+        updates were given in."""
         ctx = make_ctx(num_workers=7, num_servers=3, uncertain=(2, 5))
-        grads = {w: ctx.updates[w].gradient for w in ctx.updates}
-        order = sorted(ctx.slices, reverse=reverse)
+        order = sorted(ctx.updates, reverse=reverse)
+        updates = stack_updates({w: ctx.updates[w] for w in order})
         ctx = round_context(
-            0, ctx.global_params, ctx.server_ranks, grads, order,
-            ctx.uncertain, dict.fromkeys(grads, 100), ctx.updates,
+            0, ctx.global_params, ctx.server_ranks, updates, ctx.uncertain
         )
         batch = RoundBatch.from_context(ctx)
         assert batch.gradients is ctx.uploads
-        assert list(batch.worker_ids) == sorted(order)
+        delivered = sorted(set(order) - ctx.uncertain)
+        assert list(batch.worker_ids) == delivered
         restacked = np.stack([
             recombine([ctx.slices[w][s] for s in ctx.server_ranks])
-            for w in sorted(order)
+            for w in delivered
         ])
         np.testing.assert_array_equal(batch.gradients, restacked)
 
@@ -513,7 +509,6 @@ class TestNonFiniteUploads:
 # -- differential on the paper-figure configs ---------------------------------
 
 
-@pytest.mark.slow
 class TestFigureConfigDifferential:
     """End-to-end training agrees with the oracle on real figure configs."""
 

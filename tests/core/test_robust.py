@@ -13,10 +13,17 @@ from repro.core import (
     trimmed_mean,
 )
 from repro.fl import FederatedTrainer, SignFlippingWorker
+from repro.fl.workers import WorkerUpdate
 from repro.nn import build_logreg
 from repro.population import WorkerPopulation
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import (
+    N_CLASSES,
+    N_FEATURES,
+    make_federation,
+    round_context,
+    stack_updates,
+)
 
 
 class TestCoordinateMedian:
@@ -112,6 +119,52 @@ class TestKrumMechanism:
     def test_validation(self):
         with pytest.raises(ValueError):
             KrumMechanism(num_byzantine=-1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_too_few_uploads_accept_nobody(self, n):
+        # n < f + 3 leaves Krum no n - f - 2 >= 1 neighbours to score
+        updates = stack_updates({
+            w: WorkerUpdate(w, np.full(4, float(w + 1)), 10) for w in range(n)
+        }, dim=4)
+        ctx = round_context(0, np.zeros(4), [0], updates)
+        decision = KrumMechanism(num_byzantine=1).process_round(ctx)
+        assert decision.accept == dict.fromkeys(range(n), False)
+        assert decision.records == {"krum_selected": None}
+        if n:
+            with pytest.raises(ValueError):
+                krum(ctx.uploads, num_byzantine=1)
+
+    def test_lossy_rounds_with_too_few_uploads_leave_the_model(self):
+        # two servers and a 30% drop rate: most rounds deliver fewer
+        # than f + 3 = 4 whole uploads
+        workers, _, test = make_federation(num_workers=6)
+        trainer = FederatedTrainer(
+            build_logreg(N_FEATURES, N_CLASSES, seed=0),
+            WorkerPopulation.from_workers(workers), [0, 1], test_data=test,
+            mechanism=KrumMechanism(num_byzantine=1), server_lr=0.1,
+            drop_prob=0.3, seed=3,
+        )
+        short = 0
+        for t in range(10):
+            theta = trainer.model.get_flat_params().copy()
+            rec = trainer.run_round(t)
+            if rec.mechanism_records["krum_selected"] is None:
+                short += 1
+                assert not any(rec.accepted.values())
+                assert np.array_equal(trainer.model.get_flat_params(), theta)
+        assert 0 < short < 10
+
+    def test_single_worker_federation_trains_nothing(self):
+        workers, _, test = make_federation(num_workers=1)
+        trainer = FederatedTrainer(
+            build_logreg(N_FEATURES, N_CLASSES, seed=0),
+            WorkerPopulation.from_workers(workers), [0], test_data=test,
+            mechanism=KrumMechanism(num_byzantine=0), server_lr=0.1,
+        )
+        theta = trainer.model.get_flat_params()
+        history = trainer.run(2)
+        assert [r.accepted for r in history.rounds] == [{0: False}] * 2
+        assert np.array_equal(trainer.model.get_flat_params(), theta)
 
 
 class TestMedianMechanism:

@@ -121,6 +121,7 @@ class TestToDict:
             offsets=slice_offsets(1, 1),
             server_ranks=np.zeros(1, dtype=np.int64),
             sample_counts=np.ones(n),
+            row_sqnorms=np.zeros(n),
         )
         for vec in (np.asarray(values, dtype=np.float64),
                     np.asarray(flags[:n], dtype=bool)):

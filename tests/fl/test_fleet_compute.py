@@ -432,7 +432,6 @@ class TestEndToEndDifferential:
             np.testing.assert_array_equal(n_f, n_s)
             np.testing.assert_allclose(up_f, up_s, atol=TOL, rtol=0)
 
-    @pytest.mark.slow
     def test_histories_match_image_models(self, monkeypatch):
         """LeNet (Conv/pool) and mini-ResNet (BatchNorm/Residual) paths."""
         for dataset in ("mnist", "cifar10"):

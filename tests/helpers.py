@@ -108,28 +108,15 @@ def stack_updates(updates, dim=None):
     )
 
 
-def round_context(round_idx, global_params, server_ranks, gradients,
-                  delivered, uncertain, sample_counts, updates):
-    """A hand-built :class:`RoundContext`.
+def round_context(round_idx, global_params, server_ranks, updates, uncertain=()):
+    """A hand-built :class:`RoundContext`, admitted as the trainer admits.
 
-    ``gradients`` maps worker id to full gradient and ``sample_counts``
-    worker id to claimed count; the ``delivered`` ids become the upload
-    rows in ascending order. ``updates`` is the round's ``LocalUpdates``.
+    ``updates`` is the round's ``LocalUpdates`` (see :func:`stack_updates`)
+    and the workers in ``uncertain`` lost a slice. The rest go through
+    :meth:`RoundContext.admit`, the trainer's own screen: a non-finite
+    row lands in ``rejected``, every other row becomes an upload.
     """
-    ids = sorted(delivered)
-    dim = np.asarray(global_params).size
-    uploads = (
-        np.stack([np.asarray(gradients[w], dtype=np.float64) for w in ids])
-        if ids else np.empty((0, dim))
-    )
-    uploads.flags.writeable = False
-    return RoundContext(
-        round_idx=round_idx,
-        global_params=global_params,
-        server_ranks=list(server_ranks),
-        worker_ids=np.asarray(ids, dtype=np.int64),
-        uploads=uploads,
-        sample_counts=np.asarray([sample_counts[w] for w in ids], dtype=np.int64),
-        uncertain=set(uncertain),
-        updates=updates,
+    complete = ~np.isin(updates.worker_ids, list(uncertain))
+    return RoundContext.admit(
+        round_idx, global_params, server_ranks, updates, complete
     )

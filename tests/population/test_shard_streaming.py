@@ -35,12 +35,14 @@ class TestIterRowShards:
 
 def toy_batch(n=6, dim=8, servers=2, seed=0):
     rng = np.random.default_rng(seed)
+    gradients = rng.normal(size=(n, dim))
     return RoundBatch(
         worker_ids=np.arange(n, dtype=np.int64),
-        gradients=rng.normal(size=(n, dim)),
+        gradients=gradients,
         offsets=slice_offsets(dim, servers),
         server_ranks=np.arange(servers, dtype=np.int64),
         sample_counts=np.full(n, 10.0),
+        row_sqnorms=np.einsum("ij,ij->i", gradients, gradients),
     )
 
 
