@@ -4,7 +4,7 @@ This is the observability counterpart to ``quickstart.py``: the same
 federation shape but with *no* attacker, trained with a live
 :class:`repro.monitor.Monitor` attached to the telemetry hub. A clean,
 seeded run must produce **zero** alerts — CI uses this script (plus an
-offline ``python -m repro.monitor scan`` of the trace it writes) as the
+offline ``python -m repro.trace scan`` of the trace it writes) as the
 silent-path gate: every watchdog rule and anomaly detector sees real
 traffic, and none of them may fire.
 
@@ -13,7 +13,7 @@ Run:  python examples/clean_run.py
 Exits non-zero if the monitor raised any alert. Set
 ``REPRO_TRACE=/path/to/trace.jsonl`` to also stream the telemetry
 trace; scan it afterwards with
-``python -m repro.monitor scan trace.jsonl --strict``.
+``python -m repro.trace scan trace.jsonl --strict``.
 """
 
 import os
@@ -74,7 +74,7 @@ if trace_path:
 
     get_telemetry().close()
     print(f"[trace written to {trace_path}; scan it with"
-          f" `python -m repro.monitor scan {trace_path} --strict`]")
+          f" `python -m repro.trace scan {trace_path} --strict`]")
 
 if not monitor.ok:
     print("FAIL: a clean run must not trip the health monitor", file=sys.stderr)

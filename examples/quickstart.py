@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 Set ``REPRO_TRACE=/path/to/trace.jsonl`` to also stream the full
 telemetry trace (spans, mechanism metrics, per-round events) to a JSONL
 file; render it afterwards with
-``python -m repro.telemetry summarize trace.jsonl``.
+``python -m repro.trace summary trace.jsonl``.
 """
 
 import os
@@ -93,4 +93,4 @@ if trace_path:
 
     get_telemetry().close()
     print(f"\n[trace written to {trace_path}; render it with"
-          f" `python -m repro.telemetry summarize {trace_path}`]")
+          f" `python -m repro.trace summary {trace_path}`]")

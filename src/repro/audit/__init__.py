@@ -7,7 +7,7 @@ package reconstructs that **decision lineage** from the canonical
 telemetry stream (``fifl.round`` attribution payloads), cross-checks it
 against the blockchain ledger, the reputation store and the service's
 rolling history-digest chain, and renders it via ``python -m
-repro.audit`` (``explain`` / ``worker`` / ``round`` / ``fairness`` /
+repro.trace`` (``explain`` / ``worker`` / ``round`` / ``fairness`` /
 ``verify``).
 
 Determinism contract: the offline reconstruction and the live

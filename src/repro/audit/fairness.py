@@ -129,7 +129,10 @@ def fairness_report(
         report["groups"] = groups
 
     if cohorts:
-        participation = sorted(r["rounds"] for r in report["per_worker"])
+        # [None]: no decisions yet (a trace cut before its first round)
+        participation = sorted(
+            r["rounds"] for r in report["per_worker"]
+        ) or [None]
         coverages = [
             float(cohorts[t]["coverage"])
             for t in sorted(cohorts)

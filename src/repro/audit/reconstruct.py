@@ -14,10 +14,14 @@ plus its resume): rounds are deduplicated by index. Duplicate rounds
 with *differing* payloads mean two process lifetimes disagreed about
 the same round — a lineage fork — and raise :class:`AuditError`
 (``verify`` reports it as a failed check instead of crashing).
+
+An event with a missing or ill-typed field raises
+:class:`~repro.telemetry.sinks.TraceError` naming that event.
 """
 
 from __future__ import annotations
 
+from ..telemetry.sinks import FIELD_ERRORS, malformed
 from .records import AuditError, Decision, LineageBuilder, RoundInputs
 
 __all__ = [
@@ -60,8 +64,11 @@ def round_payloads(events: list[dict]) -> tuple[dict[int, dict], list[int]]:
     for ev in events:
         if ev.get("type") != "fifl.round":
             continue
-        data = ev.get("data") or {}
-        t = int(data["round"])
+        try:
+            data = ev["data"]
+            t = int(data["round"])
+        except FIELD_ERRORS as exc:
+            raise malformed(ev, exc) from exc
         if t in rounds:
             if t not in forks and not _same_payload(rounds[t], data):
                 forks.append(t)
@@ -113,7 +120,10 @@ def decisions_from_trace(
     builder = builder if builder is not None else LineageBuilder()
     decisions: list[Decision] = []
     for t in sorted(rounds):
-        decisions.extend(builder.fold(inputs_from_payload(rounds[t])))
+        try:
+            decisions.extend(builder.fold(inputs_from_payload(rounds[t])))
+        except FIELD_ERRORS as exc:
+            raise malformed(rounds[t], exc) from exc
     return decisions
 
 
@@ -127,8 +137,10 @@ def ledger_commits(events: list[dict]) -> list[dict]:
     for ev in events:
         if ev.get("type") != "ledger.commit":
             continue
-        data = ev.get("data") or {}
-        seen.setdefault(int(data["index"]), data)
+        try:
+            seen.setdefault(int(ev["data"]["index"]), ev["data"])
+        except FIELD_ERRORS as exc:
+            raise malformed(ev, exc) from exc
     return [seen[i] for i in sorted(seen)]
 
 
@@ -137,8 +149,11 @@ def skipped_rounds(events: list[dict]) -> dict[int, str]:
     out: dict[int, str] = {}
     for ev in events:
         if ev.get("type") == "trainer.skipped_round":
-            data = ev.get("data") or {}
-            out.setdefault(int(data["round"]), str(data.get("reason")))
+            try:
+                data = ev["data"]
+                out.setdefault(int(data["round"]), str(data.get("reason")))
+            except FIELD_ERRORS as exc:
+                raise malformed(ev, exc) from exc
     return out
 
 
@@ -147,6 +162,9 @@ def cohort_samples(events: list[dict]) -> dict[int, dict]:
     out: dict[int, dict] = {}
     for ev in events:
         if ev.get("type") == "population.cohort":
-            data = ev.get("data") or {}
-            out.setdefault(int(data["round"]), data)
+            try:
+                data = ev["data"]
+                out.setdefault(int(data["round"]), data)
+            except FIELD_ERRORS as exc:
+                raise malformed(ev, exc) from exc
     return out

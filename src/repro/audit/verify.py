@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from ..ledger.audit import audit_reputations
 from ..ledger.blockchain import GENESIS_HASH, payload_digest
+from ..telemetry.sinks import FIELD_ERRORS, malformed
 from .records import AuditError, LineageBuilder
 from .reconstruct import (
     decisions_from_trace,
@@ -139,6 +140,8 @@ def verify_trace(events: list[dict]) -> VerifyReport:
             inputs_by_round[t] = inputs_from_payload(rounds[t])
         except AuditError:
             missing.append(t)
+        except FIELD_ERRORS as exc:
+            raise malformed(rounds[t], exc) from exc
     report.add(
         "audit-payload",
         not missing,
@@ -166,33 +169,37 @@ def verify_trace(events: list[dict]) -> VerifyReport:
     bad_reward = []
     bad_delta = []
     prev_tele: dict[int, float] = {}
-    for t in sorted(inputs_by_round):
-        inp = inputs_by_round[t]
-        data = rounds[t]
-        accepted_count = int(data.get("accepted", -1))
-        flagged = data.get("flagged", ())
-        if (
-            accepted_count != len(inp.scores) - len(flagged)
-            or set(inp.uncertain) & set(inp.scores)
-        ):
-            bad_partition.append(t)
-        for w, r in inp.rewards.items():
-            share = inp.shares.get(w)
-            if share is None or r != share * inp.budget:
-                bad_reward.append(t)
-                break
-        # the emitted delta vector must equal the absolute reputations
-        # minus the previous event's (initial value on first appearance),
-        # computed with the same single IEEE subtraction the hub used
-        delta = data.get("reputation_delta") or {}
-        workers = [int(w) for w in delta.get("workers", ())]
-        dvals = delta.get("delta", ())
-        for w, dv in zip(workers, dvals):
-            prev = prev_tele.get(w, inp.initial_reputation)
-            if inp.reputations.get(w, prev) - prev != dv:
-                bad_delta.append(t)
-                break
-        prev_tele = dict(inp.reputations)
+    t = None
+    try:
+        for t in sorted(inputs_by_round):
+            inp = inputs_by_round[t]
+            data = rounds[t]
+            accepted_count = int(data.get("accepted", -1))
+            flagged = data.get("flagged", ())
+            if (
+                accepted_count != len(inp.scores) - len(flagged)
+                or set(inp.uncertain) & set(inp.scores)
+            ):
+                bad_partition.append(t)
+            for w, r in inp.rewards.items():
+                share = inp.shares.get(w)
+                if share is None or r != share * inp.budget:
+                    bad_reward.append(t)
+                    break
+            # the emitted delta vector must equal the absolute reputations
+            # minus the previous event's (initial value on first appearance),
+            # computed with the same single IEEE subtraction the hub used
+            delta = data.get("reputation_delta") or {}
+            workers = [int(w) for w in delta.get("workers", ())]
+            dvals = delta.get("delta", ())
+            for w, dv in zip(workers, dvals):
+                prev = prev_tele.get(w, inp.initial_reputation)
+                if inp.reputations.get(w, prev) - prev != dv:
+                    bad_delta.append(t)
+                    break
+            prev_tele = dict(inp.reputations)
+    except FIELD_ERRORS as exc:
+        raise malformed(rounds[t], exc) from exc
     report.add(
         "worker-partition",
         not bad_partition,
@@ -230,8 +237,12 @@ def verify_trace(events: list[dict]) -> VerifyReport:
             if commit is None:
                 unmatched.append(t)
                 continue
-            if payload_digest(_ledger_payload(inp)) != commit["payload_digest"]:
-                bad_digest.append(t)
+            try:
+                if (payload_digest(_ledger_payload(inp))
+                        != commit["payload_digest"]):
+                    bad_digest.append(t)
+            except FIELD_ERRORS as exc:
+                raise malformed(commit, exc) from exc
         ok = not bad_digest and not unmatched
         report.add(
             "ledger-digest",
@@ -245,9 +256,12 @@ def verify_trace(events: list[dict]) -> VerifyReport:
         prev_hash = GENESIS_HASH
         bad_chain = []
         for i, c in enumerate(commits):
-            if int(c["index"]) != i or c["prev_hash"] != prev_hash:
-                bad_chain.append(i)
-            prev_hash = c["hash"]
+            try:
+                if int(c["index"]) != i or c["prev_hash"] != prev_hash:
+                    bad_chain.append(i)
+                prev_hash = c["hash"]
+            except FIELD_ERRORS as exc:
+                raise malformed(c, exc) from exc
         report.add(
             "ledger-chain",
             not bad_chain,
@@ -360,10 +374,13 @@ def verify_service(
     intact = audits[0].chain_intact
     commits = ledger_commits(events)
     blocks = service.ledger.blocks
-    bad_blocks = [
-        i for i, c in enumerate(commits)
-        if i >= len(blocks) or blocks[i].hash != c["hash"]
-    ]
+    bad_blocks = []
+    for i, c in enumerate(commits):
+        try:
+            if i >= len(blocks) or blocks[i].hash != c["hash"]:
+                bad_blocks.append(i)
+        except FIELD_ERRORS as exc:
+            raise malformed(c, exc) from exc
     ok = len(commits) == len(blocks) and not bad_blocks and intact
     report.add(
         "ledger-durable",

@@ -29,7 +29,7 @@ envelope, GC pauses) and the span stream is folded into ``_meta.perf``
 
 Set ``REPRO_TRACE=/path/to/trace.jsonl`` to also stream the full
 telemetry trace (spans, mechanism metrics, sim.round events) to a JSONL
-file; render it with ``python -m repro.telemetry summarize``.
+file; render it with ``python -m repro.trace summary``.
 """
 
 from __future__ import annotations

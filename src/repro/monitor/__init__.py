@@ -8,7 +8,7 @@ reward-Gini spikes, sim SLO rate, per-worker reputation drift), and a
 flight recorder that dumps a post-mortem JSONL when something fires.
 
 The :class:`Monitor` attaches to a :class:`repro.telemetry.Telemetry`
-hub as a sink; ``python -m repro.monitor scan`` replays recorded traces
+hub as a sink; ``python -m repro.trace scan`` replays recorded traces
 offline through the identical rule engine. See DESIGN.md §12.
 """
 

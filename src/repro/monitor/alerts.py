@@ -11,7 +11,7 @@ of a v1 trace.
 Determinism contract: every field of every alert is a pure function of
 the event stream and the :class:`MonitorConfig` — no wall-clock reads,
 no randomness — so replaying a recorded trace offline through
-``python -m repro.monitor scan`` reproduces the live run's alerts
+``python -m repro.trace scan`` reproduces the live run's alerts
 exactly (see ``tests/monitor/test_monitor.py``).
 """
 

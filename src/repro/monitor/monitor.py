@@ -11,7 +11,7 @@ directory is configured; in strict mode it also raises
 offending event.
 
 ``scan_events`` is the offline entry point: the same engine replayed
-over a decoded trace, used by ``python -m repro.monitor scan`` and the
+over a decoded trace, used by ``python -m repro.trace scan`` and the
 offline/online differential tests.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ..telemetry.sinks import FIELD_ERRORS, malformed
 from .alerts import Alert, MonitorConfig, MonitorError
 from .recorder import FlightRecorder
 from .rules import RuleEngine
@@ -117,9 +118,16 @@ class Monitor:
 def scan_events(
     events: Iterable[dict], config: MonitorConfig | None = None
 ) -> list[Alert]:
-    """Replay decoded trace events through a fresh rule engine."""
+    """Replay decoded trace events through a fresh rule engine.
+
+    An event with a missing or ill-typed field raises
+    :class:`~repro.telemetry.sinks.TraceError` naming that event.
+    """
     engine = RuleEngine(config if config is not None else MonitorConfig())
     alerts: list[Alert] = []
     for event in events:
-        alerts.extend(engine.process(event))
+        try:
+            alerts.extend(engine.process(event))
+        except FIELD_ERRORS as exc:
+            raise malformed(event, exc) from exc
     return alerts

@@ -3,7 +3,7 @@
 :class:`RuleEngine.process` consumes one materialized telemetry event
 (v1 schema) and returns any alerts it triggers. The engine is shared
 between the live :class:`~repro.monitor.Monitor` sink and the offline
-``python -m repro.monitor scan`` replay, so every check tolerates the
+``python -m repro.trace scan`` replay, so every check tolerates the
 two spellings an event can arrive in:
 
 * live (hub → sink): numpy scalars/arrays, int dict keys, tuples;

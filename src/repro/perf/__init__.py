@@ -15,8 +15,8 @@ The layer that turns the telemetry hub's raw stream into answers to
   top-down aggregation (self/total seconds, calls), per-phase trace
   diffs (``delta > 0`` = regression) and the ``_meta.perf`` headline
   summary;
-* ``python -m repro.perf`` — the CLI over all of it (see
-  :mod:`repro.perf.cli`).
+* ``python -m repro.trace perf`` — the CLI over all of it (see
+  :mod:`repro.trace`).
 """
 
 from .aggregate import (

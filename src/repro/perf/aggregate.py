@@ -15,7 +15,7 @@ stream:
 * :func:`aggregate_tree` — fold the tree into per-*path* rows
   (``trainer.run/trainer.round/trainer.mechanism``) with total seconds,
   **self** seconds (total minus direct children) and call counts: the
-  top-down flame view the ``python -m repro.perf`` CLI renders.
+  top-down flame view ``python -m repro.trace perf`` renders.
 * :func:`diff_traces` — per-phase wall-time deltas between two traces,
   ranked by absolute delta: the regression-attribution half of the CLI.
   Sign convention: ``delta_s = new - old``, so **positive means the new
@@ -28,6 +28,8 @@ stream:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from ..telemetry.sinks import FIELD_ERRORS, malformed
 
 __all__ = [
     "SpanNode",
@@ -65,21 +67,26 @@ def build_span_tree(events: list[dict]) -> list[SpanNode]:
 
     Returns the roots in close order. Tolerates truncated traces: spans
     whose parent never closed (a crashed run) simply surface as roots.
+    A span with an ill-typed field raises
+    :class:`~repro.telemetry.sinks.TraceError`.
     """
     pending: dict[int, list[SpanNode]] = {}
     for ev in events:
         if ev.get("type") != "span":
             continue
-        depth = int(ev.get("depth", 1))
-        node = SpanNode(
-            name=ev.get("name", "?"),
-            kind=ev.get("kind", "span"),
-            depth=depth,
-            dur_s=float(ev.get("dur_s", 0.0)),
-            seq=int(ev.get("seq", -1)),
-            attrs=dict(ev.get("attrs") or {}),
-            children=pending.pop(depth + 1, []),
-        )
+        try:
+            depth = int(ev.get("depth", 1))
+            node = SpanNode(
+                name=ev.get("name", "?"),
+                kind=ev.get("kind", "span"),
+                depth=depth,
+                dur_s=float(ev.get("dur_s", 0.0)),
+                seq=int(ev.get("seq", -1)),
+                attrs=dict(ev.get("attrs") or {}),
+                children=pending.pop(depth + 1, []),
+            )
+        except FIELD_ERRORS as exc:
+            raise malformed(ev, exc) from exc
         pending.setdefault(depth, []).append(node)
     # Anything left unclaimed (normally just depth-1 spans; deeper only
     # when the enclosing span never closed) becomes a root, in seq order.

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..telemetry.sinks import FIELD_ERRORS, malformed
 from .aggregate import SpanNode, build_span_tree
 
 __all__ = [
@@ -107,12 +108,15 @@ def _parallel_events(events: list[dict], out: list[dict]) -> set[int]:
     for ev in events:
         if ev.get("type") != "parallel.round":
             continue
-        data = ev.get("data") or {}
-        shard_s = [float(s) for s in data.get("shard_s", ())]
-        queue_s = [float(s) for s in data.get("queue_wait_s", ())]
+        try:
+            data = ev.get("data") or {}
+            shard_s = [float(s) for s in data.get("shard_s", ())]
+            queue_s = [float(s) for s in data.get("queue_wait_s", ())]
+            pool = max(1, int(data.get("pool_size", 1)))
+        except FIELD_ERRORS as exc:
+            raise malformed(ev, exc) from exc
         if not shard_s:
             continue
-        pool = max(1, int(data.get("pool_size", 1)))
         phase = data.get("phase", "parallel")
         t0 = cursor
         slot_end = {}
@@ -167,6 +171,13 @@ _COUNTERS = (
 )
 
 
+def _number(ev: dict, value) -> float:
+    try:
+        return float(value)
+    except FIELD_ERRORS as exc:
+        raise malformed(ev, exc) from exc
+
+
 def _resource_events(
     events: list[dict], out: list[dict], round_ends: list[float]
 ) -> bool:
@@ -193,7 +204,7 @@ def _resource_events(
                     "tid": 0,
                     "name": track,
                     "ts": ts,
-                    "args": {"value": float(data[key]) * scale},
+                    "args": {"value": _number(ev, data[key]) * scale},
                 })
     return found
 

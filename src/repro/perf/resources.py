@@ -15,7 +15,7 @@ Consumers of the side stream:
   monitor as ``resource.sample`` events (rule catalogue: ``rss-growth``,
   ``gc-pause``), again without touching the hub;
 * an optional ``jsonl_path`` — samples stream to their own JSONL file,
-  which ``python -m repro.perf --resources`` merges into Perfetto
+  which ``python -m repro.trace perf --resources`` merges into Perfetto
   counter lanes.
 
 GC pauses are *measured*, not estimated from counts: the probe registers

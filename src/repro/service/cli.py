@@ -210,7 +210,7 @@ def _cmd_status(args) -> int:
     if args.audit:
         # Lineage chain across process lifetimes: every retained
         # snapshot's audit anchors, oldest first — the digests
-        # ``repro.audit verify --dir`` checks a resumed service against.
+        # ``repro.trace verify --dir`` checks a resumed service against.
         status["audit"] = [
             {"snapshot": p.name, **read_manifest(p).get("audit", {})}
             for p in snaps

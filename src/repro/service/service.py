@@ -224,7 +224,7 @@ class FederationService:
         )
         # Lineage anchor: the rolling digests at this checkpoint, both in
         # the trace (so offline audits see the digest chain advance) and
-        # in the snapshot manifest (so ``repro.audit verify --dir`` can
+        # in the snapshot manifest (so ``repro.trace verify --dir`` can
         # tie a resumed process back to the exact state it inherited).
         # Pure functions of federation state, so a resumed process emits
         # the same anchors the uninterrupted one would (byte-identity).

@@ -17,7 +17,7 @@ process-wide :class:`Telemetry` hub (:func:`get_telemetry` /
   :class:`ConsoleSink` (summary on close);
 * **run manifests** (:func:`run_manifest`) and trace analysis
   (:func:`trace_summary`, :func:`render_summary`) backing the
-  ``python -m repro.telemetry summarize`` CLI.
+  ``python -m repro.trace summary`` CLI.
 """
 
 from .core import (
@@ -45,7 +45,6 @@ from .summary import (
     parallel_summary,
     render_summary,
     trace_summary,
-    worker_trajectory,
 )
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "read_trace",
     "trace_summary",
     "render_summary",
-    "worker_trajectory",
     "aggregate_spans",
     "parallel_summary",
     "run_manifest",

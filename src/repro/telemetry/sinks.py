@@ -1,5 +1,11 @@
 """Telemetry sinks: in-memory ring, JSONL event stream, console summary.
 
+:func:`read_trace` is the one path from a JSONL file back to events.
+Blank lines are skipped; a last line with no trailing newline that does
+not decode is a *cut tail* (a writer killed mid-line) and is dropped
+with a :class:`TraceTruncated` warning; any other line that does not
+decode to a JSON object raises :class:`TraceError` naming ``path:line``.
+
 Every sink receives each emitted event exactly once, in emission order,
 as a plain dict already stamped with the schema version (``v``) and the
 sequence number (``seq``). Sinks never mutate events.
@@ -15,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import warnings
 from collections import deque
 from pathlib import Path
 
@@ -22,6 +29,11 @@ __all__ = [
     "encode_event",
     "decode_event",
     "read_trace",
+    "decode_lines",
+    "TraceError",
+    "TraceTruncated",
+    "FIELD_ERRORS",
+    "malformed",
     "MemorySink",
     "JsonlSink",
     "ConsoleSink",
@@ -58,14 +70,75 @@ def decode_event(line: str) -> dict:
     return json.loads(line)
 
 
+class TraceError(Exception):
+    """A trace that cannot be read as well-formed events.
+
+    Raised for a corrupt line (the message names ``path:line``) and by
+    the trace folds for an event with a missing or ill-typed field
+    (``event`` is that event, or its ``data`` payload, so a front-end
+    can name the file and ``seq`` it came from).
+    """
+
+    def __init__(self, message: str, event=None):
+        super().__init__(message)
+        self.event = event
+
+
+class TraceTruncated(UserWarning):
+    """The last line of a trace was cut mid-record and has been dropped."""
+
+
+#: what reading a field of a decoded JSON value raises when the field is
+#: missing or of the wrong type; folds turn these into :func:`malformed`
+FIELD_ERRORS = (KeyError, TypeError, ValueError, AttributeError, IndexError)
+
+
+def malformed(event, exc: BaseException) -> TraceError:
+    """The :class:`TraceError` for a fold that choked on ``event``."""
+    return TraceError(f"malformed event ({type(exc).__name__}: {exc})", event)
+
+
 def read_trace(path) -> list[dict]:
     """All events of a JSONL trace file, in file order."""
+    # errors="replace": a byte that is not UTF-8 fails its own line's
+    # decode (named path:line) instead of aborting the whole read
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return decode_lines(fh, path)
+
+
+def decode_lines(lines, path, first_line: int = 1) -> list[dict]:
+    """Decode JSONL ``lines`` (newlines kept) under :func:`read_trace`'s rules.
+
+    ``first_line`` numbers the first line, for a caller that decodes a
+    growing file chunk by chunk (``trace scan --watch``).
+    """
+    loads = json.loads
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(decode_event(line))
+    blank = 0
+    for line in lines:
+        try:
+            event = loads(line)
+        except (ValueError, RecursionError) as exc:
+            if line.isspace():
+                blank += 1
+                continue
+            where = f"{path}:{first_line + len(events) + blank}"
+            if not line.endswith("\n"):
+                warnings.warn(
+                    f"{where}: skipped 1 undecodable line at the end of "
+                    f"the trace (not valid JSONL: a cut tail)",
+                    TraceTruncated, stacklevel=2,
+                )
+                break
+            raise TraceError(
+                f"{where}: not valid JSONL ({getattr(exc, 'msg', exc)}); "
+                f"the trace is corrupt"
+            ) from None
+        if type(event) is not dict:
+            raise TraceError(
+                f"{path}:{first_line + len(events) + blank}: not a JSON object"
+            )
+        events.append(event)
     return events
 
 

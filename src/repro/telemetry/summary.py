@@ -8,18 +8,20 @@ Two consumers:
   runner embeds as ``_meta.trace`` in every saved figure JSON;
 * :func:`render_summary` — the per-round mechanism table (flagged
   workers, reward Gini, share entropy) plus the phase-time breakdown
-  that the ``python -m repro.telemetry summarize`` CLI prints.
+  that ``python -m repro.trace summary`` prints.
+
+A payload with a missing or ill-typed field raises
+:class:`~repro.telemetry.sinks.TraceError` naming its event.
 """
 
 from __future__ import annotations
 
 from .core import SCHEMA_VERSION, format_profile
+from .sinks import FIELD_ERRORS, malformed
 
 __all__ = [
     "trace_summary",
     "render_summary",
-    "worker_trajectory",
-    "render_worker",
     "aggregate_spans",
     "parallel_summary",
 ]
@@ -64,20 +66,25 @@ def parallel_summary(events: list[dict]) -> dict | None:
     worst = 0.0
     by_phase: dict[str, dict] = {}
     for d in dispatches:
-        d_run = float(sum(d.get("shard_s", ())))
-        d_wait = float(sum(d.get("queue_wait_s", ())))
+        try:
+            d_run = float(sum(d.get("shard_s", ())))
+            d_wait = float(sum(d.get("queue_wait_s", ())))
+            d_shards = int(d.get("shards", len(d.get("shard_s", ()))))
+            med = float(d.get("median_shard_s", 0.0))
+            d_max = float(d.get("max_shard_s", 0.0))
+        except FIELD_ERRORS as exc:
+            raise malformed(d, exc) from exc
         run_s += d_run
         wait_s += d_wait
-        shards += int(d.get("shards", len(d.get("shard_s", ()))))
-        med = float(d.get("median_shard_s", 0.0))
+        shards += d_shards
         if med > 0.0:
-            worst = max(worst, float(d.get("max_shard_s", 0.0)) / med)
+            worst = max(worst, d_max / med)
         slot = by_phase.setdefault(
             str(d.get("phase")),
             {"dispatches": 0, "shards": 0, "run_s": 0.0, "queue_wait_s": 0.0},
         )
         slot["dispatches"] += 1
-        slot["shards"] += int(d.get("shards", 0))
+        slot["shards"] += d_shards if "shards" in d else 0
         slot["run_s"] += d_run
         slot["queue_wait_s"] += d_wait
     last = dispatches[-1]
@@ -101,21 +108,29 @@ def trace_summary(events: list[dict]) -> dict:
     entropy, and the aggregated span-timing table.
     """
     rounds = _round_events(events)
-    ginis = [r["reward_gini"] for r in rounds if r.get("reward_gini") is not None]
-    entropies = [
-        r["share_entropy"] for r in rounds if r.get("share_entropy") is not None
-    ]
+    flagged = uncertain = gini_sum = entropy_sum = 0
+    ginis = entropies = 0
+    for r in rounds:
+        try:
+            flagged += len(r.get("flagged", []))
+            uncertain += len(r.get("uncertain", []))
+            if r.get("reward_gini") is not None:
+                gini_sum += r["reward_gini"]
+                ginis += 1
+            if r.get("share_entropy") is not None:
+                entropy_sum += r["share_entropy"]
+                entropies += 1
+        except FIELD_ERRORS as exc:
+            raise malformed(r, exc) from exc
     manifests = [ev["data"] for ev in events if ev.get("type") == "manifest"]
     return {
         "schema_version": SCHEMA_VERSION,
         "events": len(events),
         "rounds": len(rounds),
-        "flagged_total": sum(len(r.get("flagged", [])) for r in rounds),
-        "uncertain_total": sum(len(r.get("uncertain", [])) for r in rounds),
-        "reward_gini_mean": sum(ginis) / len(ginis) if ginis else None,
-        "share_entropy_mean": (
-            sum(entropies) / len(entropies) if entropies else None
-        ),
+        "flagged_total": flagged,
+        "uncertain_total": uncertain,
+        "reward_gini_mean": gini_sum / ginis if ginis else None,
+        "share_entropy_mean": entropy_sum / entropies if entropies else None,
         "manifests": [m.get("name") for m in manifests],
         "spans": aggregate_spans(events),
         "parallel": parallel_summary(events),
@@ -124,93 +139,6 @@ def trace_summary(events: list[dict]) -> dict:
 
 def _fmt_ids(ids: list) -> str:
     return ",".join(str(i) for i in ids) if ids else "-"
-
-
-def worker_trajectory(events: list[dict], worker: int) -> dict:
-    """One worker's per-round reward/reputation path through a trace.
-
-    Works on any v1 trace: rewards and the flagged/uncertain sets are
-    always on the ``fifl.round`` event; absolute reputations ride along
-    when the trace was recorded with ``FIFLConfig.audit`` (the default)
-    and are ``None`` otherwise. Rounds the worker was not scored in are
-    omitted; trainer-skipped rounds are counted separately so a
-    skipped-only trace still summarizes cleanly.
-    """
-    key = str(worker)
-    rows = []
-    cumulative = 0.0
-    for r in _round_events(events):
-        rewards = r.get("rewards", {})
-        reward = rewards.get(worker, rewards.get(key))
-        uncertain = any(int(w) == worker for w in r.get("uncertain", ()))
-        scored = (
-            worker in r.get("scores", {}) or key in r.get("scores", {})
-        )
-        if reward is None and not uncertain and not scored:
-            continue
-        flagged = any(int(w) == worker for w in r.get("flagged", ()))
-        reps = r.get("reputations")
-        reputation = (
-            reps.get(worker, reps.get(key)) if reps is not None else None
-        )
-        if reward is not None:
-            cumulative += reward
-        rows.append(
-            {
-                "round": r.get("round"),
-                "status": (
-                    "uncertain" if uncertain
-                    else "flagged" if flagged
-                    else "accepted"
-                ),
-                "reward": reward,
-                "cumulative_reward": cumulative,
-                "reputation": reputation,
-            }
-        )
-    skipped = sum(
-        1 for ev in events if ev.get("type") == "trainer.skipped_round"
-    )
-    return {"worker": worker, "rounds": rows, "skipped_rounds": skipped}
-
-
-def render_worker(events: list[dict], worker: int) -> list[str]:
-    """Printable per-worker trajectory table for the ``--worker`` filter."""
-    traj = worker_trajectory(events, worker)
-    rows = traj["rounds"]
-    skipped = traj["skipped_rounds"]
-    if not rows:
-        note = (
-            f" ({skipped} trainer-skipped rounds — no mechanism decisions)"
-            if skipped
-            else ""
-        )
-        return [f"worker {worker}: no mechanism rounds in this trace{note}"]
-    flagged = sum(1 for r in rows if r["status"] == "flagged")
-    uncertain = sum(1 for r in rows if r["status"] == "uncertain")
-    last = rows[-1]
-    head = (
-        f"worker {worker}: {len(rows)} rounds ({flagged} flagged, "
-        f"{uncertain} uncertain), cumulative reward "
-        f"{last['cumulative_reward']:+.4f}"
-    )
-    if last["reputation"] is not None:
-        head += f", final reputation {last['reputation']:.4f}"
-    out = [
-        head,
-        f"{'round':>7} {'status':>10} {'reward':>10} {'cum_reward':>11} "
-        f"{'reputation':>11}",
-    ]
-    for r in rows:
-        reward = "-" if r["reward"] is None else f"{r['reward']:+.4f}"
-        rep = "-" if r["reputation"] is None else f"{r['reputation']:.4f}"
-        out.append(
-            f"{r['round']:>7} {r['status']:>10} {reward:>10} "
-            f"{r['cumulative_reward']:>+11.4f} {rep:>11}"
-        )
-    if skipped:
-        out.append(f"(+{skipped} trainer-skipped rounds)")
-    return out
 
 
 def render_summary(
@@ -242,13 +170,16 @@ def render_summary(
         for r in shown:
             gini = r.get("reward_gini")
             ent = r.get("share_entropy")
-            rows.append(
-                f"{r.get('round', '?'):>7} {r.get('accepted', 0):>9} "
-                f"{_fmt_ids(r.get('flagged', [])):>12} "
-                f"{_fmt_ids(r.get('uncertain', [])):>10} "
-                f"{(f'{gini:.4f}' if gini is not None else '-'):>12} "
-                f"{(f'{ent:.4f}' if ent is not None else '-'):>14}"
-            )
+            try:
+                rows.append(
+                    f"{r.get('round', '?'):>7} {r.get('accepted', 0):>9} "
+                    f"{_fmt_ids(r.get('flagged', [])):>12} "
+                    f"{_fmt_ids(r.get('uncertain', [])):>10} "
+                    f"{(f'{gini:.4f}' if gini is not None else '-'):>12} "
+                    f"{(f'{ent:.4f}' if ent is not None else '-'):>14}"
+                )
+            except FIELD_ERRORS as exc:
+                raise malformed(r, exc) from exc
 
     timings = summary["spans"]
     if timings:
@@ -274,15 +205,23 @@ def render_summary(
 
     res = [ev["data"] for ev in events if ev.get("type") == "resource.sample"]
     if res:
-        rss = [r.get("rss_bytes", 0) for r in res]
+        rss = []
+        for r in res:
+            try:
+                rss.append(float(r.get("rss_bytes", 0)))
+            except FIELD_ERRORS as exc:
+                raise malformed(r, exc) from exc
         last = res[-1]
-        rows.append(
-            f"resource samples: {len(res)}, rss last="
-            f"{rss[-1] / 2**20:.1f} MiB peak={max(rss) / 2**20:.1f} MiB "
-            f"growth={(rss[-1] - rss[0]) / 2**20:+.1f} MiB, "
-            f"gc collections={last.get('gc_collections', 0)} "
-            f"pauses={last.get('gc_pause_s_total', 0.0):.4f}s"
-        )
+        try:
+            rows.append(
+                f"resource samples: {len(res)}, rss last="
+                f"{rss[-1] / 2**20:.1f} MiB peak={max(rss) / 2**20:.1f} MiB "
+                f"growth={(rss[-1] - rss[0]) / 2**20:+.1f} MiB, "
+                f"gc collections={last.get('gc_collections', 0)} "
+                f"pauses={last.get('gc_pause_s_total', 0.0):.4f}s"
+            )
+        except FIELD_ERRORS as exc:
+            raise malformed(last, exc) from exc
 
     gauges: dict[str, float] = {}
     for ev in events:
@@ -298,8 +237,11 @@ def render_summary(
         rows.append(f"run manifest: {m.get('name', '?')}")
         cfg = m.get("config", {})
         if cfg:
-            rows.append(
-                "  config: "
-                + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
-            )
+            try:
+                rows.append(
+                    "  config: "
+                    + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
+                )
+            except FIELD_ERRORS as exc:
+                raise malformed(m, exc) from exc
     return rows

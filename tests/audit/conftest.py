@@ -1,7 +1,6 @@
 """Shared audit-test fixture: one traced attacker federation.
 
-A seeded 5-worker blob federation with one sign-flipping attacker, a
-full ledger, and a deterministic telemetry hub — every audit test
+The seeded run is :func:`tests.helpers.run_traced`; every audit test
 interrogates the same run, so the fixture is session-scoped. Tests that
 tamper with events must copy them first.
 """
@@ -10,53 +9,9 @@ import copy
 
 import pytest
 
-from repro.core import make_mechanism
-from repro.fl import FederatedTrainer, SignFlippingWorker
-from repro.ledger import Blockchain
-from repro.nn import build_logreg
-from repro.population import WorkerPopulation
-from repro.telemetry import MemorySink, Telemetry, TickClock, set_telemetry
+from tests.helpers import ATTACKER, GAMMA, ROUNDS, THRESHOLD, run_traced
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation, model_fn
-
-ROUNDS = 6
-GAMMA = 0.3
-THRESHOLD = 0.0
-ATTACKER = 3
-
-
-def run_traced(rounds=ROUNDS, *, with_ledger=True, audit=True, seed=0):
-    """One seeded attacker federation under a fresh deterministic hub.
-
-    Returns ``(mechanism, chain, events)`` — the live mechanism (round
-    records + reputation store), the ledger, and the materialized
-    telemetry events the run emitted.
-    """
-    sink = MemorySink(maxlen=None)
-    hub = Telemetry(sinks=[sink], clock=TickClock())
-    previous = set_telemetry(hub)
-    try:
-        workers, shards, test = make_federation(num_workers=5, seed=seed)
-        workers[ATTACKER] = SignFlippingWorker(
-            ATTACKER, shards[ATTACKER], model_fn(seed), p_s=4.0,
-            lr=0.1, batch_size=32, local_iters=1, seed=seed + 100 + ATTACKER,
-        )
-        chain = Blockchain() if with_ledger else None
-        mech = make_mechanism(
-            "fifl", threshold=THRESHOLD, gamma=GAMMA, audit=audit,
-            ledger=chain,
-        )
-        model = build_logreg(N_FEATURES, N_CLASSES, seed=seed)
-        trainer = FederatedTrainer(
-            model, population=WorkerPopulation.from_workers(workers),
-            server_ranks=[0], test_data=test, mechanism=mech,
-            server_lr=0.1,
-        )
-        trainer.run(rounds, eval_every=rounds)
-        hub.flush()
-    finally:
-        set_telemetry(previous)
-    return mech, chain, list(sink.events)
+__all__ = ["ATTACKER", "GAMMA", "ROUNDS", "THRESHOLD", "run_traced"]
 
 
 @pytest.fixture(scope="session")

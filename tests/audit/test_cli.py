@@ -1,10 +1,10 @@
-"""``python -m repro.audit`` CLI: subcommands, exit codes, JSON output."""
+"""``python -m repro.trace`` lineage subcommands: exit codes, JSON output."""
 
 import json
 
 import pytest
 
-from repro.audit.cli import main
+from repro.trace import main
 from repro.telemetry.sinks import encode_event
 
 from .conftest import ATTACKER, ROUNDS

@@ -1,5 +1,7 @@
 """Shared test factories: tiny blob federations with logistic regression."""
 
+import functools
+
 import numpy as np
 
 from repro.datasets import iid_partition, make_blobs, train_test_split
@@ -120,3 +122,61 @@ def round_context(round_idx, global_params, server_ranks, updates, uncertain=())
     return RoundContext.admit(
         round_idx, global_params, server_ranks, updates, complete
     )
+
+
+# -- one seeded, traced attacker federation ---------------------------------
+
+ROUNDS = 6
+GAMMA = 0.3
+THRESHOLD = 0.0
+ATTACKER = 3
+
+
+def run_traced(rounds=ROUNDS, *, with_ledger=True, audit=True, seed=0):
+    """One seeded attacker federation under a fresh deterministic hub.
+
+    A 5-worker blob federation with one sign-flipping attacker
+    (``ATTACKER``) and a full ledger. Returns ``(mechanism, chain,
+    events)``: the live mechanism (round records + reputation store),
+    the ledger, and the materialized telemetry events the run emitted.
+    """
+    from repro.core import make_mechanism
+    from repro.fl import FederatedTrainer, SignFlippingWorker
+    from repro.ledger import Blockchain
+    from repro.population import WorkerPopulation
+    from repro.telemetry import MemorySink, Telemetry, TickClock, set_telemetry
+
+    sink = MemorySink(maxlen=None)
+    hub = Telemetry(sinks=[sink], clock=TickClock())
+    previous = set_telemetry(hub)
+    try:
+        workers, shards, test = make_federation(num_workers=5, seed=seed)
+        workers[ATTACKER] = SignFlippingWorker(
+            ATTACKER, shards[ATTACKER], model_fn(seed), p_s=4.0,
+            lr=0.1, batch_size=32, local_iters=1, seed=seed + 100 + ATTACKER,
+        )
+        chain = Blockchain() if with_ledger else None
+        mech = make_mechanism(
+            "fifl", threshold=THRESHOLD, gamma=GAMMA, audit=audit,
+            ledger=chain,
+        )
+        model = build_logreg(N_FEATURES, N_CLASSES, seed=seed)
+        trainer = FederatedTrainer(
+            model, population=WorkerPopulation.from_workers(workers),
+            server_ranks=[0], test_data=test, mechanism=mech,
+            server_lr=0.1,
+        )
+        trainer.run(rounds, eval_every=rounds)
+        hub.flush()
+    finally:
+        set_telemetry(previous)
+    return mech, chain, list(sink.events)
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_trace(rounds=3) -> bytes:
+    """JSONL bytes of :func:`run_traced`: spans, gauges, rounds, commits."""
+    from repro.telemetry import encode_event
+
+    _, _, events = run_traced(rounds)
+    return b"".join(encode_event(ev).encode() + b"\n" for ev in events)

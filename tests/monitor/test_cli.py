@@ -1,11 +1,12 @@
-"""Tests for ``python -m repro.monitor scan`` (offline replay + watch)."""
+"""Tests for ``python -m repro.trace scan`` (offline replay + watch)."""
 
 import json
 
 import pytest
 
-from repro.monitor.cli import main as monitor_cli
-from repro.monitor.cli import read_trace_tolerant
+from repro.telemetry import read_trace
+from repro.telemetry.sinks import TraceError, TraceTruncated
+from repro.trace import main as monitor_cli
 
 
 def write_trace(path, events):
@@ -48,16 +49,22 @@ class TestReadTraceTolerant:
         path.write_text(
             json.dumps(clean_event()) + "\n" + '{"v": 1, "seq": 2, "ty'
         )
-        events, bad = read_trace_tolerant(path)
-        assert len(events) == 1
-        assert bad == 1
+        with pytest.warns(TraceTruncated, match="cut.jsonl:2"):
+            events = read_trace(path)
+        assert events == [clean_event()]
 
-    def test_skips_non_object_lines(self, tmp_path):
+    def test_rejects_non_object_lines(self, tmp_path):
         path = tmp_path / "odd.jsonl"
         path.write_text('[1, 2]\n' + json.dumps(clean_event()) + "\n\n")
-        events, bad = read_trace_tolerant(path)
-        assert len(events) == 1
-        assert bad == 1
+        with pytest.raises(TraceError, match="odd.jsonl:1: not a JSON object"):
+            read_trace(path)
+
+    def test_scan_exits_two_on_a_mid_file_non_object_line(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "odd.jsonl"
+        path.write_text(json.dumps(clean_event()) + '\n[1, 2]\n')
+        assert monitor_cli(["scan", str(path)]) == 2
+        assert "odd.jsonl:2: not a JSON object" in capsys.readouterr().err
 
 
 class TestScanExitCodes:
@@ -89,7 +96,7 @@ class TestScanExitCodes:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert monitor_cli(["scan", str(path)]) == 2
-        assert "no decodable events" in capsys.readouterr().err
+        assert "contains no events" in capsys.readouterr().err
 
     def test_truncated_tail_tolerated_with_warning(self, tmp_path, capsys):
         path = tmp_path / "cut.jsonl"
@@ -168,3 +175,27 @@ class TestWatchMode:
         ])
         assert rc == 0
         assert "watch: 0 alert(s)" in capsys.readouterr().err
+
+    def test_watch_exits_two_on_a_malformed_event(self, tmp_path, capsys):
+        path = tmp_path / "grow.jsonl"
+        bad = {"v": 1, "seq": 5, "type": "fifl.round"}
+        path.write_text(json.dumps(clean_event()) + "\n"
+                        + json.dumps(bad) + "\n")
+        rc = monitor_cli([
+            "scan", str(path), "--watch",
+            "--poll", "0.01", "--idle-exit", "0.05",
+        ])
+        assert rc == 2
+        assert f"{path}: seq 5: malformed event" in capsys.readouterr().err
+
+    def test_watch_warns_about_a_cut_tail_at_exit(self, tmp_path, capsys):
+        path = tmp_path / "grow.jsonl"
+        path.write_text(json.dumps(clean_event()) + "\n" + '{"half')
+        rc = monitor_cli([
+            "scan", str(path), "--watch",
+            "--poll", "0.01", "--idle-exit", "0.05",
+        ])
+        assert rc == 0
+        assert f"{path}:2: skipped 1 undecodable line" in (
+            capsys.readouterr().err
+        )

@@ -104,11 +104,10 @@ class TestAttackRunFires:
             [a.to_dict() for a in monitor.alerts]
 
     def test_scan_of_trace_file_matches_live(self, attack_run):
-        from repro.monitor.cli import read_trace_tolerant
+        from repro.telemetry import read_trace
 
         monitor, _, path = attack_run
-        events, bad = read_trace_tolerant(path)
-        assert bad == 0
+        events = read_trace(path)
         offline = scan_events(events)
         assert [a.to_dict() for a in offline] == \
             [a.to_dict() for a in monitor.alerts]

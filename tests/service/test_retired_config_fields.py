@@ -68,6 +68,6 @@ def test_snapshot_with_retired_engine_fields_resumes(tmp_path):
         "--trace", str(tmp_path / "b.jsonl"), "--deterministic-clock",
     )
     _cli(
-        "repro.audit", "verify", str(tmp_path / "a.jsonl"),
+        "repro.trace", "verify", str(tmp_path / "a.jsonl"),
         str(tmp_path / "b.jsonl"), "--dir", str(snaps), "--strict",
     )

@@ -1,8 +1,8 @@
-"""``telemetry summarize`` over parallel.round and resource.* streams."""
+"""``trace summary`` over parallel.round and resource.* streams."""
 
 import json
 
-from repro.telemetry.cli import main as telemetry_cli
+from repro.trace import main as trace_main
 from repro.telemetry.sinks import encode_event
 from repro.telemetry.summary import parallel_summary, trace_summary
 
@@ -78,7 +78,7 @@ class TestSummarizeCli:
             parallel_round(seq=1, phase="fleet.local"),
             parallel_round(seq=2, phase="fleet.upload"),
         ])
-        assert telemetry_cli(["summarize", str(path)]) == 0
+        assert trace_main(["summary", str(path)]) == 0
         out = capsys.readouterr().out
         assert "parallel execution: 2 dispatches" in out
         assert "worst straggler" in out
@@ -89,7 +89,7 @@ class TestSummarizeCli:
             resource_sample(seq=1, rnd=0, rss=64 << 20),
             resource_sample(seq=2, rnd=1, rss=80 << 20),
         ])
-        assert telemetry_cli(["summarize", str(path)]) == 0
+        assert trace_main(["summary", str(path)]) == 0
         out = capsys.readouterr().out
         assert "resource samples: 2" in out
         assert "peak=80.0 MiB" in out
@@ -100,13 +100,13 @@ class TestSummarizeCli:
             {"v": 1, "seq": 1, "type": "span", "name": "trainer.run",
              "kind": "run", "depth": 1, "dur_s": 0.1, "attrs": {}},
         ])
-        assert telemetry_cli(["summarize", str(path)]) == 0
+        assert trace_main(["summary", str(path)]) == 0
         out = capsys.readouterr().out
         assert "parallel execution" not in out
         assert "resource samples" not in out
 
     def test_json_summary_includes_parallel(self, tmp_path, capsys):
         path = self.write(tmp_path / "t.jsonl", [parallel_round()])
-        assert telemetry_cli(["summarize", str(path), "--json"]) == 0
+        assert trace_main(["summary", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["parallel"]["backend"] == "thread"

@@ -18,7 +18,7 @@ from repro.telemetry import (
     TickClock,
     set_telemetry,
 )
-from repro.telemetry.cli import main as telemetry_cli
+from repro.trace import main as trace_main
 
 
 def tiny_config():
@@ -128,7 +128,7 @@ class TestFaultScenarioTraceDeterminism:
 
 class TestSummarizeCli:
     def test_renders_round_table_and_phase_breakdown(self, traces, capsys):
-        assert telemetry_cli(["summarize", str(traces[0])]) == 0
+        assert trace_main(["summary", str(traces[0])]) == 0
         out = capsys.readouterr().out
         assert "trace summary (schema v1)" in out
         assert "reward_gini" in out
@@ -140,7 +140,7 @@ class TestSummarizeCli:
     def test_json_mode_emits_machine_readable_summary(self, traces, capsys):
         import json
 
-        assert telemetry_cli(["summarize", str(traces[0]), "--json"]) == 0
+        assert trace_main(["summary", str(traces[0]), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["schema_version"] == 1
         assert summary["rounds"] > 0
@@ -148,5 +148,5 @@ class TestSummarizeCli:
         assert "trainer.round" in summary["spans"]
 
     def test_missing_trace_fails_cleanly(self, tmp_path, capsys):
-        assert telemetry_cli(["summarize", str(tmp_path / "no.jsonl")]) == 1
+        assert trace_main(["summary", str(tmp_path / "no.jsonl")]) == 2
         assert "cannot read trace" in capsys.readouterr().err
