@@ -115,6 +115,57 @@ def _link_keys(links, num_nodes: int) -> np.ndarray:
     )
 
 
+#: pending batched messages that trigger a fold into the per-link dict
+_FOLD_AT = 1 << 16
+
+
+class _LinkTally:
+    """Bytes accepted per directed link, ``{(src, dst): bytes}``.
+
+    Batches wait as ``(src * num_nodes + dst, bytes)`` arrays and are
+    folded into the dict when it is read, or once ``_FOLD_AT`` messages
+    are pending: one sort per fold and one dict update per distinct link,
+    instead of one per message. New links enter the dict in the order of
+    their first message, as a per-message tally adds them. No array spans
+    ``num_nodes²``.
+    """
+
+    def __init__(self, num_nodes: int, links: dict | None = None):
+        self._n = num_nodes
+        self._links: dict[tuple[int, int], int] = dict(links or {})
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending_msgs = 0
+        self.total = sum(self._links.values())
+
+    def add(self, keys: np.ndarray, nbytes: np.ndarray) -> None:
+        self._pending.append((keys, nbytes))
+        self._pending_msgs += keys.size
+        self.total += int(nbytes.sum())
+        if self._pending_msgs >= _FOLD_AT:
+            self._fold()
+
+    def _fold(self) -> None:
+        keys = np.concatenate([k for k, _ in self._pending])
+        nbytes = np.concatenate([b for _, b in self._pending])
+        self._pending, self._pending_msgs = [], 0
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        totals = np.zeros(uniq.size, np.int64)
+        np.add.at(totals, inverse, nbytes)
+        order = np.argsort(first)
+        uniq, totals = uniq[order], totals[order]
+        links = self._links
+        for link, size in zip(
+            zip((uniq // self._n).tolist(), (uniq % self._n).tolist()),
+            totals.tolist(),
+        ):
+            links[link] = links.get(link, 0) + size
+
+    def links(self) -> dict[tuple[int, int], int]:
+        if self._pending:
+            self._fold()
+        return self._links
+
+
 class Network:
     """A set of nodes exchanging tagged messages over lossy links.
 
@@ -156,9 +207,19 @@ class Network:
         self._dead_tags: set[str] = set()
         self.in_flight = 0
         self.drop_log = DropLog()
-        self.bytes_sent: dict[tuple[int, int], int] = defaultdict(int)
+        self._tally = _LinkTally(num_nodes)
         self.messages_sent = 0
         self.messages_delivered = 0
+
+    @property
+    def bytes_sent(self) -> dict[tuple[int, int], int]:
+        """Bytes accepted per ``(src, dst)`` link, links in first-send
+        order."""
+        return self._tally.links()
+
+    @bytes_sent.setter
+    def bytes_sent(self, links: dict[tuple[int, int], int]) -> None:
+        self._tally = _LinkTally(self.num_nodes, links)
 
     # -- configuration -------------------------------------------------------
 
@@ -237,7 +298,7 @@ class Network:
             return False
         nbytes = _payload_nbytes(payload)
         msg = Message(src, dst, tag, payload, nbytes)
-        self.bytes_sent[(src, dst)] += nbytes
+        self._tally.add(np.array([src * self.num_nodes + dst]), np.array([nbytes]))
         tele.count("comm.bytes_sent", nbytes)
         if self.latency is not None:
             delay = float(self.latency.sample(self._lat_rng, src, dst, nbytes))
@@ -355,11 +416,8 @@ class Network:
         sent = np.flatnonzero(~dropped)
         sent_src, sent_dst = srcs[sent], dsts[sent]
         sent_bytes = sizes[sent]
-        tally = self.bytes_sent
-        for link, size in zip(
-            zip(sent_src.tolist(), sent_dst.tolist()), sent_bytes.tolist()
-        ):
-            tally[link] += size
+        if sent.size:
+            self._tally.add(sent_src * n + sent_dst, sent_bytes)
         if received is not None:
             self.messages_delivered += sent.size
 
@@ -478,11 +536,11 @@ class Network:
 
     def total_bytes(self) -> int:
         """Total bytes accepted onto all links."""
-        return sum(self.bytes_sent.values())
+        return self._tally.total
 
     def reset_stats(self) -> None:
         """Clear byte/drop accounting but keep queued messages."""
-        self.bytes_sent.clear()
+        self._tally = _LinkTally(self.num_nodes)
         self.drop_log = DropLog()
         self.messages_sent = 0
         self.messages_delivered = 0

@@ -11,15 +11,23 @@ single batched NumPy calls.
 Fidelity contract (differential-tested to <= 1e-8 against that
 per-worker loop, and byte-identical where only layout changes):
 
-* **Minibatch sampling** draws through each worker's *own*
-  ``np.random.default_rng(seed)`` generator, one ``integers`` call per
-  worker per local iteration — the exact calls the scalar
-  ``Worker._local_gradient`` makes, in the same per-worker order — so
-  every worker's RNG stream is reproduced index-for-index and any draws
-  an attacker makes afterwards (coin flips, noise) line up too. The
-  draws land in a preallocated ``(n, b)`` index array; shifted by each
-  worker's row offset into the group's stacked shards, they gather the
-  whole fleet's minibatch with one ``take`` per array.
+* **Minibatch sampling** draws from each worker's *own*
+  ``np.random.default_rng(seed)`` stream exactly what the scalar
+  ``Worker._local_gradient``'s ``integers`` call would, but for the whole
+  group at once: each group's :class:`~repro.fl.streams.MinibatchStreams`
+  holds its members' PCG64 states as arrays (state, increment, and the
+  ``has_uint32``/``uinteger`` buffer) and advances them with one
+  vectorized kernel per local step. The group owns those streams between
+  draws; ``Worker.rng`` is the one way to reach a worker's generator,
+  and reading it hands the stream back (written into the generator),
+  so attacker draws, population eviction and snapshots see it where the
+  per-worker calls would have left it. The group re-reads only handed-
+  back rows at its next draw. A draw that hits a Lemire rejection
+  (chance about ``size/2^32``) falls back to that worker's own
+  ``integers`` call. The draws land in a preallocated ``(n, b)`` index
+  array; shifted by each worker's row offset into the group's stacked
+  shards, they gather the whole fleet's minibatch with one ``take`` per
+  array.
 * **Finalize** turns the trained parameters into gradients in place,
   ``(theta - params) / lr`` on the gathered ``(n, D)`` copy. That matrix
   *is* the round's upload: honest rows are never copied out, and no
@@ -29,7 +37,8 @@ per-worker loop, and byte-identical where only layout changes):
   the finished local gradient, so each worker whose class overrides
   :meth:`Worker.finalize_update` runs it post-hoc on its row and the
   result overwrites that row, in worker order — the same draws from the
-  same generators as the per-worker loop.
+  same generators as the per-worker loop (reading ``rng`` hands the stream
+  back first).
 * **Fallbacks**: workers with a custom optimizer, a fleet-ineligible
   architecture (e.g. Dropout), a heterogeneous ``model_fn``, or no local
   training at all (free-riders) transparently keep the scalar
@@ -40,10 +49,10 @@ per-worker loop, and byte-identical where only layout changes):
 Parallel execution (``backend="thread"``): fleet groups are cut into
 one shard per pool slot and dispatched through an
 :class:`~repro.parallel.backend.ExecutionBackend`. Each worker's draws
-still come from its own generator in the same order (threads sample
-in-task over disjoint worker sets), and ``finalize_update`` runs in the
-same task right after its shard's GEMMs — so the thread backend is
-byte-identical to serial. Shard tasks never touch the shared telemetry
+still come from its own stream in the same order (each shard owns the
+stream arrays of its disjoint worker set and samples in-task), and
+``finalize_update`` runs in the same task right after its shard's GEMMs
+— so the thread backend is byte-identical to serial. Shard tasks never touch the shared telemetry
 hub; the coordinating thread folds pool stats into ``parallel.*``
 afterwards.
 """
@@ -62,6 +71,7 @@ from ..parallel.backend import ExecutionBackend, emit_parallel_telemetry, make_b
 from ..parallel.blas import blas_limits
 from ..population.sharding import balanced_shards
 from ..telemetry import Telemetry, get_telemetry
+from .streams import MinibatchStreams
 from .workers import Worker, WorkerUpdate
 
 __all__ = ["FleetLocalEngine", "LocalUpdates"]
@@ -160,6 +170,7 @@ class _FleetGroup:
         self.offsets = np.cumsum([0] + self.sizes[:-1], dtype=np.int64)[:, None]
         #: per-step minibatch rows, drawn in place, then shifted to stack rows
         self.idx = np.empty((len(workers), self.batch), dtype=np.int64)
+        self.streams = MinibatchStreams(self.sizes, self.batch)
         #: members whose upload policy is not the identity, by position
         self.transforms = [i for i, w in enumerate(workers) if _overrides_finalize(w)]
         #: each member's row in the round's upload matrix (set at regroup)
@@ -328,7 +339,7 @@ class FleetLocalEngine:
     ) -> tuple:
         """Train one group; its ``(rows, grads, buffers, attacked, has_buffers)``."""
         prof = self.profiler if prof is None else prof
-        fleet, n, b = group.model, len(group.workers), group.batch
+        fleet, n = group.model, len(group.workers)
         with prof.phase("fleet.load"):
             fleet.load_flat_params(theta)
             if (
@@ -341,8 +352,7 @@ class FleetLocalEngine:
         idx = group.idx
         for _ in range(group.local_iters):
             with prof.phase("fleet.sample"):
-                for i, (w, size) in enumerate(zip(group.workers, group.sizes)):
-                    idx[i] = w.rng.integers(0, size, size=b)
+                group.streams.draw(group.workers, idx)
                 idx += group.offsets
                 xb = x_all.take(idx, axis=0)
                 yb = y_all.take(idx)
@@ -381,8 +391,8 @@ class FleetLocalEngine:
         """Thread path: the serial kernel body per shard, GIL-released GEMMs.
 
         Safe without locks by construction: worker sets are disjoint
-        across groups, so the per-worker RNG draws and each group's own
-        index, stacked-shard and result arrays never overlap. Each task
+        across groups, so each group's stream arrays, index, stacked-shard
+        and result arrays never overlap. Each task
         profiles into a disabled hub — the shared hub is single-writer —
         and the coordinator emits the pooled stats afterwards.
         """

@@ -102,7 +102,9 @@ class Worker:
         self.lr = lr
         self.batch_size = batch_size
         self.local_iters = local_iters
-        self.rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
+        #: ``(streams, row)`` while a fleet group holds the stream as arrays
+        self._stream = None
         self._loss_fn = SoftmaxCrossEntropy()
         # Optional local optimizer (momentum/Adam). The uploaded "gradient"
         # is always the normalized parameter delta (theta0 - thetaK) / lr
@@ -119,6 +121,25 @@ class Worker:
                 raise ValueError("compute_time must be non-negative")
             compute_time = float(compute_time)
         self.compute_time = compute_time
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The worker's own generator: minibatches, then attack draws.
+
+        A fleet group may hold the stream as array rows between draws
+        (:mod:`repro.fl.streams`); reading it here hands the stream back
+        first, so every reader sees the generator where the per-worker
+        calls would have left it.
+        """
+        if self._stream is not None:
+            streams, row = self._stream
+            self._stream = None
+            streams.release(row, self._rng)
+        return self._rng
+
+    def __getstate__(self) -> dict:
+        self.rng  # a pickled or copied worker carries its live stream
+        return self.__dict__
 
     def local_compute_seconds(
         self, round_idx: int, rng: np.random.Generator

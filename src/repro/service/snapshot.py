@@ -41,7 +41,6 @@ import json
 import os
 import pickle
 import shutil
-from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -499,7 +498,7 @@ def _restore_network(net, state: dict) -> None:
     net._lat_rng.bit_generator.state = state["lat_rng"]
     net._blocked = {tuple(link) for link in state["blocked"]}
     net._link_drop = dict(state["link_drop"])
-    net.bytes_sent = defaultdict(int, state["bytes_sent"])
+    net.bytes_sent = state["bytes_sent"]
     net.messages_sent = state["messages_sent"]
     net.messages_delivered = state["messages_delivered"]
     net.drop_log.drops = [tuple(d) for d in state["drops"]]

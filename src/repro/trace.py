@@ -112,6 +112,18 @@ def _warnings_to_stderr():
         print(f"warning: {w.message}", file=sys.stderr)
 
 
+@contextmanager
+def _snapshot_dir():
+    """A ``--dir`` snapshot that fails its checks exits 2, as the lineage
+    cannot answer from it; the message names the snapshot."""
+    from .service.snapshot import SnapshotError
+
+    try:
+        yield
+    except SnapshotError as exc:
+        raise AuditError(f"snapshot: {exc}") from None
+
+
 class _Traces:
     """Reads one command's trace files; names the file an event came from."""
 
@@ -423,7 +435,8 @@ def _attacker_ids(args) -> set[int] | None:
 
         snap = latest_snapshot(args.dir)
         if snap is not None:
-            config, _ = load_snapshot(snap)
+            with _snapshot_dir():
+                config, _ = load_snapshot(snap)
             ids.update(int(w) for w in config.attackers)
     return ids or None
 
@@ -486,7 +499,8 @@ def _cmd_verify(args, traces: _Traces) -> int:
     events = traces.load_all(args.traces)
     report = verify_trace(events)
     if args.dir:
-        verify_service(events, args.dir, report=report)
+        with _snapshot_dir():
+            verify_service(events, args.dir, report=report)
     else:
         report.skip("snapshot-manifest", "no --dir given")
     if args.json:

@@ -1,11 +1,13 @@
 """Batched sends against the per-message ``send`` loop they batch."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import Network
+from repro.comm import Network, channel
 from repro.sim import Simulator
 from repro.sim.latency import (
     ConstantLatency,
@@ -123,6 +125,34 @@ def test_send_batch_matches_per_message_loop(exchange):
     assert clock_b == clock_l
     # the batch queues nothing; the loop's queues are drained or unread
     assert not net_b._queues and not net_b._tag_keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    batches=st.lists(
+        st.lists(st.tuples(links, st.integers(0, 64)), max_size=6), max_size=5
+    ),
+    fold_at=st.integers(1, 8),
+    reads=st.lists(st.booleans(), min_size=5, max_size=5),
+)
+def test_byte_tally_matches_a_per_message_dict(batches, fold_at, reads):
+    """Folded in any grouping, read at any point: the same links, totals
+    and first-message key order as one dict update per message."""
+    want: dict = {}
+    with mock.patch.object(channel, "_FOLD_AT", fold_at):
+        net = Network(NODES, seed=0)
+        for batch, read in zip(batches, reads):
+            srcs = [src for (src, _), _ in batch]
+            dsts = [dst for (_, dst), _ in batch]
+            net.send_pairs(srcs, dsts, "t", [n for _, n in batch])
+            for link, n in batch:
+                want[link] = want.get(link, 0) + n
+            if read:
+                assert list(net.bytes_sent.items()) == list(want.items())
+        assert net.total_bytes() == sum(want.values())
+        assert list(net.bytes_sent.items()) == list(want.items())
+        assert all(type(k) is int for link in net.bytes_sent for k in link)
+        assert all(type(v) is int for v in net.bytes_sent.values())
 
 
 class TestSendBatchContract:

@@ -229,3 +229,47 @@ class TestGoldenFixture:
         ])
         assert code == 0, out + err
         assert "0 failed, 0 skipped" in out
+
+
+class TestCorruptSnapshot:
+    """``--dir`` over a snapshot that fails its digest check exits 2 with
+    one line naming the snapshot, for every subcommand that reads it."""
+
+    @pytest.fixture(scope="class")
+    def service_run(self, tmp_path_factory):
+        from repro.service import FederationService, latest_snapshot
+        from repro.service.cli import make_preset
+        from repro.telemetry import (
+            MemorySink,
+            Telemetry,
+            TickClock,
+            encode_event,
+            get_telemetry,
+            set_telemetry,
+        )
+
+        root = tmp_path_factory.mktemp("corrupt-snapshot")
+        hub = Telemetry(sinks=[MemorySink(maxlen=None)], clock=TickClock())
+        prev = get_telemetry()
+        set_telemetry(hub)
+        try:
+            cfg = make_preset("blobs-fifl", rounds=2, checkpoint_every=1)
+            FederationService(cfg, root / "svc").run()
+        finally:
+            set_telemetry(prev)
+        trace = root / "trace.jsonl"
+        trace.write_text("".join(encode_event(ev) + "\n" for ev in hub.events()))
+        state = latest_snapshot(root / "svc") / "state.pkl"
+        blob = bytearray(state.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        state.write_bytes(bytes(blob))
+        return trace, root / "svc", state.parent
+
+    @pytest.mark.parametrize("command", ["verify", "fairness"])
+    def test_flipped_state_byte_exits_2(self, service_run, command):
+        trace, snap_root, snap = service_run
+        code, _, err = run([command, str(trace), "--dir", str(snap_root)])
+        assert code == 2, err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert str(snap) in err and "state.pkl" in err
