@@ -160,7 +160,6 @@ def audit_overhead(
     rounds: int,
     seed: int = 0,
     samples: int = 300,
-    pairs: int = PAIRS,
 ) -> dict:
     """Per-round cost of the attribution payload, audit-on vs audit-off.
 
@@ -168,9 +167,9 @@ def audit_overhead(
     differs. The per-round ``flush()`` sits inside the timed region on
     both sides because event materialization (where the payload dicts
     are built) is deferred to flush boundaries. ``samples`` alternating
-    iterations are cut into ``pairs`` blocks, one overhead per block.
+    iterations are cut into ``PAIRS`` blocks, one overhead per block.
     """
-    per_pair = max(samples // pairs, 2)
+    per_pair = max(samples // PAIRS, 2)
     contexts = [
         make_round(num_workers, dim, num_servers, t, seed=seed, uncertain=1)
         for t in range(rounds)
@@ -184,7 +183,7 @@ def audit_overhead(
         mechs[key] = mech
     times: dict[str, list[float]] = {"on": [], "off": []}
     with blas_limits(1):
-        for i in range(pairs * per_pair + 10):
+        for i in range(PAIRS * per_pair + 10):
             ctx = contexts[i % rounds]
             order = ("on", "off") if i % 2 else ("off", "on")
             for key in order:
@@ -195,8 +194,8 @@ def audit_overhead(
                 hub.flush()
                 times[key].append(time.perf_counter() - t0)
 
-    on = np.reshape(times["on"][10:], (pairs, per_pair))
-    off = np.reshape(times["off"][10:], (pairs, per_pair))
+    on = np.reshape(times["on"][10:], (PAIRS, per_pair))
+    off = np.reshape(times["off"][10:], (PAIRS, per_pair))
     pair_pcts = 100.0 * np.median(on - off, axis=1) / np.median(off, axis=1)
     per_round = float(np.median(off))
     overhead_pct = float(np.median(pair_pcts))

@@ -52,9 +52,9 @@ one shard per pool slot and dispatched through an
 still come from its own stream in the same order (each shard owns the
 stream arrays of its disjoint worker set and samples in-task), and
 ``finalize_update`` runs in the same task right after its shard's GEMMs
-— so the thread backend is byte-identical to serial. Shard tasks never touch the shared telemetry
-hub; the coordinating thread folds pool stats into ``parallel.*``
-afterwards.
+— so the thread backend is byte-identical to serial. Shard tasks never
+touch the shared telemetry hub; the coordinating thread folds pool stats
+into ``parallel.*`` afterwards.
 """
 
 from __future__ import annotations
@@ -392,9 +392,9 @@ class FleetLocalEngine:
 
         Safe without locks by construction: worker sets are disjoint
         across groups, so each group's stream arrays, index, stacked-shard
-        and result arrays never overlap. Each task
-        profiles into a disabled hub — the shared hub is single-writer —
-        and the coordinator emits the pooled stats afterwards.
+        and result arrays never overlap. Each task profiles into a
+        disabled hub — the shared hub is single-writer — and the
+        coordinator emits the pooled stats afterwards.
         """
         quiet = Telemetry(enabled=False)
         tasks = [

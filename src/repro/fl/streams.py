@@ -49,11 +49,11 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _jumps(words: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """``A_j`` and ``C_j`` for j = 0..words, each as ``(hi, lo, lo & 2^32-1,
-    lo >> 32)`` rows. Column 0 is the identity, so the state grid carries
-    the current state too."""
+    """``A_j`` and ``C_j`` for j = 0..words, each as read-only ``(hi, lo,
+    lo & 2^32-1, lo >> 32)`` rows. Column 0 is the identity, so the state
+    grid carries the current state too."""
     a, c = [1], [0]
     for _ in range(words):
         a.append(a[-1] * _PCG64_MULT & _MASK128)
@@ -62,7 +62,10 @@ def _jumps(words: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     def limbs(values):
         lo = np.array([v & _MASK64 for v in values], dtype=np.uint64)
         hi = np.array([v >> 64 for v in values], dtype=np.uint64)
-        return hi, lo, lo & _LO32, lo >> _SHIFT32
+        rows = (hi, lo, lo & _LO32, lo >> _SHIFT32)
+        for row in rows:
+            row.flags.writeable = False
+        return rows
 
     return limbs(a), limbs(c)
 
@@ -162,8 +165,9 @@ class MinibatchStreams:
         x = hi ^ lo
         rot = hi >> np.uint64(58)
         out = (x >> rot) | (x << (-rot & np.uint64(63)))
-        # 32-bit halves in draw order: word j's low half at 2j, high half at
-        # 2j+1; word 0 is the current state's, so slot 1 holds the buffer
+        # 32-bit halves in draw order (a little-endian view): word j's low
+        # half at 2j, high half at 2j+1; word 0 is the current state's, so
+        # slot 1 holds the buffer
         halves = out.view(np.uint32)
         halves[:, 1] = self._spare
         has = self._has[:, None]

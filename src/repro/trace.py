@@ -113,7 +113,7 @@ def _warnings_to_stderr():
 
 
 @contextmanager
-def _snapshot_dir():
+def _snapshot_errors():
     """A ``--dir`` snapshot that fails its checks exits 2, as the lineage
     cannot answer from it; the message names the snapshot."""
     from .service.snapshot import SnapshotError
@@ -435,7 +435,7 @@ def _attacker_ids(args) -> set[int] | None:
 
         snap = latest_snapshot(args.dir)
         if snap is not None:
-            with _snapshot_dir():
+            with _snapshot_errors():
                 config, _ = load_snapshot(snap)
             ids.update(int(w) for w in config.attackers)
     return ids or None
@@ -499,7 +499,7 @@ def _cmd_verify(args, traces: _Traces) -> int:
     events = traces.load_all(args.traces)
     report = verify_trace(events)
     if args.dir:
-        with _snapshot_dir():
+        with _snapshot_errors():
             verify_service(events, args.dir, report=report)
     else:
         report.skip("snapshot-manifest", "no --dir given")
