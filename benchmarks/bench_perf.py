@@ -1,217 +1,8 @@
-"""Perf-observability benchmark: round wall-time headline + contracts.
+"""Runs every overhead gate: ``python benchmarks/bench_overhead.py``."""
 
-Prices and guards the :mod:`repro.perf` layer (ISSUE 8):
-
-* **round wall-time headline** — a seeded federated run under the real
-  wall clock; reports the p50/p90 round wall time and the top phase by
-  self time (the ``_meta.perf`` block the experiment runner embeds);
-* **probe byte-identity** — the same seeded run under a deterministic
-  :class:`~repro.telemetry.TickClock`, once bare and once with a
-  :class:`~repro.perf.ResourceProbe` attached: the two encoded hub
-  traces must be byte-identical (probes live on a side stream);
-* **zero self-diff** — ``diff_traces`` over two identical seeded traces
-  must attribute exactly zero regression (the ``--diff`` sign-convention
-  anchor);
-* **Perfetto validity** — the wall-clock trace must export as
-  structurally valid Chrome-trace-event JSON (``validate_trace``).
-
-CLI (no pytest needed)::
-
-    python benchmarks/bench_perf.py            # default scale
-    python benchmarks/bench_perf.py --quick    # CI smoke
-    python benchmarks/bench_perf.py --json out.json
-    python benchmarks/bench_perf.py --record   # benchmarks/BENCH_perf.json
-"""
-
-from __future__ import annotations
-
-import argparse
 import sys
-from pathlib import Path
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover - direct CLI use without install
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from bench_overhead import main
 
-from repro.core import make_mechanism
-from repro.datasets import iid_partition, make_blobs, train_test_split
-from repro.fl import FederatedTrainer, HonestWorker
-from repro.nn import build_logreg
-from repro.parallel import blas_limits
-from repro.perf import ResourceProbe, diff_traces, events_to_perfetto, \
-    perf_summary, validate_trace
-from repro.population import WorkerPopulation
-from repro.telemetry import MemorySink, Telemetry, TickClock, encode_event, \
-    run_manifest, set_telemetry, write_manifest
-
-N_FEATURES = 8
-N_CLASSES = 3
-DEFAULT_WORKERS = 16
-DEFAULT_ROUNDS = 30
-QUICK_WORKERS = 8
-QUICK_ROUNDS = 10
-
-
-def _build_trainer(num_workers: int, seed: int = 0, probe=None):
-    data = make_blobs(
-        n_samples=40 * num_workers, n_features=N_FEATURES,
-        num_classes=N_CLASSES, seed=seed,
-    )
-    train, test = train_test_split(data, 0.25, seed=seed)
-    shards = iid_partition(train, num_workers, seed=seed)
-    workers = [
-        HonestWorker(
-            i, shards[i], lambda: build_logreg(N_FEATURES, N_CLASSES, seed=seed),
-            lr=0.1, batch_size=32, local_iters=1, seed=seed + 100 + i,
-        )
-        for i in range(num_workers)
-    ]
-    return FederatedTrainer(
-        build_logreg(N_FEATURES, N_CLASSES, seed=seed),
-        population=WorkerPopulation.from_workers(workers),
-        server_ranks=[0, 1],
-        test_data=test,
-        mechanism=make_mechanism("fifl", threshold=0.0, gamma=0.2),
-        seed=seed,
-        probe=probe,
-    )
-
-
-def _traced_run(num_workers: int, rounds: int, seed: int = 0,
-                clock=None, probe=None) -> list[dict]:
-    """One seeded run under a fresh hub; returns the materialized events."""
-    hub = Telemetry(sinks=[MemorySink()], clock=clock)
-    set_telemetry(hub)
-    try:
-        trainer = _build_trainer(num_workers, seed=seed, probe=probe)
-        trainer.run(rounds, eval_every=rounds)
-        hub.flush()
-        return hub.events()
-    finally:
-        set_telemetry(Telemetry())
-
-
-def run_benchmark(num_workers: int = DEFAULT_WORKERS,
-                  rounds: int = DEFAULT_ROUNDS, seed: int = 0) -> dict:
-    """Headline + contract checks; see the module docstring."""
-    # 1) wall-clock headline run (BLAS pinned so p50 compares machine
-    # to machine the same way the other benches do)
-    with blas_limits(1):
-        events = _traced_run(num_workers, rounds, seed=seed)
-    summary = perf_summary(events)
-
-    # 2) probe byte-identity under a deterministic clock
-    def encode(evs):
-        return "\n".join(encode_event(e) for e in evs)
-
-    bare = _traced_run(num_workers, rounds, seed=seed, clock=TickClock())
-    with ResourceProbe() as probe:
-        probed = _traced_run(
-            num_workers, rounds, seed=seed, clock=TickClock(), probe=probe
-        )
-        probe_samples = len(probe.samples)
-    probe_trace_identical = encode(bare) == encode(probed)
-
-    # 3) zero self-diff on identical traces
-    diff = diff_traces(bare, probed)
-    diff_zero = diff["total_delta_s"] == 0.0 and all(
-        p["delta_s"] == 0.0 for p in diff["phases"]
-    )
-
-    # 4) Perfetto structural validity of the wall-clock trace
-    trace = events_to_perfetto(events)
-    try:
-        validate_trace(trace)
-        perfetto_valid = True
-    except ValueError:
-        perfetto_valid = False
-
-    top = summary["top_phase"]
-    return {
-        "num_workers": num_workers,
-        "rounds": rounds,
-        "seed": seed,
-        "round_wall_s": summary["round_wall_s"],
-        "p50_round_wall_s": summary["round_wall_s"]["p50"],
-        "top_phase": top["name"] if top else None,
-        "top_phase_share": top["share"] if top else None,
-        "perfetto_events": len(trace["traceEvents"]),
-        "perfetto_valid": perfetto_valid,
-        "probe_samples": probe_samples,
-        "probe_trace_identical": probe_trace_identical,
-        "diff_zero": diff_zero,
-    }
-
-
-def format_report(result: dict) -> list[str]:
-    rw = result["round_wall_s"]
-    return [
-        f"Perf-observability benchmark (N={result['num_workers']}, "
-        f"{result['rounds']} rounds)",
-        f"round wall time: p50={rw['p50']*1e3:.2f}ms p90={rw['p90']*1e3:.2f}ms "
-        f"max={rw['max']*1e3:.2f}ms",
-        f"top phase by self time: {result['top_phase']} "
-        f"({result['top_phase_share']:.0%})",
-        f"perfetto export: {result['perfetto_events']} events, "
-        f"valid={result['perfetto_valid']}",
-        f"probe byte-identity (TickClock, {result['probe_samples']} samples): "
-        f"{result['probe_trace_identical']}",
-        f"zero self-diff on identical traces: {result['diff_zero']}",
-    ]
-
-
-def bench_perf_contracts(benchmark):
-    """Pytest entry: the perf layer's determinism contracts must hold."""
-    result = benchmark.pedantic(
-        run_benchmark,
-        kwargs=dict(num_workers=QUICK_WORKERS, rounds=QUICK_ROUNDS),
-        iterations=1, rounds=1, warmup_rounds=0,
-    )
-    for row in format_report(result):
-        print(row)
-    assert result["perfetto_valid"]
-    assert result["probe_trace_identical"]
-    assert result["diff_zero"]
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="CI smoke scale"
-    )
-    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
-    parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    parser.add_argument("--json", default="", help="write the result as JSON")
-    parser.add_argument(
-        "--record", action="store_true",
-        help="save the manifest to benchmarks/BENCH_perf.json",
-    )
-    args = parser.parse_args(argv)
-
-    num_workers = QUICK_WORKERS if args.quick else args.workers
-    rounds = QUICK_ROUNDS if args.quick else args.rounds
-    result = run_benchmark(num_workers=num_workers, rounds=rounds)
-    for row in format_report(result):
-        print(row)
-    run_manifest(
-        "bench_perf",
-        config={
-            "num_workers": num_workers, "rounds": rounds, "seed": 0,
-            "quick": args.quick,
-        },
-        results=result,
-    )
-    paths = [Path(p) for p in (args.json,) if p]
-    if args.record:
-        paths.append(Path(__file__).resolve().parent / "BENCH_perf.json")
-    for path in paths:
-        write_manifest(path, result)
-        print(f"[saved {path}]")
-    ok = (result["perfetto_valid"] and result["probe_trace_identical"]
-          and result["diff_zero"])
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

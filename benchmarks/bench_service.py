@@ -1,252 +1,8 @@
-"""Service benchmark: kill/resume byte-identity + sustained replay throughput.
+"""Runs every overhead gate: ``python benchmarks/bench_overhead.py``."""
 
-Two claims are priced here:
-
-1. **Correctness under crashes.** A federation killed at a checkpoint
-   boundary and resumed from its durable snapshot produces *byte-identical*
-   outputs — the same telemetry trace, history digest chain, reputation
-   state and ledger head — as a process that never died. The differential
-   runs both histories in full and compares bytes, and every surviving
-   snapshot passes the deep per-component digest check.
-2. **Checkpointing is cheap at scale.** The traffic-replay harness pushes
-   10^4 rounds of bursty join/leave traffic through the discrete-event
-   kernel with periodic checkpoints; snapshot overhead must stay <= 5% of
-   round wall time and the monitor's ``rss-growth`` watchdog must stay
-   clean (history compaction keeps memory bounded).
-
-CLI (no pytest needed)::
-
-    python benchmarks/bench_service.py             # full: 10^4-round replay
-    python benchmarks/bench_service.py --quick     # CI gate scale
-    python benchmarks/bench_service.py --json out.json
-    python benchmarks/bench_service.py --record    # benchmarks/BENCH_service.json
-
-Under pytest (``pytest benchmarks/bench_service.py``) the quick scale
-runs as a regression guard on the identity contract and the overhead bar.
-"""
-
-from __future__ import annotations
-
-import argparse
 import sys
-import tempfile
-from pathlib import Path
 
-try:
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover - direct CLI use without install
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from bench_overhead import main
 
-from repro.service import (
-    FederationService,
-    ReplayConfig,
-    list_snapshots,
-    run_replay,
-    verify_snapshot,
-)
-from repro.service.cli import make_preset
-from repro.telemetry import (
-    MemorySink,
-    Telemetry,
-    TickClock,
-    encode_event,
-    get_telemetry,
-    run_manifest,
-    set_telemetry,
-    write_manifest,
-)
-
-DIFFERENTIAL_ROUNDS = 10
-DIFFERENTIAL_CHECKPOINT = 5
-FULL_REPLAY_ROUNDS = 10_000
-QUICK_REPLAY_ROUNDS = 300
-OVERHEAD_BAR_PCT = 5.0
-
-
-def _outputs(service, hub) -> dict:
-    return {
-        "trace": [encode_event(ev) for ev in hub.events()],
-        "history": service.history_digest(),
-        "reputation": service.reputation_digest(),
-        "ledger": (
-            service.ledger.head_hash() if service.ledger is not None else None
-        ),
-    }
-
-
-def run_differential(workdir: Path, preset: str = "blobs-fifl") -> dict:
-    """Kill-at-checkpoint-then-resume vs the uninterrupted run."""
-    prev_hub = get_telemetry()
-    try:
-        # the clean history: one process, never interrupted
-        set_telemetry(Telemetry(sinks=[MemorySink(maxlen=None)], clock=TickClock()))
-        cfg = make_preset(
-            preset,
-            rounds=DIFFERENTIAL_ROUNDS,
-            checkpoint_every=DIFFERENTIAL_CHECKPOINT,
-        )
-        clean_svc = FederationService(cfg, workdir / "clean")
-        clean_svc.run()
-        clean = _outputs(clean_svc, get_telemetry())
-
-        # the crashed history: run to the checkpoint, discard the process
-        set_telemetry(Telemetry(sinks=[MemorySink(maxlen=None)], clock=TickClock()))
-        cfg = make_preset(
-            preset,
-            rounds=DIFFERENTIAL_ROUNDS,
-            checkpoint_every=DIFFERENTIAL_CHECKPOINT,
-        )
-        part1 = FederationService(cfg, workdir / "killed")
-        part1.run(until_round=DIFFERENTIAL_CHECKPOINT)
-        trace1 = [encode_event(ev) for ev in get_telemetry().events()]
-
-        # ...and the "new process": fresh hub, state from the snapshot only
-        set_telemetry(Telemetry(sinks=[MemorySink(maxlen=None)], clock=TickClock()))
-        part2 = FederationService.resume(workdir / "killed")
-        part2.run()
-        resumed = _outputs(part2, get_telemetry())
-        resumed["trace"] = trace1 + resumed["trace"]
-    finally:
-        set_telemetry(prev_hub)
-
-    roundtrip_ok = all(
-        verify_snapshot(snap) == []
-        for snap in list_snapshots(workdir / "killed")
-    )
-    return {
-        "resume_identical": all(
-            resumed[k] == clean[k] for k in ("history", "reputation", "ledger")
-        ),
-        "trace_identical": resumed["trace"] == clean["trace"],
-        "roundtrip_ok": roundtrip_ok,
-    }
-
-
-def run_benchmark(replay_rounds: int, workdir: Path, seed: int = 0) -> dict:
-    """The differential gate plus one replay throughput measurement."""
-    result = run_differential(workdir / "differential")
-    replay_cfg = ReplayConfig(
-        rounds=replay_rounds,
-        seed=seed,
-        # scale the checkpoint cadence with the run so both scales price
-        # a comparable number of snapshots per round
-        checkpoint_every=max(50, replay_rounds // 20),
-    )
-    report = run_replay(replay_cfg, workdir / "replay")
-    result.update(
-        {
-            "replay_rounds": replay_rounds,
-            "rounds_per_sec": report["sustained_rounds_per_sec"],
-            "snapshot_overhead_pct": report["snapshot_overhead_pct"],
-            "checkpoints": report["checkpoints"],
-            "history_rounds_in_memory": report["history_rounds_in_memory"],
-            "rss_growth_alerts": report["rss_growth_alerts"],
-            "replay_final_accuracy": report["final_accuracy"],
-        }
-    )
-    return result
-
-
-def format_report(result: dict) -> list[str]:
-    def flag(ok):
-        return "ok" if ok else "FAILED"
-
-    return [
-        f"Service benchmark (replay: {result['replay_rounds']} rounds, "
-        f"{result['checkpoints']} checkpoints)",
-        f"  kill/resume byte-identity: digests {flag(result['resume_identical'])}, "
-        f"trace {flag(result['trace_identical'])}, "
-        f"snapshot round-trip {flag(result['roundtrip_ok'])}",
-        f"  sustained throughput: {result['rounds_per_sec']:.1f} rounds/s",
-        f"  snapshot overhead: {result['snapshot_overhead_pct']:.3f}% "
-        f"of round wall time (bar: {OVERHEAD_BAR_PCT}%)",
-        f"  memory: {result['history_rounds_in_memory']} round records live, "
-        f"{result['rss_growth_alerts']} rss-growth alerts",
-    ]
-
-
-def check_gates(result: dict) -> list[str]:
-    problems = []
-    if not result["resume_identical"]:
-        problems.append("resumed run digests diverged from the clean run")
-    if not result["trace_identical"]:
-        problems.append("resumed trace bytes diverged from the clean run")
-    if not result["roundtrip_ok"]:
-        problems.append("a surviving snapshot failed deep verification")
-    if result["snapshot_overhead_pct"] > OVERHEAD_BAR_PCT:
-        problems.append(
-            f"snapshot overhead {result['snapshot_overhead_pct']:.2f}% "
-            f"exceeds the {OVERHEAD_BAR_PCT}% bar"
-        )
-    if result["rss_growth_alerts"]:
-        problems.append(
-            f"{result['rss_growth_alerts']} rss-growth alerts during replay"
-        )
-    return problems
-
-
-def bench_service_resume(benchmark):
-    """Pytest entry: the identity contract and the overhead bar, quick scale."""
-    with tempfile.TemporaryDirectory() as tmp:
-        result = benchmark.pedantic(
-            run_benchmark,
-            kwargs=dict(replay_rounds=QUICK_REPLAY_ROUNDS, workdir=Path(tmp)),
-            iterations=1, rounds=1, warmup_rounds=0,
-        )
-    for row in format_report(result):
-        print(row)
-    assert check_gates(result) == []
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"CI scale ({QUICK_REPLAY_ROUNDS}-round replay instead of "
-        f"{FULL_REPLAY_ROUNDS})",
-    )
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="override the replay length")
-    parser.add_argument("--workdir", default="",
-                        help="keep snapshots/replay state here (default: temp)")
-    parser.add_argument("--json", default="", help="write the result as JSON")
-    parser.add_argument(
-        "--record", action="store_true",
-        help="save the manifest to benchmarks/BENCH_service.json",
-    )
-    args = parser.parse_args(argv)
-
-    rounds = args.rounds
-    if rounds is None:
-        rounds = QUICK_REPLAY_ROUNDS if args.quick else FULL_REPLAY_ROUNDS
-
-    if args.workdir:
-        workdir = Path(args.workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
-        result = run_benchmark(rounds, workdir)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            result = run_benchmark(rounds, Path(tmp))
-    result["quick"] = bool(args.quick)
-
-    for row in format_report(result):
-        print(row)
-    problems = check_gates(result)
-    for p in problems:
-        print(f"ERROR: {p}")
-    run_manifest(
-        "bench_service",
-        config={"replay_rounds": rounds, "quick": args.quick, "seed": 0},
-        results=result,
-    )
-    paths = [Path(p) for p in (args.json,) if p]
-    if args.record:
-        paths.append(Path(__file__).resolve().parent / "BENCH_service.json")
-    for path in paths:
-        write_manifest(path, result)
-        print(f"[saved {path}]")
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

@@ -289,7 +289,7 @@ def verify_service(
     if snap is None:
         report.skip("snapshot-manifest", f"no snapshots under {snapshot_dir}")
         return report
-    service = FederationService.resume(snapshot_dir)
+    service = FederationService.resume(snapshot_dir, snapshot=snap)
     manifest = read_manifest(snap)
 
     audit_block = manifest.get("audit")

@@ -126,7 +126,7 @@ class FIFLConfig:
     # Emit the full attribution payload (absolute reputations, contribution
     # shares, baseline b_h) on every ``fifl.round`` event so an offline
     # trace reconstructs the complete decision lineage (repro.audit). Off
-    # only to A/B the emission cost (benchmarks/bench_audit.py).
+    # only to A/B the emission cost (benchmarks/bench_overhead.py).
     audit: bool = True
 
     def __post_init__(self) -> None:

@@ -21,7 +21,7 @@ package supplies that operating mode in three layers:
   reports sustained rounds/sec with monitor SLOs attached.
 
 See DESIGN §16 for the snapshot format and the resume semantics, and
-``benchmarks/bench_service.py`` for the kill/resume differential gate.
+``tests/service/`` for the kill/resume differentials.
 """
 
 from .service import FederationService, ServiceConfig

@@ -278,7 +278,8 @@ def main(argv: list[str] | None = None) -> int:
     p_resume = sub.add_parser("resume", help="continue from a snapshot")
     p_resume.add_argument("--dir", required=True)
     p_resume.add_argument(
-        "--snapshot", default=None, help="snapshot path (default: latest)"
+        "--snapshot", default=None,
+        help="snapshot path (default: the newest intact one)",
     )
     p_resume.add_argument("--until-round", type=int, default=None)
     _add_hub_flags(p_resume)

@@ -8,7 +8,7 @@ when ``checkpoint_on_signal``), and can :meth:`resume` from the latest
 snapshot after a crash or a hard kill.
 
 Resume contract (enforced by ``tests/service/`` and
-``benchmarks/bench_service.py --quick``): a run killed at a checkpoint
+``tests/audit/test_determinism.py``): a run killed at a checkpoint
 boundary and resumed produces **byte-identical** outputs — same
 :class:`TrainingHistory` digest, same reputation state, same ledger
 chain head, and (under a deterministic clock) the same seeded telemetry
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +53,6 @@ from .snapshot import (
     chain_digest,
     encode_snapshot_blobs,
     history_digest as _history_digest,
-    latest_snapshot,
     list_snapshots,
     load_snapshot,
     record_digest,
@@ -297,11 +297,22 @@ class FederationService:
         monitor=None,
         probe=None,
     ) -> "FederationService":
-        """Rebuild a service from its latest (or a named) snapshot."""
-        snap = Path(snapshot) if snapshot is not None else latest_snapshot(snapshot_dir)
-        if snap is None:
+        """Rebuild a service from a named snapshot, or else the newest
+        intact one: a snapshot that fails its digest check is skipped
+        with one line on stderr, and the next older one is tried."""
+        snaps = ([Path(snapshot)] if snapshot is not None
+                 else list_snapshots(snapshot_dir)[::-1])
+        if not snaps:
             raise SnapshotError(f"no snapshots under {snapshot_dir}")
-        config, state = load_snapshot(snap)
+        for snap in snaps:
+            try:
+                config, state = load_snapshot(snap)
+                break
+            except SnapshotError as exc:
+                if snap is snaps[-1]:
+                    raise
+                print(f"warning: {exc}; trying an older snapshot",
+                      file=sys.stderr)
         try:
             service = cls(config, snapshot_dir, monitor=monitor, probe=probe)
         except (ValueError, TypeError) as exc:

@@ -36,8 +36,8 @@ the same order (``tests/comm/per_message.py`` keeps the per-message
 actors as the differential oracle). The zero-fault, zero-latency
 scenario replays the direct loop draw for draw — differential-tested
 to reproduce ``FederatedTrainer`` histories bit-for-bit, and
-benchmarked to stay within 5% of the direct loop
-(``benchmarks/bench_sim.py``).
+gated to stay within 5% of the direct loop
+(``benchmarks/bench_overhead.py``).
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class SimRoundRunner:
         # nothing already in flight — need no events at all: every send
         # resolves at t0, in exactly the order the groups would fire.
         # Replaying them synchronously keeps the zero-fault path within
-        # the direct loop's budget (see benchmarks/bench_sim.py).
+        # the direct loop's budget (see benchmarks/bench_overhead.py).
         if (
             scenario.max_retries == 0
             and net.latency is None

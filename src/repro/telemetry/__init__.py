@@ -1,4 +1,4 @@
-"""Structured telemetry: spans, mechanism metrics, sinks, run manifests.
+"""Structured telemetry: spans, mechanism metrics, sinks, trace summaries.
 
 The always-on observability layer of the simulator (ISSUE 3). One
 process-wide :class:`Telemetry` hub (:func:`get_telemetry` /
@@ -15,9 +15,8 @@ process-wide :class:`Telemetry` hub (:func:`get_telemetry` /
   :class:`JsonlSink` (canonical versioned JSONL event stream — seeded
   runs with a :class:`TickClock` produce byte-identical traces), and
   :class:`ConsoleSink` (summary on close);
-* **run manifests** (:func:`run_manifest`) and trace analysis
-  (:func:`trace_summary`, :func:`render_summary`) backing the
-  ``python -m repro.trace summary`` CLI.
+* trace analysis (:func:`trace_summary`, :func:`render_summary`)
+  backing the ``python -m repro.trace summary`` CLI.
 """
 
 from .core import (
@@ -30,7 +29,6 @@ from .core import (
     profile_delta,
     set_telemetry,
 )
-from .manifest import run_manifest, write_manifest
 from .sinks import (
     ConsoleSink,
     JsonlSink,
@@ -67,6 +65,4 @@ __all__ = [
     "render_summary",
     "aggregate_spans",
     "parallel_summary",
-    "run_manifest",
-    "write_manifest",
 ]

@@ -18,7 +18,7 @@ profiler and adds three layers on top of its phase-timing table:
   aggregation, no per-observation events) for mechanism signals:
   detection margins, reward Gini, fleet-group sizes, gradient norms.
 * **Events** — :meth:`event` emits an arbitrary typed payload (per-round
-  mechanism records, benchmark run manifests) with a monotonically
+  mechanism records, checkpoints) with a monotonically
   increasing ``seq`` and the trace schema version ``v``.
 
 Emission is *deferred*: hot paths append compact records (span tuples,
@@ -470,7 +470,7 @@ class Telemetry:
         """Legacy profiler snapshot: ``{"timings": ..., "counters": ...}``.
 
         The shape is frozen — downstream JSON (``TrainingHistory.profile``,
-        runner ``_meta.profile``, BENCH manifests) depends on it; gauges
+        runner ``_meta.profile``) depends on it; gauges
         and histograms live in :meth:`metrics_snapshot`.
         """
         return {

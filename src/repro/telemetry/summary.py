@@ -122,7 +122,6 @@ def trace_summary(events: list[dict]) -> dict:
                 entropies += 1
         except FIELD_ERRORS as exc:
             raise malformed(r, exc) from exc
-    manifests = [ev["data"] for ev in events if ev.get("type") == "manifest"]
     return {
         "schema_version": SCHEMA_VERSION,
         "events": len(events),
@@ -131,7 +130,6 @@ def trace_summary(events: list[dict]) -> dict:
         "uncertain_total": uncertain,
         "reward_gini_mean": gini_sum / ginis if ginis else None,
         "share_entropy_mean": entropy_sum / entropies if entropies else None,
-        "manifests": [m.get("name") for m in manifests],
         "spans": aggregate_spans(events),
         "parallel": parallel_summary(events),
     }
@@ -231,17 +229,4 @@ def render_summary(
         rows.append("last gauge values:")
         for name in sorted(gauges):
             rows.append(f"  {name:<24} {gauges[name]:g}")
-
-    manifests = [ev["data"] for ev in events if ev.get("type") == "manifest"]
-    for m in manifests:
-        rows.append(f"run manifest: {m.get('name', '?')}")
-        cfg = m.get("config", {})
-        if cfg:
-            try:
-                rows.append(
-                    "  config: "
-                    + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
-                )
-            except FIELD_ERRORS as exc:
-                raise malformed(m, exc) from exc
     return rows

@@ -12,8 +12,8 @@ Usage::
     python -m repro.trace fairness a.jsonl b.jsonl --dir snapdir
     python -m repro.trace verify   a.jsonl b.jsonl --dir snapdir --strict
 
-``summary`` renders the mechanism table, phase times, gauges and
-manifests (:mod:`repro.telemetry.summary`). ``scan`` replays the trace
+``summary`` renders the mechanism table, phase times and gauges
+(:mod:`repro.telemetry.summary`). ``scan`` replays the trace
 through the monitor's rule engine, so its alerts equal the live run's;
 ``--watch`` tails a growing trace. ``perf`` prints the top-down span
 table, exports Perfetto JSON and attributes a ``--diff`` to phases

@@ -1,5 +1,6 @@
 """Offline lineage reconstruction: the byte-identity contract."""
 
+import numpy as np
 import pytest
 
 from repro.audit import (
@@ -11,7 +12,13 @@ from repro.audit import (
     inputs_from_payload,
     round_payloads,
     skipped_rounds,
+    verify_trace,
 )
+from repro.core import make_mechanism
+from repro.fl import LocalUpdates
+from repro.telemetry import MemorySink, Telemetry
+
+from tests.helpers import round_context
 
 from .conftest import run_traced
 
@@ -88,6 +95,34 @@ class TestByteIdentity:
         ]
         assert len(live) > 0
         assert live == offline
+
+    def test_offline_equals_live_at_256_workers(self):
+        # synthetic rounds at the audit overhead gate's scale: 256
+        # workers, 4 servers, every fifth worker deviating, one lost slice
+        rng = np.random.default_rng(0)
+        sink = MemorySink(maxlen=None)
+        mech = make_mechanism("fifl", threshold=0.0, gamma=0.2)
+        mech.profiler = Telemetry(sinks=[sink])
+        ids = np.arange(256, dtype=np.int64)
+        for t in range(4):
+            grads = rng.standard_normal(64) + 0.3 * rng.standard_normal((256, 64))
+            grads[::5] *= -2.0
+            grads.flags.writeable = False
+            local = LocalUpdates(
+                worker_ids=ids, gradients=grads,
+                sample_counts=np.full(256, 100, dtype=np.int64),
+                attacked=np.zeros(256, dtype=bool),
+            )
+            mech.process_round(
+                round_context(t, np.zeros(64), [0, 1, 2, 3], local, uncertain=[4])
+            )
+        mech.profiler.flush()
+        events = list(sink.events)
+        live = [encode_decision(d) for d in collect_decisions(mech)]
+        offline = [encode_decision(d) for d in decisions_from_trace(events)]
+        assert len(live) == 4 * 256
+        assert live == offline
+        assert verify_trace(events).ok
 
     def test_reconstruction_is_order_independent(self, traced):
         _, _, events = traced

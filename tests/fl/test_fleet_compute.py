@@ -457,9 +457,8 @@ class TestEndToEndDifferential:
 
     @staticmethod
     def _mlp_trainer(num_workers=8, n_attackers=2, seed=0):
-        """``benchmarks/bench_local_step.py``'s federation: a 16→64→4 MLP
-        on blobs, 100 samples and batch 8 per worker, the last two ranks
-        sign-flippers."""
+        """A 16→64→4 MLP on blobs, 100 samples and batch 8 per worker,
+        the last two ranks sign-flippers."""
         data = make_blobs(
             n_samples=num_workers * 100 + 400, n_features=16, num_classes=4,
             seed=seed,
