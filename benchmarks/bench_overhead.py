@@ -20,9 +20,10 @@ Gates (exit 1 when one fails):
   >= 1.3x at N=256 (the keep rule, DESIGN §14), on 2 or more cores.
 
 Reported, not gated: telemetry to memory vs a disabled hub and a
-monitor on vs off over whole federated rounds, and the cost of one
-resource-probe sample. Correctness (byte identity, offline == live
-audit, O(cohort) memory) is tested in ``tests/``.
+monitor on vs off over whole federated rounds, a JSONL trace plus the
+monitor vs a hub with no sinks over 16-worker ledger-on service rounds,
+and the cost of one resource-probe sample. Correctness (byte identity,
+offline == live audit, O(cohort) memory) is tested in ``tests/``.
 
     python benchmarks/bench_overhead.py --quick   # CI scale, under 30 s
     python benchmarks/bench_overhead.py           # more rounds per block
@@ -31,6 +32,7 @@ audit, O(cohort) memory) is tested in ``tests/``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import shutil
 import sys
 import tempfile
@@ -46,6 +48,7 @@ except ImportError:  # pragma: no cover - direct CLI use without install
 
 from repro.core import make_mechanism
 from repro.datasets import iid_partition, make_blobs, train_test_split
+from repro.experiments.common import sign_flip
 from repro.fl import FederatedTrainer, HonestWorker, SignFlippingWorker
 from repro.fl.fleet_compute import LocalUpdates
 from repro.fl.trainer import RoundContext
@@ -54,9 +57,10 @@ from repro.nn import build_logreg, build_mlp
 from repro.parallel import auto_workers, blas_limits
 from repro.perf import ResourceProbe
 from repro.population import WorkerPopulation
-from repro.service import ReplayConfig, run_replay
+from repro.service import FederationService, ReplayConfig, run_replay
+from repro.service.replay import _service_config
 from repro.sim import FaultScenario
-from repro.telemetry import Telemetry, set_telemetry
+from repro.telemetry import JsonlSink, Telemetry, set_telemetry
 
 #: blocks every figure is the median of
 BLOCKS = 7
@@ -274,6 +278,43 @@ def instrumentation(quick: bool) -> None:
           "  (reported)")
 
 
+def service_instrumentation(quick: bool, workdir: Path) -> None:
+    """A JSONL trace plus the monitor over 16-worker ledger-on service
+    rounds under seeded churn (no checkpoints), against a hub with no
+    sinks; the per-round hub flush is inside the timed region."""
+    per_block = 10 if quick else 40
+    rounds = 2 + BLOCKS * per_block
+    replay = ReplayConfig(rounds=rounds, seed=1, checkpoint_every=rounds + 1)
+    config = dataclasses.replace(
+        _service_config(replay), attackers={5: sign_flip(4.0)}, ledger=True,
+        checkpoint_on_signal=False,
+    )
+
+    def side(name: str, hub: Telemetry, monitor):
+        previous = set_telemetry(hub)
+        try:
+            service = FederationService(config, workdir / name,
+                                        monitor=monitor)
+        finally:
+            set_telemetry(previous)
+
+        def run(i):
+            previous = set_telemetry(hub)
+            try:
+                t0 = time.perf_counter()
+                service.run(until_round=i + 1)
+                return time.perf_counter() - t0
+            finally:
+                set_telemetry(previous)
+        return run
+
+    traced = Telemetry(sinks=[JsonlSink(workdir / "service.jsonl")])
+    pct, pcts = interleaved(side("on", traced, Monitor(MonitorConfig())),
+                            side("off", Telemetry(sinks=[]), None), per_block)
+    traced.close()
+    show("JSONL trace + monitor over none, service N=16", pct, pcts)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -285,6 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         verdicts = [audit_gate(quick), sim_gate(quick),
                     replay_gate(quick, Path(tmp)), *thread_gates(quick)]
         instrumentation(quick)
+        service_instrumentation(quick, Path(tmp))
     print(f"gates: {'ok' if all(verdicts) else 'FAILED'}")
     return 0 if all(verdicts) else 1
 

@@ -1,14 +1,14 @@
 """The live monitor: a telemetry sink wrapping the rule engine.
 
 :class:`Monitor` subscribes to a :class:`~repro.telemetry.Telemetry`
-hub like any other sink. Each materialized event is recorded into the
-flight-recorder ring and run through the :class:`RuleEngine`; alerts
-accumulate on :attr:`Monitor.alerts` (a separate stream — the monitor
-never emits back into the hub, so attaching it cannot change a trace's
-bytes). The first alert triggers a post-mortem dump when a dump
-directory is configured; in strict mode it also raises
-:class:`MonitorError` out of the flush boundary that materialized the
-offending event.
+hub like any other sink. Each flushed batch is walked in ``seq`` order:
+every event is recorded into the flight-recorder ring and run through
+the :class:`RuleEngine`; alerts accumulate on :attr:`Monitor.alerts` (a
+separate stream — the monitor never emits back into the hub, so
+attaching it cannot change a trace's bytes). The first alert triggers a
+post-mortem dump when a dump directory is configured; in strict mode it
+also raises :class:`MonitorError` out of the flush boundary that
+materialized the offending event.
 
 ``scan_events`` is the offline entry point: the same engine replayed
 over a decoded trace, used by ``python -m repro.trace scan`` and the
@@ -40,22 +40,30 @@ class Monitor:
         )
         self.alerts: list[Alert] = []
         self._hub = None
-        # bound-method locals: emit runs once per materialized event on
-        # the flush path, so shave the attribute walks
-        self._record = self.recorder.ring.append
-        self._process = self.engine.process
 
     # -- sink protocol -----------------------------------------------------------
 
-    def emit(self, event: dict) -> None:
-        self._record(event)
-        fired = self._process(event)
-        if not fired:
-            return
-        self.alerts.extend(fired)
-        self.recorder.dump("alert", self.alerts)
-        if self.config.strict:
-            raise MonitorError(fired)
+    def emit(self, events: list[dict]) -> None:
+        """Record and check one flushed batch, event by event in order.
+
+        Spans other than ``trainer.round`` carry no rule, so they go to
+        the ring without a dispatch. In strict mode the first alerting
+        event raises after it was recorded; the rest of the batch is
+        neither recorded nor checked.
+        """
+        record = self.recorder.ring.append
+        process = self.engine.process
+        for event in events:
+            record(event)
+            if (event.get("type") == "span"
+                    and event.get("name") != "trainer.round"):
+                continue
+            fired = process(event)
+            if fired:
+                self.alerts.extend(fired)
+                self.recorder.dump("alert", self.alerts)
+                if self.config.strict:
+                    raise MonitorError(fired)
 
     def close(self) -> None:
         pass
@@ -69,7 +77,7 @@ class Monitor:
         The wrapped event lands in the flight-recorder ring like any
         other, so post-mortems show the resource history too.
         """
-        self.emit({"type": "resource.sample", "data": dict(sample)})
+        self.emit([{"type": "resource.sample", "data": dict(sample)}])
 
     # -- hub wiring --------------------------------------------------------------
 

@@ -181,7 +181,7 @@ def run_replay(cfg: ReplayConfig, snapshot_dir: Path | str) -> dict:
 
     timings = profile.get("timings", {})
     round_s = timings.get("trainer.round", {}).get("seconds", 0.0)
-    checkpoint_s = timings.get("service.checkpoint", {}).get("seconds", 0.0)
+    checkpoint_s = timings.get("service.save", {}).get("seconds", 0.0)
     overhead_pct = 100.0 * checkpoint_s / round_s if round_s > 0 else 0.0
     alerts = monitor.alerts_summary()
     resources = probe.summary()

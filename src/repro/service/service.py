@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 import signal
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +53,6 @@ from .snapshot import (
     capture_telemetry,
     chain_digest,
     encode_snapshot_blobs,
-    history_digest as _history_digest,
     list_snapshots,
     load_snapshot,
     record_digest,
@@ -120,6 +120,9 @@ class FederationService:
         # hashlib objects don't pickle, a hex string does)
         self._rolling = ""
         self._rounds_folded = 0
+        # record_digest of history.rounds[i] for every i below its
+        # length; filled lazily by history_digest(), never captured
+        self._digests: list[str] = []
         self._signal_requested: int | None = None
         self._build()
 
@@ -170,19 +173,34 @@ class FederationService:
         tail = self.config.history_tail
         if tail is None:
             return
-        excess = len(self.history.rounds) - tail
+        rounds = self.history.rounds
+        excess = len(rounds) - tail
         if excess > 0:
-            for old in self.history.rounds[:excess]:
-                self._rolling = chain_digest(self._rolling, record_digest(old))
-            del self.history.rounds[:excess]
+            digests = self._digests
+            for i, old in enumerate(rounds[:excess]):
+                digest = digests[i] if i < len(digests) else record_digest(old)
+                self._rolling = chain_digest(self._rolling, digest)
+            del rounds[:excess]
+            del digests[:excess]
             self._rounds_folded += excess
         mech = self.mechanism
         if mech is not None and len(mech.records) > tail:
             del mech.records[: len(mech.records) - tail]
 
     def history_digest(self) -> str:
-        """Digest over *all* rounds ever run (compacted or in memory)."""
-        return _history_digest(self.history.rounds, rolling=self._rolling)
+        """Digest over *all* rounds ever run (compacted or in memory).
+
+        Each in-memory record is digested once: the call digests only
+        the records absorbed since the last one and chains the stored
+        digests of the rest, which equals
+        :func:`~repro.service.snapshot.history_digest` over the tail.
+        """
+        rounds, digests = self.history.rounds, self._digests
+        digests.extend(map(record_digest, rounds[len(digests):]))
+        h = self._rolling
+        for digest in digests:
+            h = chain_digest(h, digest)
+        return h
 
     def reputation_digest(self) -> str:
         """Digest over mechanism reputations + the out-of-core store."""
@@ -203,7 +221,13 @@ class FederationService:
         telemetry cursor is captured *last* so a resumed process
         continues the sequence numbering exactly where a surviving one
         would be.
+
+        The whole call's wall time folds into the hub's timing table as
+        ``service.save`` (``add_time``: no event, and no read of the
+        hub's clock, which would shift every later span of a
+        :class:`~repro.telemetry.TickClock` trace).
         """
+        t0 = time.perf_counter()
         tele = get_telemetry()
         with tele.phase("service.checkpoint"):
             runner = self.trainer._sim_runner
@@ -247,6 +271,7 @@ class FederationService:
             },
         )
         self._prune()
+        tele.add_time("service.save", time.perf_counter() - t0)
         return path
 
     def _audit_block(self) -> dict:

@@ -549,9 +549,6 @@ def _restore_monitor(monitor, state: dict | None) -> None:
     if state is None or monitor is None:
         return
     monitor.engine = state["engine"]
-    # the emit hot path caches the bound method; rebind it to the
-    # restored engine or alerts would keep flowing into the fresh one
-    monitor._process = monitor.engine.process
     monitor.alerts = list(state["alerts"])
     monitor.recorder.ring.clear()
     monitor.recorder.ring.extend(state["ring"])
@@ -625,6 +622,8 @@ def restore_state(service, state: dict) -> None:
     sv = state["service"]
     service.next_round = sv["next_round"]
     service.history.rounds = list(sv["rounds"])
+    # the record-digest memo describes the old list; rebuild it lazily
+    service._digests = []
     service._rolling = sv["rolling"]
     service._rounds_folded = sv["rounds_folded"]
 

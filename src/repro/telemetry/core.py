@@ -23,13 +23,14 @@ profiler and adds three layers on top of its phase-timing table:
 
 Emission is *deferred*: hot paths append compact records (span tuples,
 plain event dicts, or :meth:`Telemetry.defer` thunks with reserved
-``seq`` ranges) to one ordered queue, and sinks see materialized dicts
-at the next flush boundary — :meth:`Telemetry.events`,
-:meth:`Telemetry.metrics_snapshot`, :meth:`Telemetry.close`,
-:meth:`Telemetry.flush`, or a bounded queue cap. Sequence numbers are
-assigned at record time, so the materialized stream reads exactly as if
-every event had been emitted inline; only the dict-building and sink
-forwarding move off the round loop's critical path.
+``seq`` ranges) to one ordered queue, and each sink's ``emit`` receives
+the materialized dicts as one list at the next flush boundary —
+:meth:`Telemetry.events`, :meth:`Telemetry.metrics_snapshot`,
+:meth:`Telemetry.close`, :meth:`Telemetry.flush`, or a bounded queue
+cap. Sequence numbers are assigned at record time, so the materialized
+stream reads exactly as if every event had been emitted inline; only
+the dict-building and sink forwarding move off the round loop's
+critical path.
 
 Determinism: the clock is injectable. With the default
 ``time.perf_counter`` span durations are wall-clock; with a
@@ -239,13 +240,6 @@ class Telemetry:
         self.enabled = enabled
         self._stack: list[str] = []
         self._seq = 0
-        # bound ``emit`` methods, refreshed when ``sinks`` changes
-        # (hot paths loop these instead of re-resolving attributes);
-        # ``_sink_cache`` remembers which sink list the cache was built
-        # from, so replacing one sink with another is detected even when
-        # the list length is unchanged
-        self._sink_emits = [s.emit for s in self.sinks]
-        self._sink_cache = list(self.sinks)
         self._span_pool: list[_SpanHandle] = []
         # Deferred-emission queue: hot paths append compact records
         # (span tuples, thunks with reserved seq ranges, plain event
@@ -293,19 +287,21 @@ class Telemetry:
             self._flush_pending()
 
     def _flush_pending(self) -> None:
-        """Materialize queued records and forward them to every sink."""
+        """Materialize queued records and hand them to every sink.
+
+        The queue becomes one list of event dicts in ``seq`` order, and
+        each sink's ``emit`` receives that whole list once, so a sink
+        pays its per-call cost once per flush, not once per event.
+        """
         if not self._pending:
             return
-        if self._sink_cache != self.sinks:
-            self._sink_emits = [s.emit for s in self.sinks]
-            self._sink_cache = list(self.sinks)
-        emits = self._sink_emits
         # swap the queue out first: thunks may defer/observe re-entrantly
         queue, self._pending = self._pending, []
+        events: list[dict] = []
+        append = events.append
         for item in queue:
             if type(item) is dict:
-                for emit in emits:
-                    emit(item)
+                append(item)
                 continue
             if item[0] == _SPAN:
                 _, name, kind, depth, dur, seq, attrs = item
@@ -320,21 +316,22 @@ class Telemetry:
                 }
                 if attrs:
                     event["attrs"] = attrs
-                for emit in emits:
-                    emit(event)
+                append(event)
                 continue
             _, fn, args, seq0, n_events = item
-            events = fn(self, *args)
-            if len(events) != n_events:
+            built = fn(self, *args)
+            if len(built) != n_events:
                 raise RuntimeError(
-                    f"deferred emitter returned {len(events)} events, "
+                    f"deferred emitter returned {len(built)} events, "
                     f"reserved {n_events}"
                 )
-            for i, event in enumerate(events):
+            for i, event in enumerate(built, seq0):
                 event["v"] = SCHEMA_VERSION
-                event["seq"] = seq0 + i
-                for emit in emits:
-                    emit(event)
+                event["seq"] = i
+            events.extend(built)
+        if events:
+            for sink in self.sinks:
+                sink.emit(events)
 
     def flush(self) -> None:
         """Materialize all deferred events into the sinks now.

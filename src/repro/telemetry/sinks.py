@@ -6,14 +6,17 @@ not decode is a *cut tail* (a writer killed mid-line) and is dropped
 with a :class:`TraceTruncated` warning; any other line that does not
 decode to a JSON object raises :class:`TraceError` naming ``path:line``.
 
-Every sink receives each emitted event exactly once, in emission order,
-as a plain dict already stamped with the schema version (``v``) and the
-sequence number (``seq``). Sinks never mutate events.
+A sink has one method the hub calls, ``emit(events)``: at each flush it
+receives that flush's events as one list in ``seq`` order, each a plain
+dict already stamped with the schema version (``v``) and the sequence
+number (``seq``). Every event reaches every sink exactly once. Sinks
+never mutate events or keep the list itself.
 
 ``encode_event`` defines the canonical wire encoding: sorted keys, no
-whitespace, NaN rejected, numpy scalars coerced. Canonical bytes are
-what makes seeded traces byte-identical across runs — and therefore
-usable as regression fixtures, not just logs.
+whitespace, NaN rejected, numpy scalars coerced; ``JsonlSink`` encodes
+with the same module-level encoder. Canonical bytes are what makes
+seeded traces byte-identical across runs — and therefore usable as
+regression fixtures, not just logs.
 """
 
 from __future__ import annotations
@@ -54,15 +57,19 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
+#: the canonical encoder (one instance: ``json.dumps`` with options
+#: builds a fresh encoder on every call)
+_ENCODER = json.JSONEncoder(
+    sort_keys=True,
+    separators=(",", ":"),
+    allow_nan=False,
+    default=_json_default,
+)
+
+
 def encode_event(event: dict) -> str:
     """One canonical JSONL line (no trailing newline) for an event."""
-    return json.dumps(
-        event,
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-        default=_json_default,
-    )
+    return _ENCODER.encode(event)
 
 
 def decode_event(line: str) -> dict:
@@ -153,8 +160,8 @@ class MemorySink:
     def __init__(self, maxlen: int | None = 65536):
         self.events: deque = deque(maxlen=maxlen)
 
-    def emit(self, event: dict) -> None:
-        self.events.append(event)
+    def emit(self, events: list[dict]) -> None:
+        self.events.extend(events)
 
     def close(self) -> None:
         pass
@@ -180,11 +187,11 @@ class JsonlSink:
         self.fsync_on_flush = bool(fsync_on_flush)
         self._fh = open(self.path, "w", encoding="utf-8")
 
-    def emit(self, event: dict) -> None:
+    def emit(self, events: list[dict]) -> None:
         if self._fh is None:
             raise RuntimeError(f"JsonlSink({self.path}) is closed")
-        self._fh.write(encode_event(event))
-        self._fh.write("\n")
+        if events:
+            self._fh.write("\n".join(map(_ENCODER.encode, events)) + "\n")
 
     def flush(self) -> None:
         """Drain userspace buffers (and hit the disk when configured)."""
@@ -253,13 +260,15 @@ class MetricsTextSink:
         """Export ``hub``'s internal counters in every future flush."""
         self._hub = hub
 
-    def emit(self, event: dict) -> None:
-        kind = str(event.get("type"))
-        self._event_counts[kind] = self._event_counts.get(kind, 0) + 1
-        if kind == "metric" and event.get("kind") == "gauge":
-            labels = tuple(sorted((event.get("attrs") or {}).items()))
-            series = self._gauges.setdefault(event["name"], {})
-            series[labels] = float(event["value"])
+    def emit(self, events: list[dict]) -> None:
+        counts = self._event_counts
+        for event in events:
+            kind = str(event.get("type"))
+            counts[kind] = counts.get(kind, 0) + 1
+            if kind == "metric" and event.get("kind") == "gauge":
+                labels = tuple(sorted((event.get("attrs") or {}).items()))
+                series = self._gauges.setdefault(event["name"], {})
+                series[labels] = float(event["value"])
 
     def render(self) -> str:
         """The full exposition-format payload for the current state."""

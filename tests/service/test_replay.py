@@ -1,5 +1,7 @@
 """The traffic-replay harness: seeded workloads and the SLO report."""
 
+import time
+
 import pytest
 
 from repro.service import ReplayConfig, generate_workload, run_replay
@@ -85,3 +87,32 @@ class TestRunReplay:
         b = run_replay(cfg, tmp_path / "b")
         assert a["history_digest"] == b["history_digest"]
         assert a["final_accuracy"] == b["final_accuracy"]
+
+    def test_checkpoint_time_covers_the_snapshot_writes(self, tmp_path,
+                                                         monkeypatch):
+        import repro.service.service as service_mod
+
+        write_s = []
+        write_snapshot = service_mod.write_snapshot
+
+        def spy(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return write_snapshot(*args, **kwargs)
+            finally:
+                write_s.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(service_mod, "write_snapshot", spy)
+        cfg = ReplayConfig(
+            rounds=60,
+            num_workers=8,
+            checkpoint_every=20,
+            samples_per_worker=16,
+            test_samples=64,
+        )
+        report = run_replay(cfg, tmp_path / "replay")
+        assert len(write_s) == report["checkpoints"] == 3
+        # the whole save is charged, not only the state capture
+        assert report["checkpoint_s_total"] >= sum(write_s)
+        assert report["snapshot_overhead_pct"] == pytest.approx(
+            100.0 * report["checkpoint_s_total"] / report["round_s_total"])

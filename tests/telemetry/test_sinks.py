@@ -52,7 +52,7 @@ class TestMemorySink:
     def test_bounded_ring_drops_oldest(self):
         sink = MemorySink(maxlen=3)
         for i in range(5):
-            sink.emit({"seq": i})
+            sink.emit([{"seq": i}])
         assert [ev["seq"] for ev in sink.events] == [2, 3, 4]
 
 
@@ -82,8 +82,8 @@ class TestJsonlSink:
     def test_each_event_is_one_json_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with JsonlSink(path) as sink:
-            sink.emit({"seq": 0})
-            sink.emit({"seq": 1})
+            sink.emit([{"seq": 0}])
+            sink.emit([{"seq": 1}])
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert all(json.loads(line) for line in lines)
@@ -93,14 +93,14 @@ class TestJsonlSink:
         sink.close()
         sink.close()  # idempotent
         with pytest.raises(RuntimeError):
-            sink.emit({"seq": 0})
+            sink.emit([{"seq": 0}])
 
 
 class TestJsonlDurability:
     def test_flush_drains_userspace_buffers(self, tmp_path):
         path = tmp_path / "t.jsonl"
         sink = JsonlSink(path)
-        sink.emit({"seq": 0})
+        sink.emit([{"seq": 0}])
         sink.flush()
         # readable from a second handle without closing the sink — the
         # property a kill/resume differential reads traces through
@@ -113,7 +113,7 @@ class TestJsonlDurability:
         synced = []
         monkeypatch.setattr(sinks_mod.os, "fsync", synced.append)
         sink = JsonlSink(tmp_path / "t.jsonl", fsync_on_flush=True)
-        sink.emit({"seq": 0})
+        sink.emit([{"seq": 0}])
         sink.flush()
         assert len(synced) == 1
         sink.close()  # close flushes again
@@ -125,7 +125,7 @@ class TestJsonlDurability:
         synced = []
         monkeypatch.setattr(sinks_mod.os, "fsync", synced.append)
         with JsonlSink(tmp_path / "t.jsonl") as sink:
-            sink.emit({"seq": 0})
+            sink.emit([{"seq": 0}])
             sink.flush()
         assert synced == []
 
@@ -180,43 +180,43 @@ class TestMetricsTextSink:
 
     def test_gauge_keeps_last_value(self, tmp_path):
         sink = self.make(tmp_path)
-        sink.emit(self.gauge("loss", 0.9))
-        sink.emit(self.gauge("loss", 0.4))
+        sink.emit([self.gauge("loss", 0.9)])
+        sink.emit([self.gauge("loss", 0.4)])
         assert "repro_loss 0.4" in sink.render()
         assert "0.9" not in sink.render()
 
     def test_distinct_label_sets_are_distinct_series(self, tmp_path):
         sink = self.make(tmp_path)
-        sink.emit(self.gauge("reputation", 0.2, worker=0))
-        sink.emit(self.gauge("reputation", 0.7, worker=1))
+        sink.emit([self.gauge("reputation", 0.2, worker=0)])
+        sink.emit([self.gauge("reputation", 0.7, worker=1)])
         out = sink.render()
         assert 'repro_reputation{worker="0"} 0.2' in out
         assert 'repro_reputation{worker="1"} 0.7' in out
 
     def test_labels_render_sorted(self, tmp_path):
         sink = self.make(tmp_path)
-        sink.emit(self.gauge("x", 1.0, zeta="b", alpha="a"))
+        sink.emit([self.gauge("x", 1.0, zeta="b", alpha="a")])
         assert 'repro_x{alpha="a",zeta="b"} 1.0' in sink.render()
 
     def test_type_lines_present(self, tmp_path):
         sink = self.make(tmp_path)
-        sink.emit(self.gauge("loss", 0.5))
+        sink.emit([self.gauge("loss", 0.5)])
         out = sink.render()
         assert "# TYPE repro_loss gauge" in out
         assert "# TYPE repro_events_total counter" in out
 
     def test_event_type_counters(self, tmp_path):
         sink = self.make(tmp_path)
-        sink.emit({"type": "span", "name": "round"})
-        sink.emit({"type": "span", "name": "round"})
-        sink.emit(self.gauge("loss", 0.5))
+        sink.emit([{"type": "span", "name": "round"}])
+        sink.emit([{"type": "span", "name": "round"}])
+        sink.emit([self.gauge("loss", 0.5)])
         out = sink.render()
         assert 'repro_events_total{type="span"} 2' in out
         assert 'repro_events_total{type="metric"} 1' in out
 
     def test_metric_name_sanitized(self, tmp_path):
         sink = self.make(tmp_path)
-        sink.emit(self.gauge("fifl.reward-gini", 0.3))
+        sink.emit([self.gauge("fifl.reward-gini", 0.3)])
         assert "repro_fifl_reward_gini 0.3" in sink.render()
 
     def test_digit_prefixed_name_guarded(self, tmp_path):
@@ -227,7 +227,7 @@ class TestMetricsTextSink:
 
     def test_label_value_escaping(self, tmp_path):
         sink = self.make(tmp_path)
-        sink.emit(self.gauge("x", 1.0, path='a\\b"c\nd'))
+        sink.emit([self.gauge("x", 1.0, path='a\\b"c\nd')])
         out = sink.render()
         assert '\\\\' in out       # backslash doubled
         assert '\\"' in out        # quote escaped
@@ -236,12 +236,12 @@ class TestMetricsTextSink:
 
     def test_custom_namespace(self, tmp_path):
         sink = self.make(tmp_path, namespace="fifl")
-        sink.emit(self.gauge("loss", 0.5))
+        sink.emit([self.gauge("loss", 0.5)])
         assert "fifl_loss 0.5" in sink.render()
 
     def test_flush_writes_atomically(self, tmp_path):
         sink = self.make(tmp_path)
-        sink.emit(self.gauge("loss", 0.5))
+        sink.emit([self.gauge("loss", 0.5)])
         sink.flush()
         path = tmp_path / "metrics.prom"
         assert path.read_text() == sink.render()
@@ -258,11 +258,11 @@ class TestMetricsTextSink:
 
     def test_close_flushes_once_then_latches(self, tmp_path):
         sink = self.make(tmp_path)
-        sink.emit(self.gauge("loss", 0.5))
+        sink.emit([self.gauge("loss", 0.5)])
         sink.close()
         path = tmp_path / "metrics.prom"
         before = path.read_text()
-        sink.emit(self.gauge("loss", 0.1))
+        sink.emit([self.gauge("loss", 0.1)])
         sink.flush()  # no-op after close
         sink.close()
         assert path.read_text() == before
