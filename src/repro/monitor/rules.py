@@ -95,6 +95,20 @@ __all__ = ["RuleEngine"]
 _NO_ALERTS: tuple = ()
 
 
+def _median(values: list[float]) -> float:
+    """``float(np.median(values))`` by a sort: NaN when a value is NaN (or
+    there is none), else the middle value or the mean of the middle two.
+    A round-time window is a few entries, where numpy's per-call cost is
+    most of the work."""
+    if not values or any(v != v for v in values):
+        return math.nan
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 class RuleEngine:
     """Stateful per-run rule evaluator (one engine per trace/run)."""
 
@@ -722,14 +736,14 @@ class RuleEngine:
         if self._round_time_baseline is None:
             if len(times) < cfg.round_time_warmup:
                 return _NO_ALERTS
-            self._round_time_baseline = float(np.median(times))
+            self._round_time_baseline = _median(times)
             del times[:]
             return _NO_ALERTS
         if len(times) > cfg.round_time_window:
             del times[0]
         if len(times) < cfg.round_time_window:
             return _NO_ALERTS
-        win_med = float(np.median(times))
+        win_med = _median(times)
         base = self._round_time_baseline
         degraded = (
             win_med > cfg.round_time_factor * base

@@ -32,6 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..datasets import Dataset
+from ..fl.streams import seed_streams
 from ..fl.workers import Worker, WorkerSpec, make_worker
 from .store import ReputationStore
 
@@ -185,15 +186,7 @@ class WorkerPopulation:
         without perturbing each other.
         """
         self._check_id(worker_id)
-        if worker_id in self._left:
-            return False
-        return self.availability >= 1.0 or self._checks_in(worker_id, round_idx)
-
-    def _checks_in(self, worker_id: int, round_idx: int) -> bool:
-        rng = np.random.default_rng(
-            (_SALT_AVAILABILITY, self.seed, round_idx, worker_id)
-        )
-        return bool(rng.random() < self.availability)
+        return self.available_ids([worker_id], round_idx).size == 1
 
     def available_ids(
         self, ids: np.ndarray, round_idx: int, required=()
@@ -201,9 +194,11 @@ class WorkerPopulation:
         """The ids of ``ids`` that take part in this round, in order.
 
         An id takes part if it is live and, unless it is ``required``,
-        checked in (:meth:`is_available`, same per-id draws). Churn is
-        one ``isin`` over the array; per-id draws happen only when
-        availability is below 1.
+        checked in: the first ``random()`` of
+        ``default_rng((salt, seed, round, id))`` is below the
+        availability. Churn is one ``isin`` over the array; the check-in
+        draws, seeded in one pass over the ids that need one, happen only
+        when availability is below 1.
         """
         ids = np.asarray(ids, dtype=np.int64)
         keep = np.ones(ids.size, dtype=bool)
@@ -211,8 +206,11 @@ class WorkerPopulation:
             keep &= ~np.isin(ids, np.fromiter(self._left, np.int64, len(self._left)))
         if self.availability < 1.0:
             draw = keep & ~np.isin(ids, np.asarray(list(required), dtype=np.int64))
-            for i in np.flatnonzero(draw).tolist():
-                keep[i] = self._checks_in(int(ids[i]), round_idx)
+            if draw.any():
+                streams = seed_streams(
+                    _SALT_AVAILABILITY, self.seed, round_idx, ids[draw]
+                )
+                keep[draw] = streams.first_random() < self.availability
         return ids[keep]
 
     @property

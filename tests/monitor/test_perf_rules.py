@@ -7,9 +7,14 @@ latches that re-arm on recovery, like the margin/gini level alerts.
 """
 
 import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.monitor import Monitor, MonitorConfig
-from repro.monitor.rules import RuleEngine
+from repro.monitor.rules import RuleEngine, _median
 
 
 def engine(**cfg):
@@ -116,6 +121,23 @@ class TestGcPause:
         ev = resource_sample(seq=0)
         del ev["data"]["gc_pause_max_s"]
         assert list(engine().process(ev)) == []
+
+
+class TestWindowMedian:
+    @settings(max_examples=400, deadline=None)
+    @given(window=st.lists(
+        st.one_of(
+            st.floats(),
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.01]),
+        ),
+        min_size=1, max_size=17,
+    ))
+    def test_equals_numpy_median(self, window):
+        """NaN, ±inf and repeated values: the float ``np.median`` gives."""
+        with np.errstate(all="ignore"):
+            want = float(np.median(window))
+        got = _median(list(window))
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestRoundTimeDegraded:

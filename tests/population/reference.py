@@ -14,11 +14,16 @@ top-k. Two loops pin it:
   list, O(n) memory. libm ``pow`` differs from numpy's vectorized
   ``pow`` by 1 ULP on a few percent of keys, so it checks the cohort,
   not the bytes of every key.
+
+:func:`availability_aware_oracle` is the availability-aware sampler's
+candidate loop with one ``default_rng`` check-in draw per candidate,
+which :func:`check_in` spells out.
 """
 
 import numpy as np
 
 from repro.population.sampler import (
+    _SALT_AVAILABLE,
     _SALT_WEIGHTED,
     _required_array,
     _with_required,
@@ -108,3 +113,45 @@ def reputation_weighted_reference(
     keyed.sort(key=lambda kv: (-kv[0], kv[1]))
     extras = np.asarray([wid for _, wid in keyed[:k]], dtype=np.int64)
     return _with_required(req, extras)
+
+
+def check_in(population, worker_id: int, round_idx: int) -> bool:
+    """The per-(round, id) availability draw, one generator per id."""
+    rng = np.random.default_rng((0xA1B2, population.seed, round_idx, worker_id))
+    return bool(rng.random() < population.availability)
+
+
+def availability_aware_oracle(
+    seed: int,
+    round_idx: int,
+    population,
+    cohort_size: int,
+    required=(),
+    max_attempt_factor: int = 64,
+) -> np.ndarray:
+    """Candidates in draw order, each kept if live and checked in, until
+    ``k`` are kept or the attempt budget runs out."""
+    n = population.size
+    req = _required_array(required, n)
+    k = min(cohort_size, n) - req.size
+    if k <= 0:
+        return req
+    rng = np.random.default_rng((_SALT_AVAILABLE, seed, round_idx))
+    seen = set(int(r) for r in req)
+    chosen: list[int] = []
+    budget = max_attempt_factor * k + 256
+    while len(chosen) < k and budget > 0:
+        draws = rng.integers(0, n, size=min(budget, 2 * (k - len(chosen)) + 8))
+        budget -= draws.size
+        for v in draws.tolist():
+            if v in seen:
+                continue
+            seen.add(v)
+            live = population.is_live(v)
+            if live and (population.availability >= 1.0 or check_in(
+                population, v, round_idx
+            )):
+                chosen.append(v)
+                if len(chosen) == k:
+                    break
+    return _with_required(req, np.asarray(chosen, dtype=np.int64))

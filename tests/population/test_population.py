@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import make_blobs
 from repro.fl import HonestWorker, WorkerSpec
 from repro.nn import build_logreg
 from repro.population import WorkerPopulation
+
+from .reference import check_in
 
 N_FEATURES, N_CLASSES = 6, 3
 
@@ -164,6 +168,29 @@ class TestChurnAvailability:
     def test_full_availability_no_draws(self):
         pop = lazy_population(availability=1.0)
         assert all(pop.is_available(w, 0) for w in range(20))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 299), max_size=40),
+        round_idx=st.one_of(st.integers(0, 60), st.just(2**32)),
+        seed=st.one_of(st.integers(0, 2**16), st.just(2**40)),
+        availability=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        left=st.lists(st.integers(0, 299), max_size=8),
+    )
+    def test_one_check_in_draw(self, ids, round_idx, seed, availability, left):
+        """``available_ids`` (one batched pass) and ``is_available`` (one
+        id) make the same draw: ``default_rng`` of the int tuple."""
+        pop = WorkerPopulation(
+            300, seed=seed, availability=availability,
+            churn=tuple((0, w, "leave") for w in left),
+        )
+        pop.begin_round(0)
+        expected = [
+            w for w in ids
+            if w not in left and (availability >= 1.0 or check_in(pop, w, round_idx))
+        ]
+        assert [w for w in ids if pop.is_available(w, round_idx)] == expected
+        assert pop.available_ids(np.array(ids, dtype=np.int64), round_idx).tolist() == expected
 
 
 class TestFromWorkers:

@@ -20,10 +20,16 @@ from repro.population import (
     make_sampler,
 )
 
-from repro.population.sampler import _prefilter_threshold, _round_rng
+import repro.population.sampler as sampler_module
+from repro.population.sampler import (
+    _SCRATCH_BYTES,
+    _prefilter_threshold,
+    _round_rng,
+)
 
 from .reference import (
     _chunk_uniforms,
+    availability_aware_oracle,
     reputation_weighted_oracle,
     reputation_weighted_reference,
 )
@@ -117,7 +123,7 @@ class TestRestartDeterminism:
         "key", [(0x4E57, 0, 0, 0), (1, 2**32 - 1, 7, 4096), (1, 2**40, 7, 4096)]
     )
     def test_round_rng_is_the_int_tuple_seed(self, key):
-        """The uint32 entropy array seeds the stream the int tuple does."""
+        """The sampler's round stream is ``default_rng`` of the int tuple."""
         got = _round_rng(*key).random(8)
         assert got.tobytes() == np.random.default_rng(key).random(8).tobytes()
 
@@ -317,6 +323,89 @@ class TestPrefilterByteOracle:
         assert fast.tobytes() == oracle.tobytes()
 
 
+class TestSmallBlocksByteOracle:
+    """The byte-oracle property with blocks of 1 to 4 chunks. Real blocks
+    hold up to 16383 rows, more than these populations, so only smaller
+    blocks run the prefilter and the per-block merge here."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=weighted_cases(_WIDE_REPUTATIONS),
+        floor=_FLOORS,
+        per_block=st.integers(1, 4),
+    )
+    def test_matches_full_key_oracle(self, case, floor, per_block):
+        pop = WorkerPopulation(
+            case["n"],
+            reputation_chunk=case["chunk"],
+            initial_reputation=case["initial"],
+        )
+        pop.reputation_store.write_round(case["written"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                sampler_module, "_SCRATCH_BYTES", 8 * case["chunk"] * per_block + 1
+            )
+            fast = ReputationWeightedSampler(seed=case["seed"], floor=floor).sample(
+                case["round_idx"], pop, case["k"], required=case["required"]
+            )
+        oracle = reputation_weighted_oracle(
+            case["seed"], case["round_idx"], pop, case["k"],
+            required=case["required"], floor=floor,
+        )
+        assert fast.tobytes() == oracle.tobytes()
+
+
+# The sampler draws, prefilters and merges a block of chunks at a time;
+# with 1024-row chunks a block is B chunks.
+_CHUNK = 1024
+_B = (_SCRATCH_BYTES - 1) // (8 * _CHUNK)
+
+
+class TestBlockBoundaries:
+    """Cases placed on the sampler's block edges, against the byte oracle,
+    which draws and merges one chunk at a time."""
+
+    @pytest.mark.parametrize(
+        "chunks, written, required, k",
+        [
+            # a NaN-reputation chunk in the middle of an otherwise finite
+            # block, once tau is set and before
+            pytest.param(2 * _B, {w: float("nan") for w in range(
+                (_B + 1) * _CHUNK, (_B + 2) * _CHUNK, 7)}, (), 40, id="nan-chunk"),
+            pytest.param(_B, {_CHUNK + 3: float("nan"), 5: 2.0}, (), 40,
+                         id="nan-row-first-block"),
+            # required ids on the first row of a block (and of the first)
+            pytest.param(2 * _B + 1, {}, (0, _B * _CHUNK, 2 * _B * _CHUNK), 40,
+                         id="required-block-start"),
+            # the top-k fills in the third chunk of the first block
+            pytest.param(_B + 1, {}, (), 2 * _CHUNK + 10, id="tau-mid-block"),
+            # NaN keys fill the top-k through the first block, so tau is
+            # first set by the second block's first chunk
+            pytest.param(2 * _B, {w: float("nan") for w in range(_B * _CHUNK)},
+                         (), 40, id="tau-after-nan-block"),
+            pytest.param(1, {3: 1.5}, (1,), 40, id="one-chunk"),
+            pytest.param(_B, {3: 1.5}, (1,), 40, id="B-chunks"),
+            pytest.param(_B + 1, {3: 1.5, _B * _CHUNK: 9.0}, (1,), 40,
+                         id="B+1-chunks"),
+        ],
+    )
+    def test_matches_full_key_oracle(self, chunks, written, required, k):
+        pop = WorkerPopulation(chunks * _CHUNK, reputation_chunk=_CHUNK)
+        pop.reputation_store.write_round(written)
+        for rnd in range(3):
+            fast = ReputationWeightedSampler(seed=6).sample(
+                rnd, pop, k, required=required
+            )
+            oracle = reputation_weighted_oracle(6, rnd, pop, k, required=required)
+            assert fast.tobytes() == oracle.tobytes()
+
+    def test_partial_last_chunk_in_a_partial_block(self):
+        pop = WorkerPopulation(_B * _CHUNK + 17, reputation_chunk=_CHUNK)
+        pop.reputation_store.write_round({_B * _CHUNK + 16: 4.0})
+        fast = ReputationWeightedSampler(seed=2).sample(1, pop, 30)
+        assert fast.tobytes() == reputation_weighted_oracle(2, 1, pop, 30).tobytes()
+
+
 class TestPrefilterThreshold:
     def test_fallbacks_let_every_row_through(self):
         assert _prefilter_threshold(0.0, 1.0) == 0.0
@@ -366,6 +455,32 @@ class TestAvailabilityAware:
         sampler = AvailabilityAwareSampler(seed=0)
         for rnd in range(5):
             assert 7 not in sampler.sample(rnd, pop, 20).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        k=st.integers(0, 60),
+        availability=st.one_of(st.just(1.0), st.floats(0.02, 1.0)),
+        left=st.lists(st.integers(0, 399), max_size=20),
+        required=st.lists(st.integers(0, 399), max_size=3),
+        seed=st.integers(0, 2**16),
+        round_idx=st.integers(0, 40),
+    )
+    def test_matches_per_candidate_oracle(
+        self, n, k, availability, left, required, seed, round_idx
+    ):
+        """Batched check-ins keep the per-candidate loop's cohort."""
+        pop = make_population(
+            size=n, availability=availability, seed=seed + 1,
+            churn=tuple((0, w, "leave") for w in left if w < n),
+        )
+        pop.begin_round(round_idx)
+        required = tuple(r for r in required if r < n)
+        fast = AvailabilityAwareSampler(seed=seed).sample(
+            round_idx, pop, k, required=required
+        )
+        oracle = availability_aware_oracle(seed, round_idx, pop, k, required=required)
+        assert fast.tobytes() == oracle.tobytes()
 
     def test_mostly_offline_population_yields_short_cohort(self):
         pop = make_population(size=60, availability=0.05)
