@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core import LossBasedDetector, detection_scores_matrix
 from repro.datasets import iid_partition, make_blobs, train_test_split
-from repro.fl import HonestWorker, SignFlippingWorker
+from repro.fl import FleetLocalEngine, HonestWorker, SignFlippingWorker
 from repro.fl.gradients import slice_offsets
 from repro.nn import build_logreg
 
@@ -29,13 +29,14 @@ def _gradients(seed=0):
     shards = iid_partition(train, N_WORKERS, seed=seed)
     model_fn = lambda: build_logreg(N_FEATURES, N_CLASSES, seed=seed)
     theta = model_fn().get_flat_params()
-    grads = {}
+    workers = []
     for i in range(N_WORKERS):
         cls = SignFlippingWorker if i in ATTACKERS else HonestWorker
         kwargs = {"p_s": 4.0} if i in ATTACKERS else {}
-        w = cls(i, shards[i], model_fn, lr=0.1, local_iters=4,
-                seed=seed + 100 + i, **kwargs)
-        grads[i] = w.compute_update(theta).gradient
+        workers.append(cls(i, shards[i], model_fn, lr=0.1, local_iters=4,
+                           seed=seed + 100 + i, **kwargs))
+    updates = FleetLocalEngine(workers).compute_updates(theta)
+    grads = {i: updates[i].gradient for i in range(N_WORKERS)}
     return theta, grads, test, model_fn
 
 

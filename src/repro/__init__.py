@@ -13,13 +13,13 @@ Subpackages
     Federated substrate: workers, attackers, trainer.
 ``repro.core``
     The FIFL mechanism, its four modules, baselines, robust-aggregation
-    comparisons, and server selection.
+    comparisons.
 ``repro.ledger``
     Blockchain audit substrate.
 ``repro.market``
     Worker-market simulation for the incentive comparison.
 ``repro.metrics``
-    Detection and reporting metrics.
+    Detection and reward-fairness metrics.
 ``repro.telemetry``
     Always-on spans, per-phase timers/counters and metrics for the round engine.
 ``repro.experiments``

@@ -38,8 +38,7 @@ from .robust import (
     krum,
     trimmed_mean,
 )
-from .selection import probe_selection, reputation_selection
-from .utility import federation_revenue, marginal_utility, system_revenue, utility
+from .utility import utility
 
 __all__ = [
     "DetectionConfig",
@@ -71,14 +70,9 @@ __all__ = [
     "shapley_montecarlo",
     "BASELINE_WEIGHTS",
     "utility",
-    "federation_revenue",
-    "marginal_utility",
-    "system_revenue",
     "FIFLConfig",
     "FIFLMechanism",
     "FIFLRoundRecord",
-    "probe_selection",
-    "reputation_selection",
     "coordinate_median",
     "trimmed_mean",
     "krum",

@@ -1,23 +1,14 @@
-"""Utility and system-revenue model (paper S5.1-S5.2).
+"""Utility model (paper S5.1-S5.2).
 
 The paper expresses the relationship between training data and revenue as
 ``Ψ = log(1 + n)`` (after Zhan et al.), where ``n`` is a sample count.
-Federation revenue is the utility of the pooled data. Attackers are
-parameterized by an *attack degree* ℧: an attacker's presence removes
-``℧ · Ψ(A)`` from the federation's revenue (S5.2.2), so undetected
-attackers depress revenue while detected-and-excluded ones do not.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "utility",
-    "federation_revenue",
-    "marginal_utility",
-    "system_revenue",
-]
+__all__ = ["utility"]
 
 
 def utility(n: float | np.ndarray) -> float | np.ndarray:
@@ -27,65 +18,3 @@ def utility(n: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("sample counts must be non-negative")
     out = np.log1p(n_arr)
     return float(out) if np.isscalar(n) or n_arr.ndim == 0 else out
-
-
-def federation_revenue(samples: np.ndarray) -> float:
-    """Revenue of a federation holding the given per-worker sample counts."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if (samples < 0).any():
-        raise ValueError("sample counts must be non-negative")
-    return float(np.log1p(samples.sum()))
-
-
-def marginal_utility(samples: np.ndarray, i: int) -> float:
-    """Union marginal gain ``Ψ(A) - Ψ(A \\ {i})`` (paper Eq. 21)."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if not 0 <= i < samples.size:
-        raise ValueError(f"worker index {i} out of range")
-    total = samples.sum()
-    return float(np.log1p(total) - np.log1p(total - samples[i]))
-
-
-def system_revenue(
-    samples: np.ndarray,
-    attacker_mask: np.ndarray,
-    attack_degree: float,
-    detected_mask: np.ndarray | None = None,
-) -> float:
-    """Net system revenue with attackers present (paper S5.2.2 model).
-
-    * Detected attackers are excluded: they contribute no data and no
-      damage (FIFL's behaviour).
-    * Undetected attackers contribute their (worthless) claimed data to
-      the pool but each removes ``℧ · Ψ(A)`` of revenue, where Ψ(A) is
-      the gross pooled revenue. Total damage is capped so revenue never
-      goes below zero (a destroyed model yields nothing, not a debt).
-
-    Parameters
-    ----------
-    samples : per-worker sample counts.
-    attacker_mask : boolean, True where the worker is an attacker.
-    attack_degree : ℧ per attacker, in [0, 1].
-    detected_mask : boolean, True where the mechanism excluded the worker.
-        None means no detection at all (the baselines).
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    attacker_mask = np.asarray(attacker_mask, dtype=bool)
-    if samples.shape != attacker_mask.shape:
-        raise ValueError("samples and attacker_mask shapes differ")
-    if not 0.0 <= attack_degree <= 1.0:
-        raise ValueError("attack_degree must be in [0, 1]")
-    if detected_mask is None:
-        detected_mask = np.zeros_like(attacker_mask)
-    detected_mask = np.asarray(detected_mask, dtype=bool)
-    if detected_mask.shape != samples.shape:
-        raise ValueError("detected_mask shape differs")
-
-    participating = ~detected_mask
-    honest_data = samples[participating & ~attacker_mask].sum()
-    # Attackers' data is worthless: gross revenue comes from honest data
-    # actually in the pool.
-    gross = float(np.log1p(honest_data))
-    n_undetected_attackers = int((attacker_mask & participating).sum())
-    damage = attack_degree * gross * n_undetected_attackers
-    return max(0.0, gross - damage)

@@ -26,7 +26,6 @@ from .workers import (
     WorkerSpec,
     WorkerUpdate,
     make_worker,
-    make_workers,
     register_worker_role,
 )
 
@@ -60,5 +59,4 @@ __all__ = [
     "WORKER_ROLES",
     "register_worker_role",
     "make_worker",
-    "make_workers",
 ]

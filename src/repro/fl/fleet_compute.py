@@ -1,19 +1,19 @@
 """Fleet-batched local training: all workers' SGD steps as one kernel.
 
-Asking each worker in turn to run its local minibatch SGD
-(``Worker.compute_update``) costs N sequential forward/backward passes
-over N private replicas of the *same* architecture.
-:class:`FleetLocalEngine` replaces that loop:
-it stacks eligible workers' parameters along a leading worker axis (see
+Each worker's local minibatch SGD, run one worker at a time, would cost
+N sequential forward/backward passes over N replicas of the *same*
+architecture. :class:`FleetLocalEngine` is the one local-training path:
+it stacks the workers' parameters along a leading worker axis (see
 :mod:`repro.nn.fleet`) and runs each local step for the whole fleet as
 single batched NumPy calls.
 
-Fidelity contract (differential-tested to <= 1e-8 against that
-per-worker loop, and byte-identical where only layout changes):
+Fidelity contract (differential-tested to <= 1e-8 against the literal
+per-worker loop, ``tests/fl/scalar_sgd.py``, and byte-identical where
+only layout changes):
 
 * **Minibatch sampling** draws from each worker's *own*
-  ``np.random.default_rng(seed)`` stream exactly what the scalar
-  ``Worker._local_gradient``'s ``integers`` call would, but for the whole
+  ``np.random.default_rng(seed)`` stream exactly what a worker training
+  alone would draw with ``rng.integers(0, n, size=b)``, but for the whole
   group at once: each group's :class:`~repro.fl.streams.MinibatchStreams`
   holds its members' PCG64 states as arrays (state, increment, and the
   ``has_uint32``/``uinteger`` buffer) and advances them with one
@@ -39,12 +39,13 @@ per-worker loop, and byte-identical where only layout changes):
   result overwrites that row, in worker order — the same draws from the
   same generators as the per-worker loop (reading ``rng`` hands the stream
   back first).
-* **Fallbacks**: workers with a custom optimizer, a fleet-ineligible
-  architecture (e.g. Dropout), a heterogeneous ``model_fn``, or no local
-  training at all (free-riders) transparently keep the scalar
-  ``compute_update`` path; eligible workers are grouped by architecture
-  signature + effective batch size + local iteration count, each group
-  batched independently.
+* **Groups**: workers are grouped by architecture signature (computed
+  once per distinct ``model_fn``) + effective batch size + local
+  iteration count, each group batched independently. An architecture
+  with a layer the fleet has no kernel for raises ``ValueError`` naming
+  the layer. Workers that never train (``trains_locally = False``, the
+  free-riders) are the only ones whose ``compute_update`` runs on its
+  own, one row each.
 
 Parallel execution (``backend="thread"``): fleet groups are cut into
 one shard per pool slot and dispatched through an
@@ -175,15 +176,16 @@ class _FleetGroup:
         self.transforms = [i for i, w in enumerate(workers) if _overrides_finalize(w)]
         #: each member's row in the round's upload matrix (set at regroup)
         self.rows = np.arange(len(workers))
+        self._template = None
         self._model: FleetSequential | None = None
         self._data: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def model(self) -> FleetSequential:
         if self._model is None:
-            self._model = FleetSequential(
-                self.workers[0].model, len(self.workers)
-            )
+            if self._template is None:
+                self._template = self.workers[0].model_fn()
+            self._model = FleetSequential(self._template, len(self.workers))
         return self._model
 
     @property
@@ -210,19 +212,31 @@ class _FleetGroup:
             self._data = None
 
 
-def _group_key(worker: Worker) -> tuple | None:
-    """Grouping key for fleet batching, or ``None`` for scalar fallback."""
-    if not worker.trains_locally or worker.optimizer is not None:
-        return None
-    sig = fleet_signature(worker.model)
-    if sig is None:
-        return None
-    return (
-        sig,
-        worker.dataset.x.shape[1:],
-        min(worker.batch_size, len(worker.dataset)),
-        worker.local_iters,
-    )
+def _group_keys(workers: list[Worker]) -> dict[int, tuple]:
+    """Fleet grouping key per training worker id.
+
+    The architecture signature is computed once per distinct
+    ``model_fn``; a worker whose architecture has no fleet kernel raises
+    ``ValueError``. Workers that never train get no key.
+    """
+    signatures: dict = {}
+    keys = {}
+    for w in workers:
+        if not w.trains_locally:
+            continue
+        sig = signatures.get(w.model_fn)
+        if sig is None:
+            try:
+                sig = signatures[w.model_fn] = fleet_signature(w.model_fn())
+            except ValueError as exc:
+                raise ValueError(f"worker {w.worker_id}: {exc}") from None
+        keys[w.worker_id] = (
+            sig,
+            w.dataset.x.shape[1:],
+            min(w.batch_size, len(w.dataset)),
+            w.local_iters,
+        )
+    return keys
 
 
 class FleetLocalEngine:
@@ -244,6 +258,7 @@ class FleetLocalEngine:
             # a repeated worker would train twice: two minibatch draws from
             # its stream, and one of its two updates silently dropped
             raise ValueError(f"duplicate worker ids: {dups}")
+        self._keys = _group_keys(self.workers)
         self.profiler = profiler if profiler is not None else get_telemetry()
         # Shard streaming: cap every fleet group at ``shard_size`` workers
         # and build/release each shard's stacked replica lazily, bounding
@@ -294,7 +309,7 @@ class FleetLocalEngine:
         self._scalar = []
         live = [w for w in self.workers if w.worker_id not in exclude]
         for w in live:
-            key = _group_key(w)
+            key = self._keys.get(w.worker_id)
             if key is None:
                 self._scalar.append(w)
             else:
@@ -420,7 +435,7 @@ class FleetLocalEngine:
 
         A single fleet group already holds every row in that order, so its
         gradient matrix is returned as is; otherwise each group's rows and
-        each scalar worker's update are placed into one matrix.
+        each non-training worker's update are placed into one matrix.
         """
         exclude = frozenset(exclude or ())
         if exclude != self._grouped_for:

@@ -37,8 +37,8 @@ untouched.
 A ready-made list of workers becomes a population through
 :meth:`WorkerPopulation.from_workers`. Local training always runs
 through :class:`~repro.fl.fleet_compute.FleetLocalEngine`, which batches
-homogeneous workers and keeps the per-worker ``compute_update`` path for
-the rest.
+workers of one architecture into one stacked model; only workers that
+never train (free-riders) run their own ``compute_update``.
 
 One matrix from the fleet to the aggregate
 ------------------------------------------
@@ -279,7 +279,7 @@ class FederatedTrainer:
         server_ranks: list[int] | None = None,
         test_data: Dataset | None = None,
         mechanism: RoundMechanism | None = None,
-        server_lr: float | object = 0.1,
+        server_lr: float = 0.1,
         drop_prob: float = 0.0,
         seed: int = 0,
         reselect_every: int = 0,
@@ -323,13 +323,8 @@ class FederatedTrainer:
                 )
         if isinstance(sampler, str):
             sampler = make_sampler(sampler, seed=seed)
-        # server_lr may be a constant or a schedule (callable round -> lr)
-        if callable(server_lr):
-            self._lr_schedule = server_lr
-        else:
-            if server_lr <= 0:
-                raise ValueError("server_lr must be positive")
-            self._lr_schedule = None
+        if server_lr <= 0:
+            raise ValueError("server_lr must be positive")
         if reselect_every < 0:
             raise ValueError("reselect_every must be non-negative")
         self.model = model
@@ -355,7 +350,7 @@ class FederatedTrainer:
         self.mechanism: RoundMechanism = (
             mechanism if mechanism is not None else AcceptAllMechanism()
         )
-        self.server_lr = server_lr if not callable(server_lr) else None
+        self.server_lr = server_lr
         self.seed = seed
         # A FaultScenario moves the upload/collection phase onto the
         # discrete-event kernel: the network delivers through the
@@ -452,15 +447,6 @@ class FederatedTrainer:
             load[src] = load.get(src, 0) + nbytes
             load[dst] = load.get(dst, 0) + nbytes
         return dict(sorted(load.items()))
-
-    def _round_lr(self, round_idx: int) -> float:
-        """The server learning rate for this round (constant or scheduled)."""
-        if self._lr_schedule is not None:
-            lr = float(self._lr_schedule(round_idx))
-            if lr <= 0:
-                raise ValueError(f"schedule produced non-positive lr {lr}")
-            return lr
-        return self.server_lr
 
     # -- cohort selection ------------------------------------------------------
 
@@ -671,8 +657,7 @@ class FederatedTrainer:
                 global_grad = recombine(agg_slices)
             grad_norm = float(np.linalg.norm(global_grad))
             prof.gauge("trainer.grad_norm", grad_norm)
-            lr = self._round_lr(round_idx)
-            self.model.set_flat_params(theta - lr * global_grad)
+            self.model.set_flat_params(theta - self.server_lr * global_grad)
             self._broadcast(
                 [w.worker_id for w in cohort], agg_slices, round_idx
             )

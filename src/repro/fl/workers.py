@@ -1,8 +1,10 @@
 """Worker agents: honest devices and the paper's attacker types (S5.1).
 
-Every worker owns a local dataset and a private model replica. Each round
-the trainer hands the worker the global parameter vector; the worker runs
-``local_iters`` minibatch SGD steps and returns its accumulated local
+Every worker owns a local dataset, its own generator and the recipe
+(``model_fn``) for the federation's architecture. Each round
+:class:`~repro.fl.fleet_compute.FleetLocalEngine` starts every training
+worker from the global parameter vector, runs its ``local_iters``
+minibatch SGD steps in one stacked model, and takes its accumulated local
 gradient ``G_i = (theta_start - theta_end) / lr`` — identical to the sum of
 per-step gradients for plain SGD, which is the paper's ``G_i = sum_k dL/dθ``.
 
@@ -25,8 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..datasets import Dataset, poison_dataset
-from ..nn import SoftmaxCrossEntropy, Sequential
-from ..nn.optim import Optimizer
+from ..nn import Sequential
 
 __all__ = [
     "WorkerUpdate",
@@ -44,7 +45,6 @@ __all__ = [
     "WORKER_ROLES",
     "register_worker_role",
     "make_worker",
-    "make_workers",
 ]
 
 
@@ -62,17 +62,16 @@ class WorkerUpdate:
 
 
 class Worker:
-    """Base worker: local data, local model replica, honest local training.
+    """Base worker: local data, hyperparameters and an upload policy.
 
-    The round contract is split in two so the fleet engine can batch the
-    expensive half: :meth:`_local_gradient` (honest local SGD — either run
-    here on the private replica or computed for many workers at once by
-    :class:`~repro.fl.fleet_compute.FleetLocalEngine`) and
-    :meth:`finalize_update` (the worker's upload policy — identity for
-    honest workers, the attack transform for adversaries — always a cheap
-    vector op on the computed gradient). Workers that never train
-    (free-riders) set ``trains_locally = False`` and override
-    :meth:`compute_update` wholesale.
+    The round contract is split in two. Honest local SGD runs for many
+    workers at once in :class:`~repro.fl.fleet_compute.FleetLocalEngine`;
+    :meth:`finalize_update` is the worker's upload policy (identity for
+    honest workers, the attack transform for adversaries), a cheap vector
+    op on the computed gradient. ``model_fn`` is kept, not called: the
+    fleet builds one template per architecture from it. Workers that
+    never train (free-riders) set ``trains_locally = False`` and define
+    ``compute_update(global_params, global_buffers)`` instead.
     """
 
     is_malicious = False  # static ground-truth label for metrics
@@ -87,7 +86,6 @@ class Worker:
         batch_size: int = 32,
         local_iters: int = 1,
         seed: int = 0,
-        optimizer: Optimizer | None = None,
         compute_time: float | Callable[[int, np.random.Generator], float] | None = None,
     ):
         if lr <= 0:
@@ -98,21 +96,13 @@ class Worker:
             raise ValueError("worker dataset is empty")
         self.worker_id = worker_id
         self.dataset = dataset
-        self.model = model_fn()
+        self.model_fn = model_fn
         self.lr = lr
         self.batch_size = batch_size
         self.local_iters = local_iters
         self._rng = np.random.default_rng(seed)
         #: ``(streams, row)`` while a fleet group holds the stream as arrays
         self._stream = None
-        self._loss_fn = SoftmaxCrossEntropy()
-        # Optional local optimizer (momentum/Adam). The uploaded "gradient"
-        # is always the normalized parameter delta (theta0 - thetaK) / lr
-        # — for plain SGD that equals the accumulated gradient exactly;
-        # for other optimizers it is the effective update direction, which
-        # is what FedAvg-of-updates aggregates in practice. The optimizer
-        # state is reset each round so rounds stay independent.
-        self.optimizer = optimizer
         # Per-worker compute-time model for fault scenarios: a constant
         # (virtual seconds per round), a callable ``(round_idx, rng) ->
         # seconds``, or None to use the scenario's base_compute_s.
@@ -161,55 +151,18 @@ class Worker:
         """Sample count the worker reports (honest workers report truth)."""
         return len(self.dataset)
 
-    def _local_gradient(
-        self, global_params: np.ndarray, global_buffers: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Accumulated gradient of ``local_iters`` SGD steps from theta."""
-        self.model.set_flat_params(global_params)
-        if global_buffers is not None and global_buffers.size:
-            self.model.set_flat_buffers(global_buffers)
-        if self.optimizer is not None:
-            self.optimizer.reset()
-        for _ in range(self.local_iters):
-            idx = self.rng.integers(0, len(self.dataset), size=min(
-                self.batch_size, len(self.dataset)
-            ))
-            x, y = self.dataset.x[idx], self.dataset.y[idx]
-            self._loss_fn(self.model.forward(x, training=True), y)
-            self.model.backward(self._loss_fn.backward())
-            grad = self.model.get_flat_grads()
-            if self.optimizer is not None:
-                self.model.set_flat_params(
-                    self.optimizer.step(self.model.get_flat_params(), grad)
-                )
-            else:
-                self.model.apply_flat_grads(grad, lr=self.lr)
-        return (global_params - self.model.get_flat_params()) / self.lr
-
-    def _buffers_out(self) -> np.ndarray | None:
-        buf = self.model.get_flat_buffers()
-        return buf if buf.size else None
-
     def finalize_update(
         self, grad: np.ndarray, buffers: np.ndarray | None = None
     ) -> WorkerUpdate:
         """Turn a computed local gradient into the uploaded update.
 
         Attackers override this with their transform; any RNG draws they
-        make here come *after* the minibatch-sampling draws of the local
-        training, so the per-worker stream is identical whether the
-        gradient came from the scalar loop or the fleet kernel.
+        make here come *after* the round's minibatch-sampling draws, as
+        they would in a worker training alone.
         """
         return WorkerUpdate(
             self.worker_id, grad, self.num_samples, attacked=False, buffers=buffers
         )
-
-    def compute_update(
-        self, global_params: np.ndarray, global_buffers: np.ndarray | None = None
-    ) -> WorkerUpdate:
-        """One round of local training plus the upload transform."""
-        grad = self._local_gradient(global_params, global_buffers)
-        return self.finalize_update(grad, self._buffers_out())
 
 
 class HonestWorker(Worker):
@@ -546,34 +499,3 @@ def make_worker(
     return WORKER_ROLES[spec.role](
         worker_id, dataset, model_fn, seed=seed, **params, **common
     )
-
-
-def make_workers(
-    specs: list[WorkerSpec] | Mapping[int, WorkerSpec],
-    datasets: list[Dataset],
-    model_fn: Callable[[], Sequential],
-    seed_fn: Callable[[int], int],
-    **common,
-) -> list[Worker]:
-    """Materialize a full roster: worker ``i`` from ``specs[i]``.
-
-    ``specs`` is either a list aligned with ``datasets`` or a sparse
-    ``{worker_id: spec}`` override map (missing ids default to honest).
-    ``seed_fn(worker_id)`` supplies each worker's private RNG seed.
-    """
-    n = len(datasets)
-    if isinstance(specs, Mapping):
-        bad = set(specs) - set(range(n))
-        if bad:
-            raise ValueError(f"spec ids {sorted(bad)} out of range")
-        default = WorkerSpec()
-        roster = [specs.get(wid, default) for wid in range(n)]
-    else:
-        if len(specs) != n:
-            raise ValueError(f"{len(specs)} specs for {n} datasets")
-        roster = list(specs)
-    return [
-        make_worker(roster[wid], wid, datasets[wid], model_fn,
-                    seed=seed_fn(wid), **common)
-        for wid in range(n)
-    ]

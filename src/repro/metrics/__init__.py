@@ -1,8 +1,7 @@
-"""Metrics: detection confusion rates, fairness, reporting utilities."""
+"""Metrics: detection confusion rates and reward fairness."""
 
 from .detection import ConfusionCounts, aggregate_confusion, confusion
 from .fairness import gini, reward_fairness, share_entropy
-from .series import auc, final_value, moving_average, relative_percent
 
 __all__ = [
     "ConfusionCounts",
@@ -11,8 +10,4 @@ __all__ = [
     "gini",
     "reward_fairness",
     "share_entropy",
-    "moving_average",
-    "final_value",
-    "relative_percent",
-    "auc",
 ]

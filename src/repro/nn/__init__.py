@@ -2,8 +2,8 @@
 
 Provides layers with hand-derived backprop, model containers exposing flat
 parameter/gradient vectors (the representation federated workers upload),
-losses, optimizers, reference architectures (LeNet, mini-ResNet), and a
-finite-difference gradient checker.
+the softmax cross-entropy loss, reference architectures (LeNet,
+mini-ResNet), and the fleet kernels that train many replicas as one.
 """
 
 from . import functional, initializers
@@ -12,13 +12,11 @@ from .fleet import (
     FleetSoftmaxCrossEntropy,
     fleet_signature,
 )
-from .gradcheck import analytic_gradient, max_relative_error, numerical_gradient
 from .layers import (
     AvgPool2d,
     BatchNorm,
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Layer,
@@ -27,11 +25,9 @@ from .layers import (
     ReLU,
     Tanh,
 )
-from .losses import MSELoss, SoftmaxCrossEntropy
+from .losses import SoftmaxCrossEntropy
 from .model import Residual, Sequential
 from .models import build_lenet, build_logreg, build_mini_resnet, build_mlp
-from .optim import SGD, Adam, Optimizer
-from .schedules import ConstantLR, CosineLR, StepLR
 
 __all__ = [
     "functional",
@@ -42,7 +38,6 @@ __all__ = [
     "LeakyReLU",
     "Tanh",
     "Flatten",
-    "Dropout",
     "Conv2d",
     "MaxPool2d",
     "AvgPool2d",
@@ -51,13 +46,6 @@ __all__ = [
     "Residual",
     "Sequential",
     "SoftmaxCrossEntropy",
-    "MSELoss",
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "ConstantLR",
-    "StepLR",
-    "CosineLR",
     "build_logreg",
     "build_mlp",
     "build_lenet",
@@ -65,7 +53,4 @@ __all__ = [
     "FleetSequential",
     "FleetSoftmaxCrossEntropy",
     "fleet_signature",
-    "analytic_gradient",
-    "numerical_gradient",
-    "max_relative_error",
 ]

@@ -17,10 +17,9 @@ identical to the per-worker loop by construction. Layers with per-worker
 parameters or statistics (Dense, Conv2d, BatchNorm) get dedicated batched
 implementations whose per-worker slices perform exactly the scalar ops.
 
-:func:`fleet_signature` decides eligibility: architectures containing
-unsupported layers (e.g. Dropout, whose per-replica RNG stream cannot be
-batched without changing draws) return ``None`` and the caller falls back
-to the scalar path.
+:func:`fleet_signature` decides eligibility: it names the first layer of
+an architecture that has no fleet kernel in a ``ValueError``. Local
+training has no other path, so such a model cannot train.
 """
 
 from __future__ import annotations
@@ -55,22 +54,21 @@ __all__ = [
 ]
 
 
-def fleet_signature(model: Sequential) -> tuple | None:
-    """Structural signature of a model, or ``None`` if fleet-ineligible.
+def fleet_signature(model: Sequential) -> tuple:
+    """Structural signature of a model.
 
     Two workers may share a fleet if and only if their models produce the
     same signature: identical layer sequence, shapes and hyperparameters.
-    Unsupported layer types (Dropout, custom layers) make the whole model
-    ineligible — those workers keep the scalar per-worker path.
+    A layer type without a fleet kernel raises ``ValueError`` naming it.
     """
-    try:
-        return tuple(_layer_signature(layer) for layer in model.layers)
-    except _Unsupported:
-        return None
+    return tuple(_layer_signature(layer) for layer in model.layers)
 
 
-class _Unsupported(Exception):
-    """Internal: raised while walking an ineligible architecture."""
+def _unsupported(layer: Layer) -> ValueError:
+    return ValueError(
+        f"architecture is not fleet-eligible: no fleet kernel for "
+        f"layer {type(layer).__name__}"
+    )
 
 
 def _layer_signature(layer: Layer) -> tuple:
@@ -107,7 +105,7 @@ def _layer_signature(layer: Layer) -> tuple:
             tuple(_layer_signature(l) for l in layer.body),
             tuple(_layer_signature(l) for l in layer.shortcut),
         )
-    raise _Unsupported(type(layer).__name__)
+    raise _unsupported(layer)
 
 
 class FleetLayer:
@@ -390,7 +388,7 @@ def _fresh_scalar(layer: Layer) -> Layer:
         return AvgPool2d(layer.kernel_size, layer.stride)
     if isinstance(layer, GlobalAvgPool2d):
         return GlobalAvgPool2d()
-    raise _Unsupported(type(layer).__name__)
+    raise _unsupported(layer)
 
 
 def _convert(layer: Layer, n: int) -> FleetLayer:
@@ -472,11 +470,8 @@ class FleetSequential:
     def __init__(self, template: Sequential, n: int):
         if n <= 0:
             raise ValueError("fleet size must be positive")
-        sig = fleet_signature(template)
-        if sig is None:
-            raise ValueError("architecture is not fleet-eligible")
         self.n = n
-        self.signature = sig
+        self.signature = fleet_signature(template)
         self.layers = [_convert(layer, n) for layer in template.layers]
         # (layer, name) slots in the scalar flat-vector order.
         self._param_slots: list[tuple[FleetLayer, str]] = [

@@ -12,11 +12,8 @@ import numpy as np
 
 __all__ = [
     "relu",
-    "relu_grad",
     "softmax",
     "log_softmax",
-    "one_hot",
-    "sigmoid",
     "im2col",
     "col2im",
     "conv_out_size",
@@ -26,21 +23,6 @@ __all__ = [
 def relu(x: np.ndarray) -> np.ndarray:
     """Elementwise rectified linear unit, ``max(x, 0)``."""
     return np.maximum(x, 0.0)
-
-
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of :func:`relu` with respect to its input (0/1 mask)."""
-    return (x > 0.0).astype(x.dtype)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -55,21 +37,6 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Log-softmax along ``axis``, computed without materializing softmax."""
     shifted = logits - logits.max(axis=axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer label vector ``(n,)`` -> one-hot matrix ``(n, num_classes)``."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(
-            f"labels must lie in [0, {num_classes}); got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_normal", "xavier_uniform", "zeros", "normal"]
+__all__ = ["he_normal", "zeros", "normal"]
 
 
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -17,16 +17,6 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> 
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(
-    rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int
-) -> np.ndarray:
-    """Glorot/Xavier uniform init, suited to linear/tanh layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError(f"fans must be positive, got {fan_in}, {fan_out}")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.01) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "LeakyReLU",
     "Tanh",
     "Flatten",
-    "Dropout",
     "Conv2d",
     "MaxPool2d",
     "AvgPool2d",
@@ -174,31 +173,6 @@ class Flatten(Layer):
         if self._shape is None:
             raise RuntimeError("backward called before forward")
         return grad_out.reshape(self._shape)
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at evaluation time."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
 
 
 class Conv2d(Layer):

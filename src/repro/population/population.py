@@ -14,8 +14,8 @@ State ownership (see DESIGN §13):
 
 * population owns: specs/seeds (derived), availability + churn schedule,
   the reputation store, saved RNG states of evicted workers;
-* a live cohort owns: materialized ``Worker`` objects (model replica,
-  dataset shard, RNG) — recreated deterministically on demand;
+* a live cohort owns: materialized ``Worker`` objects (dataset shard,
+  RNG) — recreated deterministically on demand;
 * the trainer owns: the global model, the network, the round loop.
 
 Determinism contract: materialize → evict → re-materialize yields a

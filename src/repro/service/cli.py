@@ -20,6 +20,7 @@ runs — together they make kill/resume differentials scriptable (see
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -130,17 +131,29 @@ def make_preset(
     checkpoint_every: int | None = None,
     history_tail: int | None = None,
 ) -> ServiceConfig:
-    """One named preset config, with the common knobs applied."""
+    """One named preset config, with the common knobs applied.
+
+    Overrides go through ``dataclasses.replace``, so ``ServiceConfig``
+    validates them as it validates the presets.
+    """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r} (have {sorted(PRESETS)})")
+    if rounds is not None and rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
     cfg = PRESETS[name](seed)
+    overrides = {}
     if rounds is not None:
-        cfg.fed = cfg.fed.scaled(rounds=rounds)
+        overrides["fed"] = cfg.fed.scaled(rounds=rounds)
     if checkpoint_every is not None:
-        cfg.checkpoint_every = checkpoint_every
+        overrides["checkpoint_every"] = checkpoint_every
     if history_tail is not None:
-        cfg.history_tail = history_tail
-    return cfg
+        overrides["history_tail"] = history_tail
+    return dataclasses.replace(cfg, **overrides)
+
+
+def _check_until_round(args) -> None:
+    if args.until_round is not None and args.until_round < 0:
+        raise ValueError(f"until_round must be non-negative, got {args.until_round}")
 
 
 def _install_hub(args) -> None:
@@ -170,7 +183,7 @@ def _summary(service: FederationService) -> dict:
 
 
 def _cmd_run(args) -> int:
-    _install_hub(args)
+    _check_until_round(args)
     cfg = make_preset(
         args.preset,
         seed=args.seed,
@@ -178,6 +191,7 @@ def _cmd_run(args) -> int:
         checkpoint_every=args.checkpoint_every,
         history_tail=args.history_tail,
     )
+    _install_hub(args)
     service = FederationService(cfg, args.dir)
     service.run(
         until_round=args.until_round, kill_after_round=args.kill_after_round
@@ -187,6 +201,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_resume(args) -> int:
+    _check_until_round(args)
     _install_hub(args)
     snapshot = Path(args.snapshot) if args.snapshot else None
     service = FederationService.resume(args.dir, snapshot=snapshot)
@@ -302,6 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SnapshotError as exc:
+    except (SnapshotError, ValueError) as exc:
+        # a bad flag or snapshot: one line and exit 2, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,10 +11,9 @@ process-wide :class:`Telemetry` hub (:func:`get_telemetry` /
 * a **metrics registry**: counters, last-value gauges, and fixed-bucket
   histograms for mechanism signals (detection margins, reward Gini,
   reputation deltas, fleet-group sizes);
-* pluggable **sinks**: :class:`MemorySink` (default, bounded ring),
+* pluggable **sinks**: :class:`MemorySink` (default, bounded ring) and
   :class:`JsonlSink` (canonical versioned JSONL event stream — seeded
-  runs with a :class:`TickClock` produce byte-identical traces), and
-  :class:`ConsoleSink` (summary on close);
+  runs with a :class:`TickClock` produce byte-identical traces);
 * trace analysis (:func:`trace_summary`, :func:`render_summary`)
   backing the ``python -m repro.trace summary`` CLI.
 """
@@ -30,10 +29,8 @@ from .core import (
     set_telemetry,
 )
 from .sinks import (
-    ConsoleSink,
     JsonlSink,
     MemorySink,
-    MetricsTextSink,
     decode_event,
     encode_event,
     read_trace,
@@ -56,8 +53,6 @@ __all__ = [
     "format_profile",
     "MemorySink",
     "JsonlSink",
-    "ConsoleSink",
-    "MetricsTextSink",
     "encode_event",
     "decode_event",
     "read_trace",

@@ -1,4 +1,4 @@
-"""Telemetry sinks: in-memory ring, JSONL event stream, console summary.
+"""Telemetry sinks: in-memory ring and JSONL event stream.
 
 :func:`read_trace` is the one path from a JSONL file back to events.
 Blank lines are skipped; a last line with no trailing newline that does
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import warnings
 from collections import deque
 from pathlib import Path
@@ -39,8 +38,6 @@ __all__ = [
     "malformed",
     "MemorySink",
     "JsonlSink",
-    "ConsoleSink",
-    "MetricsTextSink",
 ]
 
 
@@ -213,120 +210,3 @@ class JsonlSink:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-def _metric_name(name: str, namespace: str) -> str:
-    """Sanitize to the exposition-format name charset ``[a-zA-Z0-9_:]``."""
-    safe = "".join(
-        ch if ch.isascii() and (ch.isalnum() or ch in "_:") else "_"
-        for ch in name
-    )
-    if safe and safe[0].isdigit():
-        safe = "_" + safe
-    return f"{namespace}_{safe}" if namespace else safe
-
-
-def _label_value(value) -> str:
-    """Escape a label value per the exposition format (\\\\, \\", \\n)."""
-    text = str(value)
-    return (
-        text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-class MetricsTextSink:
-    """Prometheus-textfile-style metrics endpoint for long-running services.
-
-    Tracks last-value gauges from ``metric`` events (per distinct label
-    set) and counts every event type; each hub :meth:`flush` atomically
-    rewrites ``path`` in the text exposition format, so a node-exporter
-    textfile collector (or a ``cat``) scrapes a consistent view while
-    ``repro.service`` keeps running. Bind the hub (``bind(hub)``) to
-    also export its internal counters at flush time.
-
-    The sink never touches event bytes or ordering — attaching it to a
-    seeded run changes nothing about the JSONL trace.
-    """
-
-    def __init__(self, path, *, namespace: str = "repro", hub=None):
-        self.path = Path(path)
-        self.namespace = namespace
-        self._hub = hub
-        # gauge name -> {sorted-label-tuple: value}
-        self._gauges: dict[str, dict[tuple, float]] = {}
-        self._event_counts: dict[str, int] = {}
-        self._closed = False
-
-    def bind(self, hub) -> None:
-        """Export ``hub``'s internal counters in every future flush."""
-        self._hub = hub
-
-    def emit(self, events: list[dict]) -> None:
-        counts = self._event_counts
-        for event in events:
-            kind = str(event.get("type"))
-            counts[kind] = counts.get(kind, 0) + 1
-            if kind == "metric" and event.get("kind") == "gauge":
-                labels = tuple(sorted((event.get("attrs") or {}).items()))
-                series = self._gauges.setdefault(event["name"], {})
-                series[labels] = float(event["value"])
-
-    def render(self) -> str:
-        """The full exposition-format payload for the current state."""
-        lines: list[str] = []
-
-        def sample(name: str, labels: tuple, value) -> str:
-            if labels:
-                body = ",".join(
-                    f'{_metric_name(k, "")}="{_label_value(v)}"'
-                    for k, v in labels
-                )
-                return f"{name}{{{body}}} {value}"
-            return f"{name} {value}"
-
-        for raw in sorted(self._gauges):
-            name = _metric_name(raw, self.namespace)
-            lines.append(f"# TYPE {name} gauge")
-            series = self._gauges[raw]
-            for labels in sorted(series):
-                lines.append(sample(name, labels, series[labels]))
-        counters = dict(self._hub.snapshot()["counters"]) if self._hub else {}
-        for raw in sorted(counters):
-            name = _metric_name(raw, self.namespace) + "_total"
-            lines.append(f"# TYPE {name} counter")
-            lines.append(sample(name, (), counters[raw]))
-        events_name = _metric_name("events", self.namespace) + "_total"
-        lines.append(f"# TYPE {events_name} counter")
-        for kind in sorted(self._event_counts):
-            lines.append(
-                sample(events_name, (("type", kind),), self._event_counts[kind])
-            )
-        return "\n".join(lines) + "\n"
-
-    def flush(self) -> None:
-        """Atomically rewrite the textfile (write-new + rename)."""
-        if self._closed:
-            return
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(self.render(), encoding="utf-8")
-        os.replace(tmp, self.path)
-
-    def close(self) -> None:
-        if not self._closed:
-            self.flush()
-            self._closed = True
-
-
-class ConsoleSink(MemorySink):
-    """Buffers events and prints a rendered summary on ``close()``."""
-
-    def __init__(self, stream=None, maxlen: int | None = 65536):
-        super().__init__(maxlen=maxlen)
-        self.stream = stream if stream is not None else sys.stdout
-
-    def close(self) -> None:
-        # Imported here: summary renders *from* events, sinks must not
-        # depend on it at import time (summary imports this module).
-        from .summary import render_summary
-
-        for row in render_summary(list(self.events)):
-            print(row, file=self.stream)

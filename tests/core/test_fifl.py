@@ -261,3 +261,21 @@ class TestServerRecommendation:
             mech.recommend_servers(0)
         with pytest.raises(RuntimeError):
             mech.recommend_servers(2)
+
+    @staticmethod
+    def _with_reputations(monkeypatch, reps):
+        mech = FIFLMechanism()
+        monkeypatch.setattr(mech.reputation, "reputations", lambda: dict(reps))
+        return mech
+
+    def test_top_m_by_reputation(self, monkeypatch):
+        mech = self._with_reputations(monkeypatch, {0: 0.9, 1: 0.1, 2: 0.8, 3: 0.5})
+        assert mech.recommend_servers(2) == [0, 2]
+
+    def test_ties_broken_by_id(self, monkeypatch):
+        mech = self._with_reputations(monkeypatch, {5: 0.5, 1: 0.5, 3: 0.5})
+        assert mech.recommend_servers(2) == [1, 3]
+
+    def test_returned_sorted(self, monkeypatch):
+        mech = self._with_reputations(monkeypatch, {2: 0.9, 0: 0.95, 1: 0.1})
+        assert mech.recommend_servers(2) == [0, 2]

@@ -6,7 +6,7 @@ import pytest
 from repro.core import LossBasedDetector
 from repro.nn import build_logreg
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, local_update, make_federation
 
 
 def make_detector(test, step=0.1, threshold=0.0):
@@ -21,21 +21,21 @@ class TestLossBasedDetector:
         workers, _, test = make_federation(num_workers=2, local_iters=4)
         det = make_detector(test)
         theta = build_logreg(N_FEATURES, N_CLASSES, seed=0).get_flat_params()
-        g = workers[0].compute_update(theta).gradient
+        g = local_update(workers[0], theta).gradient
         assert det.score(theta, g) > 0
 
     def test_flipped_gradient_scores_negative(self):
         workers, _, test = make_federation(num_workers=2, local_iters=4)
         det = make_detector(test)
         theta = build_logreg(N_FEATURES, N_CLASSES, seed=0).get_flat_params()
-        g = workers[0].compute_update(theta).gradient
+        g = local_update(workers[0], theta).gradient
         assert det.score(theta, -4.0 * g) < 0
 
     def test_detect_separates_workers(self):
         workers, _, test = make_federation(num_workers=4, local_iters=4)
         det = make_detector(test)
         theta = build_logreg(N_FEATURES, N_CLASSES, seed=0).get_flat_params()
-        grads = {w.worker_id: w.compute_update(theta).gradient for w in workers}
+        grads = {w.worker_id: local_update(w, theta).gradient for w in workers}
         grads[99] = -6.0 * grads[0]  # synthetic attacker
         scores, accepted = det.detect(theta, grads)
         assert accepted[99] is False
@@ -56,7 +56,7 @@ class TestLossBasedDetector:
         model.backward(loss_fn.backward())
         val_grad = model.get_flat_grads()
         for w in workers:
-            g = w.compute_update(theta).gradient
+            g = local_update(w, theta).gradient
             exact = det.score(theta, g)
             first_order = float(val_grad @ (det.step * g))
             assert np.sign(exact) == np.sign(first_order)

@@ -1,9 +1,9 @@
-"""Tests for the utility / revenue model."""
+"""Tests for the data-utility function Ψ(n) = log(1 + n)."""
 
 import numpy as np
 import pytest
 
-from repro.core import federation_revenue, marginal_utility, system_revenue, utility
+from repro.core import utility
 
 
 class TestUtility:
@@ -23,76 +23,3 @@ class TestUtility:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             utility(-1)
-
-
-class TestFederationRevenue:
-    def test_pool_sum(self):
-        assert federation_revenue(np.array([3, 4])) == pytest.approx(np.log1p(7))
-
-    def test_superadditive_data_pooling(self):
-        # pooling beats the best individual
-        samples = np.array([100.0, 200.0])
-        assert federation_revenue(samples) > utility(200.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            federation_revenue(np.array([-1.0]))
-
-
-class TestMarginalUtility:
-    def test_matches_definition(self):
-        samples = np.array([10.0, 20.0, 30.0])
-        got = marginal_utility(samples, 1)
-        assert got == pytest.approx(np.log1p(60) - np.log1p(40))
-
-    def test_bigger_worker_bigger_marginal(self):
-        samples = np.array([10.0, 1000.0])
-        assert marginal_utility(samples, 1) > marginal_utility(samples, 0)
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            marginal_utility(np.array([1.0]), 5)
-
-
-class TestSystemRevenue:
-    def test_no_attackers_is_gross_revenue(self):
-        samples = np.array([100.0, 200.0])
-        rev = system_revenue(samples, np.array([False, False]), 0.385)
-        assert rev == pytest.approx(federation_revenue(samples))
-
-    def test_undetected_attacker_damages(self):
-        samples = np.array([100.0, 200.0, 300.0])
-        attackers = np.array([False, False, True])
-        dirty = system_revenue(samples, attackers, 0.3)
-        clean = system_revenue(samples, attackers, 0.3, detected_mask=attackers)
-        assert dirty < clean
-
-    def test_detection_restores_honest_revenue(self):
-        samples = np.array([100.0, 200.0, 300.0])
-        attackers = np.array([False, False, True])
-        rev = system_revenue(samples, attackers, 0.385, detected_mask=attackers)
-        assert rev == pytest.approx(np.log1p(300))
-
-    def test_damage_scales_with_degree(self):
-        samples = np.full(10, 100.0)
-        attackers = np.zeros(10, dtype=bool)
-        attackers[:3] = True
-        r1 = system_revenue(samples, attackers, 0.1)
-        r2 = system_revenue(samples, attackers, 0.2)
-        assert r2 < r1
-
-    def test_revenue_never_negative(self):
-        samples = np.full(10, 100.0)
-        attackers = np.ones(10, dtype=bool)
-        attackers[0] = False
-        assert system_revenue(samples, attackers, 1.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            system_revenue(np.array([1.0]), np.array([False, True]), 0.1)
-        with pytest.raises(ValueError):
-            system_revenue(np.array([1.0]), np.array([False]), 1.5)
-        with pytest.raises(ValueError):
-            system_revenue(
-                np.array([1.0]), np.array([False]), 0.1, detected_mask=np.array([False, True])
-            )

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import detection_scores_matrix
-from repro.fl import ColludingAttacker, split_gradient
+from repro.fl import ColludingAttacker, HonestWorker, split_gradient
 from repro.fl.gradients import slice_offsets
 from repro.nn import build_logreg
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation, model_fn
+from tests.helpers import N_CLASSES, N_FEATURES, local_update, make_federation, model_fn
 
 
 def colluder(seed=0, wid=0, epsilon=0.3, direction_seed=42):
@@ -28,9 +28,10 @@ class TestColludingAttacker:
         theta = build_logreg(N_FEATURES, N_CLASSES, seed=0).get_flat_params()
         attacked = colluder(wid=wid, epsilon=epsilon,
                             direction_seed=direction_seed)
-        twin = colluder(wid=wid, epsilon=epsilon, direction_seed=direction_seed)
-        honest = twin._local_gradient(theta)
-        bias = attacked.compute_update(theta).gradient - honest
+        shards = make_federation(num_workers=2)[1]
+        twin = HonestWorker(wid, shards[wid], model_fn(0), lr=0.1, seed=100 + wid)
+        honest = local_update(twin, theta).gradient
+        bias = local_update(attacked, theta).gradient - honest
         return honest, bias
 
     def test_same_seed_same_planted_direction(self):
@@ -48,9 +49,9 @@ class TestColludingAttacker:
     def test_small_epsilon_evades_cosine_detection(self):
         theta = build_logreg(N_FEATURES, N_CLASSES, seed=0).get_flat_params()
         honest = make_federation(num_workers=2, seed=0)[0][1]
-        bench_grad = honest.compute_update(theta).gradient
+        bench_grad = local_update(honest, theta).gradient
         w = colluder(epsilon=0.2)
-        attack_grad = w.compute_update(theta).gradient
+        attack_grad = local_update(w, theta).gradient
         servers = np.array([0, 1])
         score = detection_scores_matrix(
             np.array([5]), attack_grad[None, :],
@@ -61,7 +62,7 @@ class TestColludingAttacker:
 
     def test_marked_attacked(self):
         theta = build_logreg(N_FEATURES, N_CLASSES, seed=0).get_flat_params()
-        assert colluder().compute_update(theta).attacked
+        assert local_update(colluder(), theta).attacked
 
     def test_validation(self):
         shards = make_federation(num_workers=1)[1]

@@ -9,7 +9,7 @@ from repro.fl import FederatedTrainer, GaussianNoiseAttacker, ReplayFreeRider
 from repro.nn import build_logreg
 from repro.population import WorkerPopulation
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation, model_fn
+from tests.helpers import N_CLASSES, N_FEATURES, local_update, make_federation, model_fn
 
 
 class TestGaussianNoiseAttacker:
@@ -20,8 +20,8 @@ class TestGaussianNoiseAttacker:
             worker_cls=GaussianNoiseAttacker, worker_kwargs={"scale": 1.0},
         )[0][0]
         theta = build_logreg(N_FEATURES, N_CLASSES, seed=0).get_flat_params()
-        honest_norm = np.linalg.norm(workers[0].compute_update(theta).gradient)
-        noise_norm = np.linalg.norm(attacker.compute_update(theta).gradient)
+        honest_norm = np.linalg.norm(local_update(workers[0], theta).gradient)
+        noise_norm = np.linalg.norm(local_update(attacker, theta).gradient)
         assert noise_norm == pytest.approx(honest_norm, rel=0.5)
 
     def test_marked_attacked(self):
@@ -29,7 +29,7 @@ class TestGaussianNoiseAttacker:
             num_workers=1, worker_cls=GaussianNoiseAttacker
         )[0][0]
         theta = build_logreg(N_FEATURES, N_CLASSES, seed=0).get_flat_params()
-        assert attacker.compute_update(theta).attacked
+        assert local_update(attacker, theta).attacked
         assert attacker.is_malicious
 
     def test_detected_by_cosine_threshold(self):
@@ -62,7 +62,7 @@ class TestReplayFreeRider:
         rider = make_federation(num_workers=1, worker_cls=ReplayFreeRider,
                                 worker_kwargs={"server_lr": 0.1})[0][0]
         theta = build_logreg(N_FEATURES, N_CLASSES, seed=0).get_flat_params()
-        upd = rider.compute_update(theta)
+        upd = local_update(rider, theta)
         np.testing.assert_array_equal(upd.gradient, 0.0)
         assert upd.attacked
 
@@ -71,8 +71,8 @@ class TestReplayFreeRider:
                                 worker_kwargs={"server_lr": 0.1})[0][0]
         theta0 = np.ones(4)
         theta1 = np.ones(4) * 0.9
-        rider.compute_update(theta0)
-        upd = rider.compute_update(theta1)
+        local_update(rider, theta0)
+        upd = local_update(rider, theta1)
         # G = (prev - cur) / eta = (1.0 - 0.9) / 0.1 = 1.0 per coordinate
         np.testing.assert_allclose(upd.gradient, 1.0)
 

@@ -1,11 +1,11 @@
-"""Fleet local engine: RNG fidelity, attacker parity, fallbacks, e2e differential.
+"""Fleet local engine: RNG fidelity, attacker parity, grouping, e2e differential.
 
 The engine's contract (see ``repro.fl.fleet_compute``) is that batching
-is *observationally invisible* next to each worker running its own
-``compute_update``: identical minibatch draws, identical uploads for
-every worker type (honest, every attacker, free-riders), identical
-training histories. These tests pin each clause; the end-to-end cases
-swap the per-worker loop into the trainer as the oracle.
+is *observationally invisible* next to each worker training alone
+(``tests/fl/scalar_sgd.py``): identical minibatch draws, identical
+uploads for every worker type (honest, every attacker, free-riders),
+identical training histories. These tests pin each clause; the
+end-to-end cases swap the per-worker loop into the trainer as the oracle.
 """
 
 import numpy as np
@@ -36,11 +36,12 @@ from repro.fl import (
     WorkerSpec,
     make_worker,
 )
-from repro.nn import SGD, Dense, Dropout, ReLU, Sequential, build_logreg, build_mlp
+from repro.nn import Dense, Layer, ReLU, Sequential, build_logreg, build_mlp
 from repro.parallel import ThreadBackend
 from repro.population import WorkerPopulation
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation, stack_updates
+from tests.fl.scalar_sgd import PerWorkerLocal, scalar_update
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation
 
 TOL = 1e-8
 
@@ -52,7 +53,7 @@ def _theta(seed=0):
 class TestRNGFidelity:
     def test_minibatch_indices_reproduce_worker_streams(self):
         """Fleet sampling must consume each worker's own ``default_rng(seed)``
-        stream exactly as the scalar path does — draw for draw, across
+        stream exactly as a worker training alone does — draw for draw, across
         rounds. (The <= 1e-8 upload differentials pin that the drawn rows
         are the ones trained on.)"""
         local_iters, rounds = 3, 2
@@ -76,7 +77,7 @@ class TestRNGFidelity:
         scalar_w = make_federation(num_workers=3, seed=3)[0]
         fleet_w = make_federation(num_workers=3, seed=3)[0]
         for w in scalar_w:
-            w.compute_update(theta)
+            scalar_update(w, theta)
         FleetLocalEngine(fleet_w).compute_updates(theta)
         for a, b in zip(scalar_w, fleet_w):
             assert a.rng.integers(0, 1 << 30) == b.rng.integers(0, 1 << 30)
@@ -118,7 +119,7 @@ class TestAttackerParity:
     def test_every_worker_type_uploads_identically(self):
         theta = _theta(1)
         scalar_updates = {
-            w.worker_id: w.compute_update(theta, None) for w in _attacker_zoo(1)
+            w.worker_id: scalar_update(w, theta) for w in _attacker_zoo(1)
         }
         engine = FleetLocalEngine(_attacker_zoo(1))
         fleet_updates = engine.compute_updates(theta, None)
@@ -138,7 +139,7 @@ class TestAttackerParity:
         scalar_zoo, fleet_zoo = _attacker_zoo(2), _attacker_zoo(2)
         engine = FleetLocalEngine(fleet_zoo)
         for _ in range(rounds):
-            scalar_updates = {w.worker_id: w.compute_update(theta) for w in scalar_zoo}
+            scalar_updates = {w.worker_id: scalar_update(w, theta) for w in scalar_zoo}
             fleet_updates = engine.compute_updates(theta)
             for wid, want in scalar_updates.items():
                 assert np.abs(fleet_updates[wid].gradient - want.gradient).max() <= TOL
@@ -184,7 +185,7 @@ class TestStackedGather:
                 backend.close()
         want = {}
         for _ in range(2):
-            want = {w.worker_id: w.compute_update(theta) for w in scalar}
+            want = {w.worker_id: scalar_update(w, theta) for w in scalar}
         groups = engine._groups
         assert len(groups) == (9 if mode == "shard_size=2" else
                                2 if mode == "thread x2" else 1)
@@ -194,31 +195,51 @@ class TestStackedGather:
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
-class TestFallbacks:
-    def test_custom_optimizer_goes_scalar(self):
-        workers, _, _ = make_federation(
-            num_workers=3, worker_kwargs={"optimizer": SGD(lr=0.1, momentum=0.9)}
-        )
-        engine = FleetLocalEngine(workers)
-        updates = engine.compute_updates(_theta())
-        assert engine._groups == [] and len(engine._scalar) == 3
-        assert sorted(updates) == [0, 1, 2]
+class _Double(Layer):
+    """A parameter-free layer the fleet has no kernel for."""
 
-    def test_dropout_model_goes_scalar(self):
+    def forward(self, x, training=True):
+        return 2.0 * x
+
+    def backward(self, grad_out):
+        return 2.0 * grad_out
+
+
+def _double_mlp():
+    rng = np.random.default_rng(0)
+    return Sequential(
+        [Dense(N_FEATURES, 8, rng), ReLU(), _Double(), Dense(8, N_CLASSES, rng)]
+    )
+
+
+class TestFallbacks:
+    """Where a worker goes besides a fleet group: non-training workers get
+    a per-worker row, and an architecture without fleet kernels raises."""
+
+    def test_ineligible_architecture_raises(self):
         data = make_blobs(n_samples=90, n_features=N_FEATURES, num_classes=N_CLASSES, seed=0)
         shards = iid_partition(data, 2, seed=0)
+        workers = [HonestWorker(i, shards[i], _double_mlp, seed=i) for i in range(2)]
+        with pytest.raises(
+            ValueError,
+            match="worker 0: architecture is not fleet-eligible: "
+                  "no fleet kernel for layer _Double",
+        ):
+            FleetLocalEngine(workers)
 
-        def mf():
-            rng = np.random.default_rng(0)
-            return Sequential(
-                [Dense(N_FEATURES, 8, rng), ReLU(), Dropout(0.5, rng),
-                 Dense(8, N_CLASSES, rng)]
-            )
+    def test_one_ineligible_worker_fails_the_engine(self):
+        """No silent per-worker fallback: the eligible workers do not
+        train without the odd one out."""
+        workers, shards, _ = make_federation(num_workers=3)
+        odd = HonestWorker(3, shards[0], _double_mlp, seed=3)
+        with pytest.raises(ValueError, match="worker 3: .*_Double"):
+            FleetLocalEngine(workers + [odd])
 
-        workers = [HonestWorker(i, shards[i], mf, seed=i) for i in range(2)]
-        engine = FleetLocalEngine(workers)
-        engine.compute_updates(workers[0].model.get_flat_params())
-        assert engine._groups == [] and len(engine._scalar) == 2
+    def test_free_rider_never_builds_its_model(self):
+        _, shards, _ = make_federation(num_workers=1)
+        rider = FreeRiderWorker(0, shards[0], _double_mlp, seed=0)
+        updates = FleetLocalEngine([rider]).compute_updates(_theta())
+        assert updates[0].attacked
 
     def test_free_riders_go_scalar(self):
         engine = FleetLocalEngine(_attacker_zoo(0))
@@ -324,22 +345,6 @@ _E2E_CASES = {
         True,
     ),
 }
-
-
-class PerWorkerLocal:
-    """Local-compute oracle: every live worker's own ``compute_update``,
-    one after another in worker order, in place of the fleet engine."""
-
-    def __init__(self, workers):
-        self.workers = workers
-
-    def compute_updates(self, theta, global_buffers=None, exclude=None):
-        exclude = exclude or ()
-        return stack_updates({
-            w.worker_id: w.compute_update(theta, global_buffers)
-            for w in self.workers
-            if w.worker_id not in exclude
-        }, theta.size)
 
 
 def run_both(cfg, attackers, with_fifl, monkeypatch):

@@ -7,7 +7,7 @@ from repro.core import individual_weights, union_weights
 from repro.fl import SampleInflationWorker
 from repro.nn import build_logreg
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation, model_fn
+from tests.helpers import N_CLASSES, N_FEATURES, local_update, make_federation, model_fn
 
 
 class TestSampleInflation:
@@ -26,10 +26,10 @@ class TestSampleInflation:
             worker_kwargs={"inflation": 5.0},
         )[0][0]
         np.testing.assert_allclose(
-            honest.compute_update(theta).gradient,
-            liar.compute_update(theta).gradient,
+            local_update(honest, theta).gradient,
+            local_update(liar, theta).gradient,
         )
-        assert not liar.compute_update(theta).attacked
+        assert not local_update(liar, theta).attacked
 
     def test_inflation_boosts_baseline_weights(self):
         true_counts = np.array([100.0, 100.0, 100.0])

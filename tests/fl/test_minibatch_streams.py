@@ -20,6 +20,7 @@ from repro.fl.streams import MinibatchStreams
 from repro.parallel import ThreadBackend
 from repro.population import WorkerPopulation
 
+from tests.fl.scalar_sgd import scalar_update
 from tests.helpers import N_CLASSES, N_FEATURES, LogregFactory, stack_updates
 
 TOL = 1e-8
@@ -182,7 +183,8 @@ def thread_backend():
 
 class TestEngineDifferential:
     """Whole rounds through :class:`FleetLocalEngine` in three layouts,
-    against every worker's own ``compute_update``. Cohorts change each
+    against every worker training alone (``tests/fl/scalar_sgd.py``).
+    Cohorts change each
     round, so engines are rebuilt and a small cache evicts workers."""
 
     @settings(max_examples=30, deadline=None,
@@ -214,7 +216,7 @@ class TestEngineDifferential:
         for cohort, capture in rounds:
             ids = sorted({i % n for i in cohort})
             want = stack_updates({
-                w.worker_id: w.compute_update(theta) for w in oracle.checkout(ids)
+                w.worker_id: scalar_update(w, theta) for w in oracle.checkout(ids)
             }, theta.size)
             got = {}
             for name, kwargs in layouts.items():

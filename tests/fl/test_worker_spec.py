@@ -12,7 +12,6 @@ from repro.fl import (
     Worker,
     WorkerSpec,
     make_worker,
-    make_workers,
     register_worker_role,
 )
 
@@ -91,40 +90,3 @@ class TestMakeWorker:
             0, dataset(), model_fn(), seed=7, p_d=0.5, poison_seed=7
         )
         assert np.array_equal(a.dataset.y, b.dataset.y)
-
-
-class TestMakeWorkers:
-    def seed_fn(self, wid):
-        return 100 + wid
-
-    def test_aligned_list_form(self):
-        specs = [WorkerSpec(), WorkerSpec("sign", {"p_s": 2.0}), WorkerSpec()]
-        datasets = [dataset(i) for i in range(3)]
-        workers = make_workers(specs, datasets, model_fn(), self.seed_fn)
-        assert [w.worker_id for w in workers] == [0, 1, 2]
-        assert [w.is_malicious for w in workers] == [False, True, False]
-        # seed_fn supplies each private RNG seed
-        assert np.array_equal(
-            workers[2].rng.integers(0, 100, size=3),
-            np.random.default_rng(102).integers(0, 100, size=3),
-        )
-
-    def test_sparse_mapping_defaults_to_honest(self):
-        datasets = [dataset(i) for i in range(4)]
-        workers = make_workers(
-            {2: WorkerSpec("free")}, datasets, model_fn(), self.seed_fn
-        )
-        assert [w.is_malicious for w in workers] == [False, False, True, False]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="specs for"):
-            make_workers(
-                [WorkerSpec()], [dataset(), dataset()], model_fn(),
-                self.seed_fn,
-            )
-
-    def test_out_of_range_ids_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            make_workers(
-                {9: WorkerSpec()}, [dataset()], model_fn(), self.seed_fn
-            )

@@ -10,31 +10,42 @@ from repro.fl import (
     ProbabilisticAttacker,
     SignFlippingWorker,
 )
+from repro.nn import SoftmaxCrossEntropy
 
-from tests.helpers import make_federation, model_fn
+from tests.helpers import local_update, make_federation, model_fn
 
 
 class TestHonestWorker:
     def test_gradient_shape_matches_model(self, global_model):
         workers, _, _ = make_federation(num_workers=2)
         theta = global_model.get_flat_params()
-        upd = workers[0].compute_update(theta)
+        upd = local_update(workers[0], theta)
         assert upd.gradient.shape == theta.shape
         assert not upd.attacked
 
     def test_gradient_equals_sum_of_step_gradients(self, global_model):
-        # (theta0 - thetaK)/lr must equal the accumulated SGD gradient.
-        workers, _, _ = make_federation(num_workers=2, local_iters=3)
+        # (theta0 - thetaK)/lr must equal the accumulated SGD gradient:
+        # replay the same draws on a twin and sum its per-step gradients.
+        worker = make_federation(num_workers=2, local_iters=3)[0][0]
+        twin = make_federation(num_workers=2, local_iters=3)[0][0]
         theta = global_model.get_flat_params()
-        upd = workers[0].compute_update(theta)
-        # replay: after compute_update the worker model holds thetaK
-        thetaK = workers[0].model.get_flat_params()
-        np.testing.assert_allclose(upd.gradient, (theta - thetaK) / workers[0].lr)
+        upd = local_update(worker, theta)
+        model, loss_fn = twin.model_fn(), SoftmaxCrossEntropy()
+        model.set_flat_params(theta)
+        total = np.zeros_like(theta)
+        for _ in range(twin.local_iters):
+            idx = twin.rng.integers(0, len(twin.dataset), size=twin.batch_size)
+            loss_fn(model.forward(twin.dataset.x[idx]), twin.dataset.y[idx])
+            model.backward(loss_fn.backward())
+            step = model.get_flat_grads()
+            total += step
+            model.apply_flat_grads(step, lr=twin.lr)
+        np.testing.assert_allclose(upd.gradient, total, rtol=1e-9, atol=1e-12)
 
     def test_gradient_descends_local_loss(self, global_model):
         workers, shards, _ = make_federation(num_workers=2, local_iters=5)
         theta = global_model.get_flat_params()
-        upd = workers[0].compute_update(theta)
+        upd = local_update(workers[0], theta)
         from repro.fl import evaluate
 
         loss_before, _ = evaluate(global_model, shards[0])
@@ -61,7 +72,7 @@ class TestHonestWorker:
         w1 = make_federation(num_workers=1, seed=5)[0][0]
         w2 = make_federation(num_workers=1, seed=5)[0][0]
         np.testing.assert_array_equal(
-            w1.compute_update(theta).gradient, w2.compute_update(theta).gradient
+            local_update(w1, theta).gradient, local_update(w2, theta).gradient
         )
 
 
@@ -73,8 +84,8 @@ class TestSignFlipping:
             num_workers=1, seed=3, worker_cls=SignFlippingWorker,
             worker_kwargs={"p_s": 4.0},
         )[0][0]
-        g_h = honest.compute_update(theta).gradient
-        g_a = attacker.compute_update(theta).gradient
+        g_h = local_update(honest, theta).gradient
+        g_a = local_update(attacker, theta).gradient
         np.testing.assert_allclose(g_a, -4.0 * g_h)
 
     def test_marked_attacked(self, global_model):
@@ -82,7 +93,7 @@ class TestSignFlipping:
         attacker = make_federation(
             num_workers=1, worker_cls=SignFlippingWorker
         )[0][0]
-        assert attacker.compute_update(theta).attacked
+        assert local_update(attacker, theta).attacked
         assert attacker.is_malicious
 
     def test_rejects_nonpositive_intensity(self):
@@ -111,7 +122,7 @@ class TestDataPoison:
         # deviation from the honest gradient
         theta = global_model.get_flat_params()
         honest = make_federation(num_workers=1, seed=2, local_iters=8)[0][0]
-        g_h = honest.compute_update(theta).gradient
+        g_h = local_update(honest, theta).gradient
 
         def deviation(p_d):
             w = make_federation(
@@ -119,7 +130,7 @@ class TestDataPoison:
                 worker_cls=DataPoisonWorker,
                 worker_kwargs={"p_d": p_d, "poison_seed": 1},
             )[0][0]
-            return np.linalg.norm(w.compute_update(theta).gradient - g_h)
+            return np.linalg.norm(local_update(w, theta).gradient - g_h)
 
         assert deviation(0.8) > deviation(0.2)
 
@@ -132,14 +143,14 @@ class TestDataPoison:
 class TestFreeRider:
     def test_no_training_happens(self, global_model):
         theta = global_model.get_flat_params()
-        rider = make_federation(num_workers=1, worker_cls=FreeRiderWorker)[0][0]
-        upd = rider.compute_update(theta)
+        _, shards, _ = make_federation(num_workers=1)
+
+        def no_model():
+            raise AssertionError("a free-rider never builds a model")
+
+        rider = FreeRiderWorker(0, shards[0], no_model, seed=0)
+        upd = local_update(rider, theta)
         assert upd.attacked
-        # model params untouched (no local SGD)
-        np.testing.assert_array_equal(
-            rider.model.get_flat_params(),
-            make_federation(num_workers=1)[0][0].model.get_flat_params(),
-        )
         assert np.linalg.norm(upd.gradient) < 1.0
 
     def test_rejects_negative_noise(self):
@@ -156,7 +167,7 @@ class TestProbabilisticAttacker:
             worker_cls=ProbabilisticAttacker,
             worker_kwargs={"p_a": 0.3, "p_s": 2.0},
         )[0][0]
-        flags = [attacker.compute_update(theta).attacked for _ in range(400)]
+        flags = [local_update(attacker, theta).attacked for _ in range(400)]
         assert np.mean(flags) == pytest.approx(0.3, abs=0.07)
 
     def test_honest_rounds_are_honest_gradients(self, global_model):
@@ -168,8 +179,8 @@ class TestProbabilisticAttacker:
         )[0][0]
         honest = make_federation(num_workers=1, seed=4)[0][0]
         np.testing.assert_allclose(
-            attacker.compute_update(theta).gradient,
-            honest.compute_update(theta).gradient,
+            local_update(attacker, theta).gradient,
+            local_update(honest, theta).gradient,
         )
 
     def test_validation(self):

@@ -5,7 +5,7 @@ import functools
 import numpy as np
 
 from repro.datasets import iid_partition, make_blobs, train_test_split
-from repro.fl import HonestWorker, LocalUpdates, RoundContext
+from repro.fl import FleetLocalEngine, HonestWorker, LocalUpdates, RoundContext
 from repro.nn import build_logreg
 
 N_FEATURES = 8
@@ -62,11 +62,12 @@ def make_federation(
     )
     train, test = train_test_split(data, 0.25, seed=seed)
     shards = iid_partition(train, num_workers, seed=seed)
+    mf = model_fn(seed)
     workers = [
         worker_cls(
             i,
             shards[i],
-            model_fn(seed),
+            mf,
             lr=lr,
             batch_size=32,
             local_iters=local_iters,
@@ -76,6 +77,12 @@ def make_federation(
         for i in range(num_workers)
     ]
     return workers, shards, test
+
+
+def local_update(worker, theta, global_buffers=None):
+    """One worker's round upload, trained by the fleet engine."""
+    engine = FleetLocalEngine([worker])
+    return engine.compute_updates(theta, global_buffers)[worker.worker_id]
 
 
 def stack_updates(updates, dim=None):

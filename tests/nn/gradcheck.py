@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import SoftmaxCrossEntropy
-from .model import Sequential
+from repro.nn import Sequential, SoftmaxCrossEntropy
 
 __all__ = ["numerical_gradient", "analytic_gradient", "max_relative_error"]
 

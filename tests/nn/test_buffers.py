@@ -6,6 +6,8 @@ import pytest
 from repro.nn import BatchNorm, Dense, ReLU, Sequential, build_mini_resnet
 from repro.population import WorkerPopulation
 
+from tests.helpers import local_update
+
 
 def bn_model(seed=0):
     rng = np.random.default_rng(seed)
@@ -79,7 +81,7 @@ class TestFederatedBufferSync:
         data = make_blobs(n_samples=40, n_features=4, num_classes=2, seed=0)
         worker = HonestWorker(0, data, lambda: bn_model(), lr=0.1, seed=0)
         theta = bn_model().get_flat_params()
-        upd = worker.compute_update(theta)
+        upd = local_update(worker, theta)
         assert upd.buffers is not None
         assert upd.buffers.size == 12
 
@@ -91,10 +93,9 @@ class TestFederatedBufferSync:
         worker = HonestWorker(0, data, lambda: bn_model(), lr=0.1, seed=0)
         theta = bn_model().get_flat_params()
         fancy = np.concatenate([np.full(6, 9.0), np.full(6, 4.0)])
-        worker.compute_update(theta, global_buffers=fancy)
+        got = local_update(worker, theta, fancy).buffers
         # after one small batch the worker's running stats moved FROM the
         # loaded global stats, not from the init stats
-        got = worker.model.get_flat_buffers()
         assert np.abs(got[:6] - 9.0).max() < 5.0  # near the loaded mean
 
     def test_global_model_buffers_updated_by_trainer(self):

@@ -10,10 +10,9 @@ from repro.nn import (
     Sequential,
     SoftmaxCrossEntropy,
     Tanh,
-    analytic_gradient,
-    max_relative_error,
-    numerical_gradient,
 )
+
+from tests.nn.gradcheck import analytic_gradient, max_relative_error, numerical_gradient
 
 
 def _rng(seed=0):

@@ -6,7 +6,8 @@ N scalar forward/backward/step computations to <= 1e-8 (and usually
 bit-exactly, since the per-worker GEMM slices perform the same scalar
 BLAS calls). These tests pin that claim per architecture, check the
 finite-difference gradient at the N=1 and B=1 edge cases, and cover the
-eligibility / fallback rules of :func:`fleet_signature`.
+eligibility rule of :func:`fleet_signature`: a layer without a fleet
+kernel raises ``ValueError`` naming it.
 """
 
 import numpy as np
@@ -14,10 +15,11 @@ import pytest
 
 from repro.nn import (
     Dense,
-    Dropout,
     FleetSequential,
     FleetSoftmaxCrossEntropy,
+    Layer,
     ReLU,
+    Residual,
     Sequential,
     SoftmaxCrossEntropy,
     build_lenet,
@@ -25,8 +27,9 @@ from repro.nn import (
     build_mini_resnet,
     build_mlp,
     fleet_signature,
-    max_relative_error,
 )
+
+from tests.nn.gradcheck import max_relative_error
 
 TOL = 1e-8
 
@@ -83,6 +86,16 @@ def _scalar_pass(models, xs, ys):
     )
 
 
+class _Double(Layer):
+    """A parameter-free layer the fleet has no kernel for."""
+
+    def forward(self, x, training=True):
+        return 2.0 * x
+
+    def backward(self, grad_out):
+        return 2.0 * grad_out
+
+
 class TestSignature:
     def test_same_architecture_same_signature(self):
         a = build_mlp(5, 4, hidden=(7,), seed=0)
@@ -94,14 +107,19 @@ class TestSignature:
         b = build_mlp(5, 4, hidden=(8,), seed=0)
         assert fleet_signature(a) != fleet_signature(b)
 
-    def test_dropout_is_ineligible(self):
+    def test_layer_without_fleet_kernel_is_ineligible(self):
         rng = np.random.default_rng(0)
-        model = Sequential(
-            [Dense(5, 7, rng), ReLU(), Dropout(0.5, rng), Dense(7, 3, rng)]
-        )
-        assert fleet_signature(model) is None
-        with pytest.raises(ValueError):
+        model = Sequential([Dense(5, 7, rng), ReLU(), _Double(), Dense(7, 3, rng)])
+        with pytest.raises(ValueError, match="no fleet kernel for layer _Double"):
+            fleet_signature(model)
+        with pytest.raises(ValueError, match="_Double"):
             FleetSequential(model, 2)
+
+    def test_ineligible_layer_inside_residual_is_named(self):
+        rng = np.random.default_rng(0)
+        model = Sequential([Dense(5, 5, rng), Residual([_Double()]), Dense(5, 3, rng)])
+        with pytest.raises(ValueError, match="_Double"):
+            fleet_signature(model)
 
     def test_residual_signature_recurses(self):
         a = build_mini_resnet(num_classes=3, in_channels=2, width=4, num_blocks=1)

@@ -37,37 +37,6 @@ class TestReluSigmoid:
         x = np.array([-2.0, 0.0, 3.0])
         np.testing.assert_array_equal(F.relu(x), [0.0, 0.0, 3.0])
 
-    def test_relu_grad_mask(self):
-        x = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(F.relu_grad(x), [0.0, 0.0, 1.0])
-
-    def test_sigmoid_symmetry(self):
-        x = np.linspace(-10, 10, 21)
-        np.testing.assert_allclose(F.sigmoid(x) + F.sigmoid(-x), 1.0, atol=1e-12)
-
-    def test_sigmoid_extremes_stable(self):
-        out = F.sigmoid(np.array([-1000.0, 1000.0]))
-        assert np.isfinite(out).all()
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
-
-
-class TestOneHot:
-    def test_basic(self):
-        out = F.one_hot(np.array([0, 2, 1]), 3)
-        np.testing.assert_array_equal(
-            out, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
-        )
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([0, 3]), 3)
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([-1]), 3)
-
-    def test_rejects_matrix_labels(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.zeros((2, 2), dtype=int), 3)
-
 
 class TestConvOutSize:
     def test_known_values(self):

@@ -10,15 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (
-    analytic_gradient,
-    build_lenet,
-    build_logreg,
-    build_mini_resnet,
-    build_mlp,
-    max_relative_error,
-    numerical_gradient,
-)
+from repro.nn import build_lenet, build_logreg, build_mini_resnet, build_mlp
+
+from tests.nn.gradcheck import analytic_gradient, max_relative_error, numerical_gradient
 
 
 def _check(model, x, y, n_probe=40, seed=0, tol=1e-4):

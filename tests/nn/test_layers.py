@@ -7,7 +7,6 @@ from repro.nn import (
     BatchNorm,
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     MaxPool2d,
@@ -72,32 +71,6 @@ class TestFlatten:
         assert out.shape == (2, 12)
         back = layer.backward(out)
         np.testing.assert_array_equal(back, x)
-
-
-class TestDropout:
-    def test_eval_is_identity(self):
-        layer = Dropout(0.5, _rng())
-        x = _rng(1).normal(size=(4, 4))
-        np.testing.assert_array_equal(layer.forward(x, training=False), x)
-
-    def test_training_preserves_expectation(self):
-        layer = Dropout(0.3, _rng(0))
-        x = np.ones((200, 200))
-        out = layer.forward(x, training=True)
-        assert out.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_backward_uses_same_mask(self):
-        layer = Dropout(0.5, _rng(0))
-        x = np.ones((10, 10))
-        out = layer.forward(x, training=True)
-        g = layer.backward(np.ones_like(x))
-        np.testing.assert_array_equal((out == 0), (g == 0))
-
-    def test_rejects_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0, _rng())
-        with pytest.raises(ValueError):
-            Dropout(-0.1, _rng())
 
 
 def _naive_conv(x, W, b, stride, pad):

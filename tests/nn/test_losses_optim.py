@@ -1,9 +1,9 @@
-"""Tests for loss functions and optimizers."""
+"""Tests for the softmax cross-entropy loss."""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, MSELoss, SoftmaxCrossEntropy
+from repro.nn import SoftmaxCrossEntropy
 
 
 class TestSoftmaxCrossEntropy:
@@ -47,77 +47,3 @@ class TestSoftmaxCrossEntropy:
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
             SoftmaxCrossEntropy().backward()
-
-
-class TestMSE:
-    def test_value_and_grad(self):
-        loss = MSELoss()
-        pred = np.array([1.0, 2.0])
-        target = np.array([0.0, 0.0])
-        assert loss(pred, target) == pytest.approx(2.5)
-        np.testing.assert_allclose(loss.backward(), [1.0, 2.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MSELoss()(np.zeros(3), np.zeros(4))
-
-
-class TestSGD:
-    def test_plain_step(self):
-        opt = SGD(lr=0.1)
-        p = np.array([1.0, 1.0])
-        g = np.array([1.0, -1.0])
-        np.testing.assert_allclose(opt.step(p, g), [0.9, 1.1])
-
-    def test_momentum_accumulates(self):
-        opt = SGD(lr=1.0, momentum=0.5)
-        p = np.zeros(1)
-        g = np.ones(1)
-        p = opt.step(p, g)   # v=1, p=-1
-        p = opt.step(p, g)   # v=1.5, p=-2.5
-        assert p[0] == pytest.approx(-2.5)
-
-    def test_weight_decay(self):
-        opt = SGD(lr=1.0, weight_decay=0.1)
-        p = np.array([10.0])
-        out = opt.step(p, np.zeros(1))
-        assert out[0] == pytest.approx(9.0)
-
-    def test_reset_clears_velocity(self):
-        opt = SGD(lr=1.0, momentum=0.9)
-        opt.step(np.zeros(2), np.ones(2))
-        opt.reset()
-        assert opt._velocity is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.0)
-        with pytest.raises(ValueError):
-            SGD(lr=0.1, momentum=1.0)
-        with pytest.raises(ValueError):
-            SGD(lr=0.1, weight_decay=-1)
-        with pytest.raises(ValueError):
-            SGD(lr=0.1).step(np.zeros(2), np.zeros(3))
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        # minimize f(p) = ||p - 3||^2
-        opt = Adam(lr=0.1)
-        p = np.zeros(4)
-        for _ in range(300):
-            grad = 2 * (p - 3.0)
-            p = opt.step(p, grad)
-        np.testing.assert_allclose(p, 3.0, atol=1e-2)
-
-    def test_first_step_magnitude_is_lr(self):
-        # With bias correction the first Adam step is ~lr regardless of grad scale.
-        opt = Adam(lr=0.01)
-        p = opt.step(np.zeros(1), np.array([1e6]))
-        assert abs(p[0]) == pytest.approx(0.01, rel=1e-3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Adam(lr=-1)
-        with pytest.raises(ValueError):
-            Adam(beta1=1.0)

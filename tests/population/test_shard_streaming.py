@@ -10,6 +10,7 @@ from repro.core.engine import RoundBatch
 from repro.population import WorkerPopulation
 from repro.population.sharding import iter_row_shards
 
+from ..fl.scalar_sgd import scalar_updates
 from ..helpers import make_federation, model_fn
 
 
@@ -86,10 +87,14 @@ class TestFleetShardDifferential:
         plain = FleetLocalEngine(make_federation(num_workers=7, seed=2)[0])
         a = sharded.compute_updates(theta)
         b = plain.compute_updates(theta)
-        assert a.keys() == b.keys()
+        want = scalar_updates(make_federation(num_workers=7, seed=2)[0], theta)
+        assert a.keys() == b.keys() == want.keys()
         for wid in a:
             assert np.array_equal(a[wid].gradient, b[wid].gradient), (
                 f"worker {wid} diverged"
+            )
+            np.testing.assert_allclose(
+                a[wid].gradient, want[wid].gradient, atol=1e-8, rtol=0
             )
 
 

@@ -2,8 +2,8 @@
 
 The hub materializes its queue (plain events, span tuples and deferred
 thunks) into one list in ``seq`` order and gives that same list to each
-sink once, so the memory ring, the JSONL file, the metrics textfile and
-the monitor all see one stream.
+sink once, so the memory ring, the JSONL file and the monitor all see
+one stream.
 """
 
 import json
@@ -14,7 +14,6 @@ from repro.monitor import Monitor, MonitorConfig, MonitorError
 from repro.telemetry import (
     JsonlSink,
     MemorySink,
-    MetricsTextSink,
     Telemetry,
     TickClock,
     decode_event,
@@ -47,11 +46,10 @@ def test_one_flush_reaches_every_sink_once_in_seq_order(tmp_path):
     path = tmp_path / "t.jsonl"
     memory = MemorySink(maxlen=None)
     jsonl = JsonlSink(path)
-    text = MetricsTextSink(tmp_path / "metrics.prom")
     monitor = Monitor(MonitorConfig())
-    hub = Telemetry(sinks=[memory, jsonl, text], clock=TickClock())
+    hub = Telemetry(sinks=[memory, jsonl], clock=TickClock())
     monitor.install(hub)
-    seen = {sink: _batches(sink) for sink in (memory, jsonl, text, monitor)}
+    seen = {sink: _batches(sink) for sink in (memory, jsonl, monitor)}
 
     hub.event("before", {"i": 0})
     with hub.span("outer", kind="round"):
@@ -76,8 +74,6 @@ def test_one_flush_reaches_every_sink_once_in_seq_order(tmp_path):
     assert list(monitor.recorder.ring) == stream
     jsonl.close()
     assert read_trace(path) == [decode_event(encode_event(ev)) for ev in stream]
-    assert 'repro_events_total{type="span"} 2' in text.render()
-    assert "repro_deferred 2.0" in text.render()
 
 
 def test_replacing_a_sink_between_flushes_redirects_events():

@@ -1,6 +1,5 @@
 """Sinks and the canonical JSONL trace encoding."""
 
-import io
 import json
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from repro.telemetry import (
     SCHEMA_VERSION,
-    ConsoleSink,
     JsonlSink,
     MemorySink,
     Telemetry,
@@ -145,131 +143,3 @@ class TestJsonlDurability:
         # without the fan-out the bytes would still sit in userspace
         assert len(path.read_text().splitlines()) == 1
         tele.close()
-
-
-class TestConsoleSink:
-    def test_prints_summary_on_close(self):
-        stream = io.StringIO()
-        tele = Telemetry(sinks=[ConsoleSink(stream)], clock=TickClock())
-        with tele.phase("trainer.round"):
-            pass
-        tele.event(
-            "fifl.round",
-            {"round": 0, "accepted": 6, "flagged": [7], "uncertain": [],
-             "reward_gini": 0.25, "share_entropy": 0.9},
-        )
-        tele.close()
-        out = stream.getvalue()
-        assert "trace summary" in out
-        assert "reward_gini" in out
-        assert "trainer.round" in out
-
-
-class TestMetricsTextSink:
-    def make(self, tmp_path, **kw):
-        from repro.telemetry import MetricsTextSink
-
-        return MetricsTextSink(tmp_path / "metrics.prom", **kw)
-
-    def gauge(self, name, value, **attrs):
-        event = {"type": "metric", "kind": "gauge",
-                 "name": name, "value": value}
-        if attrs:
-            event["attrs"] = attrs
-        return event
-
-    def test_gauge_keeps_last_value(self, tmp_path):
-        sink = self.make(tmp_path)
-        sink.emit([self.gauge("loss", 0.9)])
-        sink.emit([self.gauge("loss", 0.4)])
-        assert "repro_loss 0.4" in sink.render()
-        assert "0.9" not in sink.render()
-
-    def test_distinct_label_sets_are_distinct_series(self, tmp_path):
-        sink = self.make(tmp_path)
-        sink.emit([self.gauge("reputation", 0.2, worker=0)])
-        sink.emit([self.gauge("reputation", 0.7, worker=1)])
-        out = sink.render()
-        assert 'repro_reputation{worker="0"} 0.2' in out
-        assert 'repro_reputation{worker="1"} 0.7' in out
-
-    def test_labels_render_sorted(self, tmp_path):
-        sink = self.make(tmp_path)
-        sink.emit([self.gauge("x", 1.0, zeta="b", alpha="a")])
-        assert 'repro_x{alpha="a",zeta="b"} 1.0' in sink.render()
-
-    def test_type_lines_present(self, tmp_path):
-        sink = self.make(tmp_path)
-        sink.emit([self.gauge("loss", 0.5)])
-        out = sink.render()
-        assert "# TYPE repro_loss gauge" in out
-        assert "# TYPE repro_events_total counter" in out
-
-    def test_event_type_counters(self, tmp_path):
-        sink = self.make(tmp_path)
-        sink.emit([{"type": "span", "name": "round"}])
-        sink.emit([{"type": "span", "name": "round"}])
-        sink.emit([self.gauge("loss", 0.5)])
-        out = sink.render()
-        assert 'repro_events_total{type="span"} 2' in out
-        assert 'repro_events_total{type="metric"} 1' in out
-
-    def test_metric_name_sanitized(self, tmp_path):
-        sink = self.make(tmp_path)
-        sink.emit([self.gauge("fifl.reward-gini", 0.3)])
-        assert "repro_fifl_reward_gini 0.3" in sink.render()
-
-    def test_digit_prefixed_name_guarded(self, tmp_path):
-        from repro.telemetry.sinks import _metric_name
-
-        name = _metric_name("99th_latency", "")
-        assert not name[0].isdigit()
-
-    def test_label_value_escaping(self, tmp_path):
-        sink = self.make(tmp_path)
-        sink.emit([self.gauge("x", 1.0, path='a\\b"c\nd')])
-        out = sink.render()
-        assert '\\\\' in out       # backslash doubled
-        assert '\\"' in out        # quote escaped
-        assert '\\n' in out        # newline escaped
-        assert "\nd" not in out    # no literal newline inside a value
-
-    def test_custom_namespace(self, tmp_path):
-        sink = self.make(tmp_path, namespace="fifl")
-        sink.emit([self.gauge("loss", 0.5)])
-        assert "fifl_loss 0.5" in sink.render()
-
-    def test_flush_writes_atomically(self, tmp_path):
-        sink = self.make(tmp_path)
-        sink.emit([self.gauge("loss", 0.5)])
-        sink.flush()
-        path = tmp_path / "metrics.prom"
-        assert path.read_text() == sink.render()
-        assert not (tmp_path / "metrics.prom.tmp").exists()
-
-    def test_hub_counters_exported(self, tmp_path):
-        sink = self.make(tmp_path)
-        hub = Telemetry(sinks=[sink], clock=TickClock())
-        sink.bind(hub)
-        hub.count("uploads", 3)
-        out = sink.render()
-        assert "# TYPE repro_uploads_total counter" in out
-        assert "repro_uploads_total 3" in out
-
-    def test_close_flushes_once_then_latches(self, tmp_path):
-        sink = self.make(tmp_path)
-        sink.emit([self.gauge("loss", 0.5)])
-        sink.close()
-        path = tmp_path / "metrics.prom"
-        before = path.read_text()
-        sink.emit([self.gauge("loss", 0.1)])
-        sink.flush()  # no-op after close
-        sink.close()
-        assert path.read_text() == before
-
-    def test_hub_flush_drives_the_textfile(self, tmp_path):
-        sink = self.make(tmp_path)
-        hub = Telemetry(sinks=[sink], clock=TickClock())
-        hub.gauge("loss", 0.25)
-        hub.flush()
-        assert "repro_loss 0.25" in (tmp_path / "metrics.prom").read_text()
