@@ -10,7 +10,7 @@ equally) drags its 50 rounds of banked trust for ~4x longer.
 
 import numpy as np
 
-from repro.core import DecayReputation, SLMReputation
+from repro.core import DecayReputation
 
 from conftest import emit, run_once
 
@@ -19,15 +19,14 @@ TOTAL = 100
 
 
 def _sweep(gamma=0.2):
-    decay = DecayReputation(gamma=gamma)
-    slm = SLMReputation()  # cumulative: no period resets
+    # one table holds both estimators: the Eq. 10 value and the Eq. 8-9
+    # counts, cumulative here (the period is never reset)
+    table = DecayReputation(gamma=gamma, slm_alphas=(1.0, 1.0, 1.0))
     decay_curve, slm_curve = [], []
     for t in range(TOTAL):
         honest = t < TURN_ROUND  # worker turns malicious at TURN_ROUND
-        decay.update(0, honest)
-        slm.record(0, honest)
-        decay_curve.append(decay.reputation(0))
-        slm_curve.append(slm.reputation(0))
+        slm_curve.append(table.update(0, honest))
+        decay_curve.append(table.reputation(0))
 
     def rounds_to_distrust(curve):
         for i in range(TURN_ROUND, TOTAL):

@@ -29,7 +29,7 @@ def build_honest_chain() -> Blockchain:
     rep = DecayReputation(gamma=GAMMA)
     outcomes = [True, True, False, True, True, True, False, True, True, True]
     for t, outcome in enumerate(outcomes):
-        reps = rep.update_all({WORKER: outcome})
+        reps = {WORKER: rep.update(WORKER, outcome)}
         signer = "server-A" if t % 2 == 0 else "server-B"
         chain.append(
             {"round": t, "accepted": {WORKER: outcome}, "reputations": reps},
@@ -60,7 +60,7 @@ def main():
     evil.register(SigningIdentity("evil-server", b"key-of-evil-node"))
     rep = DecayReputation(gamma=GAMMA)
     for t, outcome in enumerate([False, False, False, False]):
-        reps = rep.update_all({WORKER: outcome})
+        reps = {WORKER: rep.update(WORKER, outcome)}
         if t == 2:
             # the evil server inflates the attacker's reputation, signing
             # the forged record with its own valid key

@@ -30,7 +30,7 @@ from .factory import (
 from .fifl import FIFLConfig, FIFLMechanism, FIFLRoundRecord
 from .incentive import fairness_coefficient, reward_shares_array
 from .loss_detection import LossBasedDetector
-from .reputation import DecayReputation, SLMReputation, theorem1_fixed_point
+from .reputation import DecayReputation, theorem1_fixed_point
 from .robust import (
     KrumMechanism,
     MedianMechanism,
@@ -55,7 +55,6 @@ __all__ = [
     "gradient_distances_matrix",
     "normalized_shares_array",
     "reward_shares_array",
-    "SLMReputation",
     "DecayReputation",
     "theorem1_fixed_point",
     "gradient_distance",

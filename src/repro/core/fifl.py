@@ -61,7 +61,7 @@ from .contribution import (
 from .detection import DetectionConfig, detection_scores_matrix
 from .engine import RoundBatch, stack_benchmarks
 from .incentive import reward_shares_array
-from .reputation import DecayReputation, SLMReputation
+from .reputation import DecayReputation
 
 __all__ = ["FIFLRoundRecord", "FIFLMechanism", "NON_FINITE_SCORE"]
 
@@ -159,12 +159,11 @@ class FIFLMechanism:
         ledger=None,
         profiler: Telemetry | None = None,
     ):
-        self.config = config if config is not None else FIFLConfig()
+        self.config = cfg = config if config is not None else FIFLConfig()
+        slm = cfg.reputation_mode == "slm"
         self.reputation = DecayReputation(
-            gamma=self.config.gamma, initial=self.config.initial_reputation
+            cfg.gamma, cfg.initial_reputation, cfg.slm_alphas if slm else None
         )
-        a_t, a_n, a_u = self.config.slm_alphas
-        self.slm = SLMReputation(alpha_t=a_t, alpha_n=a_n, alpha_u=a_u)
         self._rounds_seen = 0
         self.ledger = ledger
         self.profiler = profiler if profiler is not None else get_telemetry()
@@ -245,28 +244,6 @@ class FIFLMechanism:
             return dist_vec, b_h, contributions_array(dist_vec, b_h)
         return dist_vec, None, np.zeros_like(dist_vec)
 
-    def _update_reputations(
-        self, ctx: RoundContext, accepted: dict[int, bool]
-    ) -> tuple[dict[int, bool | None], dict[int, float]]:
-        """Fold detection outcomes (plus uncertain events) into reputations.
-
-        The SLM period counts are kept only in ``"slm"`` mode, the one
-        mode that reads them.
-        """
-        outcomes: dict[int, bool | None] = dict(accepted)
-        for w in ctx.uncertain:
-            outcomes[w] = None
-        decayed = self.reputation.update_all(outcomes)
-        self._rounds_seen += 1
-        if self.config.reputation_mode != "slm":
-            return outcomes, decayed
-        for w, outcome in outcomes.items():
-            self.slm.record(w, outcome)
-        reputations = {w: self.slm.reputation(w) for w in outcomes}
-        if self._rounds_seen % self.config.slm_period == 0:
-            self.slm.reset_period()
-        return outcomes, reputations
-
     # -- main entry point --------------------------------------------------------
 
     def process_round(self, ctx: RoundContext) -> RoundDecision:
@@ -289,6 +266,7 @@ class FIFLMechanism:
             score_vec = np.zeros(0)
             accept_vec = None
             scores, accepted = {}, {}
+            scored, outcome = np.zeros(0, np.int64), np.zeros(0, bool)
             if batch is not None:
                 score_vec = self._detection_scores_sharded(
                     batch, ranks, slots, bench_slices
@@ -296,16 +274,28 @@ class FIFLMechanism:
                 accept_vec = score_vec >= cfg.detection.threshold
                 scores = batch.to_dict(score_vec)
                 accepted = batch.to_dict(accept_vec)
+                scored, outcome = batch.worker_ids, accept_vec
             if ctx.rejected:
                 scores.update(dict.fromkeys(ctx.rejected, NON_FINITE_SCORE))
                 accepted.update(dict.fromkeys(ctx.rejected, False))
                 scores = dict(sorted(scores.items()))
                 accepted = dict(sorted(accepted.items()))
+                scored = np.fromiter(accepted, np.int64, len(accepted))
+                outcome = np.fromiter(accepted.values(), bool, len(accepted))
             prof.count("fifl.workers_scored", len(scores))
 
-        # 2) reputation (stateful EMA/SLM; O(N) dict update, not a hot path)
+        # 2) reputation: one vectorized Eq. 10 (or Eq. 8-9) step over the
+        #    cohort's rows of the table; uncertain events follow the scored ids
         with prof.phase("fifl.reputation"):
-            outcomes, reputations = self._update_reputations(ctx, accepted)
+            rep_ids = scored.tolist()
+            if ctx.uncertain:
+                rep_ids += ctx.uncertain
+                outcome = np.append(outcome, np.full(len(ctx.uncertain), np.nan))
+            rep_vals = self.reputation.update_all(rep_ids, outcome)
+            reputations = dict(zip(rep_ids, rep_vals.tolist()))
+            self._rounds_seen += 1
+            if cfg.reputation_mode == "slm" and self._rounds_seen % cfg.slm_period == 0:
+                self.reputation.reset_period()
 
         # 3) contributions: masked row-average for G̃, one batched reduction
         #    for all distances
@@ -355,11 +345,7 @@ class FIFLMechanism:
             reward_vec = None
             shares, rewards = {}, {}
             if contrib_vec is not None:
-                rep_vec = np.fromiter(
-                    map(reputations.__getitem__, batch.worker_ids.tolist()),
-                    np.float64,
-                    batch.num_workers,
-                )
+                rep_vec = rep_vals[np.searchsorted(scored, batch.worker_ids)]
                 share_vec = reward_shares_array(
                     rep_vec, contrib_vec, punish_mode=cfg.punish_mode
                 )
@@ -368,7 +354,7 @@ class FIFLMechanism:
                 rewards = batch.to_dict(reward_vec)
 
         return self._finalize(
-            ctx, scores, accepted, outcomes, reputations, distances, b_h,
+            ctx, scores, accepted, reputations, distances, b_h,
             contribs, shares, rewards, score_vec, reward_vec,
         )
 
@@ -377,7 +363,6 @@ class FIFLMechanism:
         ctx: RoundContext,
         scores: dict[int, float],
         accepted: dict[int, bool],
-        outcomes: dict[int, bool | None],
         reputations: dict[int, float],
         distances: dict[int, float],
         b_h: float | None,
@@ -437,7 +422,7 @@ class FIFLMechanism:
                         # full outcome map: True/False detection results plus
                         # None for uncertain (lost-upload) events, so the audit
                         # protocol can replay reputations exactly (S4.5)
-                        "accepted": outcomes,
+                        "accepted": {**accepted, **dict.fromkeys(ctx.uncertain)},
                         "reputations": dict(reputations),
                         "contributions": contribs,
                         "rewards": rewards,
@@ -554,10 +539,6 @@ class FIFLMechanism:
         """Total rewards (negative = punishments) per worker so far."""
         return dict(self._cumulative_rewards)
 
-    def reputation_history(self, worker: int) -> list[float]:
-        """Reputation trajectory for one worker."""
-        return self.reputation.history(worker)
-
     def recommend_servers(self, m: int, exclude: set[int] | None = None) -> list[int]:
         """Top-``m`` workers by current reputation (S4.5 re-selection).
 
@@ -566,12 +547,14 @@ class FIFLMechanism:
         """
         if m <= 0:
             raise ValueError("m must be positive")
-        reps = self.reputation.reputations()
+        ids, reps = self.reputation.tracked()
         if exclude:
-            reps = {w: r for w, r in reps.items() if w not in exclude}
-        if len(reps) < m:
+            keep = ~np.isin(ids, list(exclude))
+            ids, reps = ids[keep], reps[keep]
+        if len(ids) < m:
             raise RuntimeError(
-                f"only {len(reps)} eligible workers tracked, need {m}"
+                f"only {len(ids)} eligible workers tracked, need {m}"
             )
-        ranked = sorted(reps, key=lambda w: (-reps[w], w))
-        return sorted(ranked[:m])
+        # ids ascend, so a stable sort on -reputation breaks ties by id
+        ranked = ids[np.argsort(-reps, kind="stable")[:m]]
+        return sorted(ranked.tolist())

@@ -45,7 +45,8 @@ def run(
     _, mech = run_federated(cfg, attackers, with_fifl=True)
     assert mech is not None
     trajectories = {
-        p_a: mech.reputation_history(i) for i, p_a in zip(ids, attack_probs)
+        p_a: [rec.reputations[i] for rec in mech.records if i in rec.reputations]
+        for i, p_a in zip(ids, attack_probs)
     }
     tail = max(5, cfg.rounds // 3)
     tail_means = {

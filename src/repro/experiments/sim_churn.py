@@ -86,7 +86,8 @@ def run(cfg: FedExpConfig | None = None) -> dict:
         "stable": stable_worker,
     }
     reputations = {
-        name: mech.reputation_history(wid) for name, wid in tracked.items()
+        name: [rec.reputations[wid] for rec in mech.records if wid in rec.reputations]
+        for name, wid in tracked.items()
     }
     cum_rewards = {}
     for name, wid in tracked.items():

@@ -1,6 +1,6 @@
 """Federated-learning substrate: workers, gradients, trainer, evaluation."""
 
-from .evaluation import accuracy, evaluate
+from .evaluation import evaluate
 from .fleet_compute import FleetLocalEngine, LocalUpdates
 from .gradients import fedavg, recombine, slice_bounds, split_gradient
 from .trainer import (
@@ -30,7 +30,6 @@ from .workers import (
 )
 
 __all__ = [
-    "accuracy",
     "evaluate",
     "FleetLocalEngine",
     "LocalUpdates",

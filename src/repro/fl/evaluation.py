@@ -20,7 +20,7 @@ from ..datasets import Dataset
 from ..nn import Sequential
 from ..telemetry import get_telemetry
 
-__all__ = ["evaluate", "accuracy", "batch_views"]
+__all__ = ["evaluate", "batch_views"]
 
 
 def batch_views(data: Dataset, batch_size: int):
@@ -74,11 +74,3 @@ def evaluate(
             correct += batch_correct
     tele.count("evaluation.samples", n)
     return total_loss / n, correct / n
-
-
-def accuracy(model: Sequential, data: Dataset, batch_size: int = 256) -> float:
-    """Classification accuracy only."""
-    correct = 0
-    for x, y in batch_views(data, batch_size):
-        correct += int((model.forward(x, training=False).argmax(axis=1) == y).sum())
-    return correct / len(data)

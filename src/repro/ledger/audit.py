@@ -92,21 +92,23 @@ def audit_reputations(
             continue  # not a FIFL round record
         accepted = payload.get("accepted", {})
         reputations = payload["reputations"]
-        for key in findings:
-            if key not in reputations:
-                continue
-            outcome = accepted.get(key)  # None = uncertain event
-            recomputed = replay.update(key, outcome)
+        present = [key for key in findings if key in reputations]
+        # one replay step over this block's audited workers; a missing
+        # outcome is an uncertain event
+        recomputed = replay.update_all(
+            [int(key) for key in present], [accepted.get(key) for key in present]
+        )
+        for key, value in zip(present, recomputed.tolist()):
             recorded = float(reputations[key])
             checked[key] += 1
-            if not abs(recorded - recomputed) <= tolerance:
+            if not abs(recorded - value) <= tolerance:
                 findings[key].append(
                     AuditFinding(
                         block_index=blk.index,
                         round_idx=int(payload.get("round", -1)),
                         signer=blk.signer,
                         recorded=recorded,
-                        recomputed=recomputed,
+                        recomputed=value,
                     )
                 )
     from ..telemetry.core import get_telemetry

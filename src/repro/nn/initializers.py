@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_normal", "zeros", "normal"]
+__all__ = ["he_normal", "zeros"]
 
 
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -16,11 +16,6 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> 
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
-
-
-def normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.01) -> np.ndarray:
-    """Plain Gaussian init with given standard deviation."""
     return rng.normal(0.0, std, size=shape)
 
 

@@ -28,7 +28,6 @@ from .service import FederationService, ServiceConfig
 from .snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotError,
-    history_digest,
     latest_snapshot,
     list_snapshots,
     read_manifest,
@@ -42,7 +41,6 @@ __all__ = [
     "ServiceConfig",
     "SNAPSHOT_FORMAT_VERSION",
     "SnapshotError",
-    "history_digest",
     "latest_snapshot",
     "list_snapshots",
     "read_manifest",

@@ -192,8 +192,8 @@ class FederationService:
 
         Each in-memory record is digested once: the call digests only
         the records absorbed since the last one and chains the stored
-        digests of the rest, which equals
-        :func:`~repro.service.snapshot.history_digest` over the tail.
+        digests of the rest: a fold of ``chain_digest`` over every
+        record, seeded by the rolling digest of the compacted ones.
         """
         rounds, digests = self.history.rounds, self._digests
         digests.extend(map(record_digest, rounds[len(digests):]))

@@ -45,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.reputation import DecayReputation
 from ..telemetry.core import TickClock
 from ..telemetry.sinks import encode_event
 
@@ -64,12 +65,12 @@ __all__ = [
     "capture_telemetry",
     "restore_telemetry",
     "record_digest",
-    "history_digest",
     "reputation_digest",
 ]
 
-#: bumped when the blob layout or the state inventory changes shape
-SNAPSHOT_FORMAT_VERSION = 1
+#: bumped when the blob layout or the state inventory changes shape (v2:
+#: the mechanism's reputation is one table; v1 snapshots migrate on load)
+SNAPSHOT_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "MANIFEST.json"
 _SNAP_PREFIX = "snapshot-"
@@ -166,10 +167,10 @@ def read_manifest(snap_dir: Path | str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"unreadable manifest in {snap_dir}: {exc}") from exc
     version = manifest.get("format_version")
-    if version != SNAPSHOT_FORMAT_VERSION:
+    if version not in (1, SNAPSHOT_FORMAT_VERSION):
         raise SnapshotError(
             f"{snap_dir}: snapshot format v{version} "
-            f"(this build reads v{SNAPSHOT_FORMAT_VERSION})"
+            f"(this build reads v1 and v{SNAPSHOT_FORMAT_VERSION})"
         )
     if manifest.get("integrity") != _integrity(manifest):
         raise SnapshotError(f"{snap_dir}: manifest integrity hash mismatch")
@@ -236,14 +237,18 @@ def load_snapshot(snap_dir: Path | str) -> tuple[object, dict]:
 
     Components are digest-checked before unpickling; a tampered or
     truncated snapshot raises :class:`SnapshotError` instead of feeding
-    corrupt bytes to the decoder.
+    corrupt bytes to the decoder. A v1 snapshot's state migrates to v2.
     """
     snap_dir = Path(snap_dir)
     problems = verify_snapshot(snap_dir)
     if problems:
         raise SnapshotError(f"{snap_dir} failed verification: {problems}")
     config = pickle.loads((snap_dir / "config.pkl").read_bytes())
-    state = pickle.loads((snap_dir / "state.pkl").read_bytes())
+    v1 = read_manifest(snap_dir)["format_version"] == 1
+    state_pkl = io.BytesIO((snap_dir / "state.pkl").read_bytes())
+    state = (_V1Unpickler if v1 else pickle.Unpickler)(state_pkl).load()
+    if v1:
+        _migrate_v1(state)
     with np.load(io.BytesIO((snap_dir / "model.npz").read_bytes())) as npz:
         state["model"] = {
             "params": npz["params"],
@@ -262,6 +267,33 @@ def load_snapshot(snap_dir: Path | str) -> tuple[object, dict]:
     else:
         state["reputation_store"] = None
     return config, state
+
+
+class _V1Unpickler(pickle.Unpickler):
+    """Reads a v1 ``state.pkl``; its reputation objects load as bare fields."""
+
+    def find_class(self, module, name):
+        if module == "repro.core.reputation":
+            return type(name, (), {})
+        return super().find_class(module, name)
+
+
+def _migrate_v1(state: dict) -> None:
+    """v1 → v2: the mechanism's decay dict becomes its reputation table.
+
+    A service runs FIFL in decay mode, which reads no SLM counts, so the
+    v1 SLM count dicts and the per-worker value history are dropped.
+    """
+    mech = state.get("mechanism")
+    if mech is None:
+        return
+    v1 = mech.pop("reputation")
+    del mech["slm"]
+    mech["reputation"] = rep = DecayReputation(v1.gamma, v1.initial)
+    ids = sorted(v1._rep)
+    rows = rep._rows(ids)
+    rep._value[rows] = [v1._rep[w] for w in ids]
+    rep._tracked[rows] = True
 
 
 def encode_snapshot_blobs(config: object, state: dict) -> dict[str, bytes]:
@@ -323,20 +355,6 @@ def record_digest(record) -> str:
 def chain_digest(rolling: str, digest: str) -> str:
     """Fold one record digest into the rolling history chain."""
     return hashlib.sha256((rolling + digest).encode()).hexdigest()
-
-
-def history_digest(records, rolling: str = "") -> str:
-    """Chained digest over round records (optionally seeded by a prior
-    rolling digest from compacted-away records).
-
-    The chain is a pure fold over records in round order, so the value
-    is independent of *when* old records were compacted into the rolling
-    prefix — a tail-trimmed service and an untrimmed one agree.
-    """
-    h = rolling
-    for rec in records:
-        h = chain_digest(h, record_digest(rec))
-    return h
 
 
 def reputation_digest(service) -> str:
@@ -438,7 +456,6 @@ def _capture_mechanism(mech) -> dict | None:
         return None
     return {
         "reputation": mech.reputation,
-        "slm": mech.slm,
         "rounds_seen": mech._rounds_seen,
         "cumulative_rewards": dict(mech._cumulative_rewards),
         "prev_rep_ids": mech._prev_rep_ids,
@@ -451,7 +468,6 @@ def _restore_mechanism(mech, state: dict | None) -> None:
     if state is None or mech is None:
         return
     mech.reputation = state["reputation"]
-    mech.slm = state["slm"]
     mech._rounds_seen = state["rounds_seen"]
     mech._cumulative_rewards = dict(state["cumulative_rewards"])
     mech._prev_rep_ids = state["prev_rep_ids"]

@@ -8,9 +8,12 @@ differential tests in ``tests/core/test_engine.py`` can check the
 kernels against an implementation that shares none of their array
 code. The two agree to 1e-8 on every per-round output.
 
-:class:`ReferenceFIFL` reuses only the mechanism's stateful bookkeeping
-(reputation update, records, ledger, telemetry); detection, aggregation,
-contribution and reward arithmetic are the dict-form functions below.
+:class:`ReferenceFIFL` reuses only the mechanism's bookkeeping (records,
+ledger, telemetry); detection, reputation, aggregation, contribution and
+reward arithmetic are the dict-form functions and classes below. The
+reputation oracle (:class:`ScalarDecay`, :class:`ScalarSLM`) is the
+literal per-worker Eq. 8-10 that ``repro.core.reputation``'s table
+must match bit for bit.
 Uploads arrive screened by the trainer's admission rule: a non-finite
 upload is in ``ctx.rejected``, not in ``ctx.slices``, and is recorded
 as a rejection scored ``NON_FINITE_SCORE``. The oracle tests the
@@ -122,6 +125,80 @@ class AttackDetector:
         """Return ``(scores, r)`` for the delivered slices."""
         scores = detection_scores(slices, benchmarks, self.config.mode)
         return scores, classify(scores, self.config.threshold)
+
+
+# -- reputation (Eq. 8-10) --------------------------------------------------
+
+
+class ScalarDecay:
+    """Eq. 10 one event at a time: ``R <- (1-γ)R + γ r`` per worker.
+
+    Uncertain events (None) leave the estimate unchanged and do not
+    start tracking a worker.
+    """
+
+    def __init__(self, gamma: float = 0.1, initial: float = 0.0):
+        self.gamma = gamma
+        self.initial = initial
+        self.values: dict[int, float] = {}
+
+    def update(self, worker: int, outcome: bool | None) -> float:
+        current = self.values.get(worker, self.initial)
+        if outcome is not None:
+            current = (1.0 - self.gamma) * current + self.gamma * float(outcome)
+            self.values[worker] = current
+        return current
+
+    def reputation(self, worker: int) -> float:
+        return self.values.get(worker, self.initial)
+
+    def reputations(self) -> dict[int, float]:
+        return dict(self.values)
+
+
+class ScalarSLM:
+    """Per-period subjective-logic reputation (Eq. 8-9) from count dicts."""
+
+    def __init__(self, alpha_t=1.0, alpha_n=1.0, alpha_u=1.0):
+        self.alphas = (alpha_t, alpha_n, alpha_u)
+        self.positives: dict[int, int] = {}
+        self.negatives: dict[int, int] = {}
+        self.uncertains: dict[int, int] = {}
+
+    def record(self, worker: int, outcome: bool | None) -> None:
+        if outcome is None:
+            self.uncertains[worker] = self.uncertains.get(worker, 0) + 1
+        elif outcome:
+            self.positives[worker] = self.positives.get(worker, 0) + 1
+        else:
+            self.negatives[worker] = self.negatives.get(worker, 0) + 1
+
+    def counts(self, worker: int) -> tuple[int, int, int]:
+        return (
+            self.positives.get(worker, 0),
+            self.negatives.get(worker, 0),
+            self.uncertains.get(worker, 0),
+        )
+
+    def trust_scores(self, worker: int) -> tuple[float, float, float]:
+        pt, pn, pu = self.counts(worker)
+        total = pt + pn + pu
+        su = pu / total if total else 0.0
+        if pt + pn == 0:
+            return 0.0, 0.0, su
+        st = (1.0 - su) * pt / (pt + pn)
+        sn = (1.0 - su) * pn / (pt + pn)
+        return st, sn, su
+
+    def reputation(self, worker: int) -> float:
+        st, sn, su = self.trust_scores(worker)
+        a_t, a_n, a_u = self.alphas
+        return a_t * st - a_n * sn - a_u * su
+
+    def reset_period(self) -> None:
+        self.positives.clear()
+        self.negatives.clear()
+        self.uncertains.clear()
 
 
 # -- contribution (Eq. 13-14) ------------------------------------------------
@@ -253,6 +330,32 @@ def _filtered_global_gradient(
 class ReferenceFIFL(FIFLMechanism):
     """FIFL with the dict-form, worker-by-worker round pipeline."""
 
+    def __init__(self, config=None, ledger=None, profiler=None):
+        super().__init__(config, ledger=ledger, profiler=profiler)
+        self.reputation = ScalarDecay(
+            self.config.gamma, self.config.initial_reputation
+        )
+        self.slm = ScalarSLM(*self.config.slm_alphas)
+
+    def _reference_reputations(
+        self, ctx: RoundContext, accepted: dict[int, bool]
+    ) -> dict[int, float]:
+        """Eq. 10 (or Eq. 8-9 in slm mode) worker by worker."""
+        outcomes: dict[int, bool | None] = dict(accepted)
+        for w in ctx.uncertain:
+            outcomes[w] = None
+        decayed = {w: self.reputation.update(w, o) for w, o in outcomes.items()}
+        self._rounds_seen += 1
+        cfg = self.config
+        if cfg.reputation_mode != "slm":
+            return decayed
+        for w, outcome in outcomes.items():
+            self.slm.record(w, outcome)
+        reputations = {w: self.slm.reputation(w) for w in outcomes}
+        if self._rounds_seen % cfg.slm_period == 0:
+            self.slm.reset_period()
+        return reputations
+
     def process_round(self, ctx: RoundContext) -> RoundDecision:
         cfg = self.config
         m = len(ctx.server_ranks)
@@ -280,7 +383,7 @@ class ReferenceFIFL(FIFLMechanism):
         accepted = {w: live_accepted.get(w, False) for w in recorded}
 
         # 2) reputation
-        outcomes, reputations = self._update_reputations(ctx, accepted)
+        reputations = self._reference_reputations(ctx, accepted)
 
         # 3) contributions against the filtered global gradient
         distances: dict[int, float] = {}
@@ -319,7 +422,7 @@ class ReferenceFIFL(FIFLMechanism):
             )
         rewards = allocate_rewards(shares, cfg.budget_per_round)
         return self._finalize(
-            ctx, scores, accepted, outcomes, reputations, distances, b_h,
+            ctx, scores, accepted, reputations, distances, b_h,
             contribs, shares, rewards,
             np.fromiter(live_scores.values(), np.float64, len(live_scores)),
         )

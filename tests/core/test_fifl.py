@@ -265,7 +265,9 @@ class TestServerRecommendation:
     @staticmethod
     def _with_reputations(monkeypatch, reps):
         mech = FIFLMechanism()
-        monkeypatch.setattr(mech.reputation, "reputations", lambda: dict(reps))
+        ids = sorted(reps)
+        table = (np.array(ids), np.array([reps[w] for w in ids]))
+        monkeypatch.setattr(mech.reputation, "tracked", lambda: table)
         return mech
 
     def test_top_m_by_reputation(self, monkeypatch):

@@ -35,6 +35,14 @@ def run_mech(reputation_mode, rounds=6, slm_period=3, seed=0):
     return mech
 
 
+def period_counts(mech, workers=range(5)):
+    """``(positives, negatives, uncertains)`` as dicts over counted workers."""
+    counts = [mech.reputation.counts(w) for w in workers]
+    return tuple(
+        {w: c[k] for w, c in zip(workers, counts) if c[k]} for k in range(3)
+    )
+
+
 class TestSLMMode:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -54,33 +62,35 @@ class TestSLMMode:
     def test_slm_period_reset_clears_counts(self):
         mech = run_mech("slm", rounds=4, slm_period=2)
         # after the reset at round 2, round 3's counts restart: one event
-        assert mech.slm.positives.get(0, 0) + mech.slm.negatives.get(0, 0) <= 2
+        positives, negatives, _ = period_counts(mech)
+        assert positives.get(0, 0) + negatives.get(0, 0) <= 2
 
     def test_decay_mode_records_no_slm_counts(self):
         # decay mode never reads the SLM period counts, so it keeps none
         mech = run_mech("decay", rounds=4, slm_period=100)
         assert mech.records[-1].accepted[4] is False  # events did happen
-        assert mech.slm.positives == {}
-        assert mech.slm.negatives == {}
-        assert mech.slm.uncertains == {}
+        assert period_counts(mech) == ({}, {}, {})
 
     def test_slm_mode_tracks_counts_within_a_period(self):
         mech = run_mech("slm", rounds=4, slm_period=100)
-        assert mech.slm.positives.get(0, 0) == 4
-        assert mech.slm.negatives.get(4, 0) == 4
+        positives, negatives, _ = period_counts(mech)
+        assert positives.get(0, 0) == 4
+        assert negatives.get(4, 0) == 4
 
     @pytest.mark.parametrize("mode", ["slm", "decay"])
     def test_snapshot_slm_field_restores(self, mode):
-        # a snapshot's slm field (written by either mode, or by a build
-        # that counted in decay mode too) restores as it was captured
+        # a snapshot's reputation table (with its SLM counts) restores as
+        # it was captured, into a mechanism built in either mode
         from repro.service.snapshot import _capture_mechanism, _restore_mechanism
 
         src = run_mech("slm", rounds=2, slm_period=100)
         state = pickle.loads(pickle.dumps(_capture_mechanism(src)))
         dst = FIFLMechanism(FIFLConfig(reputation_mode=mode, slm_period=100))
         _restore_mechanism(dst, state)
-        assert dst.slm.positives == src.slm.positives == {0: 2, 1: 2, 2: 2, 3: 2}
-        assert dst.slm.negatives == src.slm.negatives == {4: 2}
+        dst_pos, dst_neg, _ = period_counts(dst)
+        src_pos, src_neg, _ = period_counts(src)
+        assert dst_pos == src_pos == {0: 2, 1: 2, 2: 2, 3: 2}
+        assert dst_neg == src_neg == {4: 2}
 
     def test_modes_agree_on_who_is_worst(self):
         slm = run_mech("slm")

@@ -1,54 +1,59 @@
-"""Tests for reputation: SLM, time decay, and Theorem 1."""
+"""Tests for the reputation table: SLM counts, time decay, and Theorem 1."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DecayReputation, SLMReputation, theorem1_fixed_point
+from repro.core import DecayReputation, theorem1_fixed_point
+
+
+def slm_table(alphas=(1.0, 1.0, 1.0)):
+    """A reputation table that keeps the Eq. 8-9 period counts."""
+    return DecayReputation(slm_alphas=alphas)
 
 
 class TestSLM:
     def test_trust_scores_eq8(self):
-        slm = SLMReputation()
+        slm = slm_table()
         for _ in range(3):
-            slm.record(0, True)
-        slm.record(0, False)
+            slm.update(0, True)
+        slm.update(0, False)
         st_, sn, su = slm.trust_scores(0)
         assert su == 0.0
         assert st_ == pytest.approx(0.75)
         assert sn == pytest.approx(0.25)
 
     def test_uncertainty_mass(self):
-        slm = SLMReputation()
-        slm.record(0, True)
-        slm.record(0, None)
+        slm = slm_table()
+        slm.update(0, True)
+        slm.update(0, None)
         st_, sn, su = slm.trust_scores(0)
         assert su == pytest.approx(0.5)
         assert st_ == pytest.approx(0.5)  # (1-0.5) * 1/1
 
     def test_reputation_eq9_weighting(self):
-        slm = SLMReputation(alpha_t=2.0, alpha_n=1.0, alpha_u=0.5)
-        slm.record(0, True)
-        slm.record(0, False)
+        slm = slm_table(alphas=(2.0, 1.0, 0.5))
+        slm.update(0, True)
+        slm.update(0, False)
         st_, sn, su = slm.trust_scores(0)
-        assert slm.reputation(0) == pytest.approx(2 * st_ - sn - 0.5 * su)
+        assert slm.slm_reputation(0) == pytest.approx(2 * st_ - sn - 0.5 * su)
 
     def test_unknown_worker_neutral(self):
-        slm = SLMReputation()
-        assert slm.reputation(42) == 0.0
+        slm = slm_table()
+        assert slm.slm_reputation(42) == 0.0
 
     def test_reset_period(self):
-        slm = SLMReputation()
-        slm.record(0, True)
+        slm = slm_table()
+        slm.update(0, True)
         slm.reset_period()
         assert slm.trust_scores(0) == (0.0, 0.0, 0.0)
 
     def test_all_positive_full_trust(self):
-        slm = SLMReputation()
+        slm = slm_table()
         for _ in range(10):
-            slm.record(1, True)
-        assert slm.reputation(1) == pytest.approx(1.0)
+            slm.update(1, True)
+        assert slm.slm_reputation(1) == pytest.approx(1.0)
 
 
 class TestDecayReputation:
@@ -62,10 +67,8 @@ class TestDecayReputation:
         rep = DecayReputation(gamma=0.5)
         rep.update(0, True)
         before = rep.reputation(0)
-        rep.update(0, None)
+        assert rep.update(0, None) == before
         assert rep.reputation(0) == before
-        # but history records the (unchanged) value
-        assert len(rep.history(0)) == 2
 
     def test_initial_value(self):
         rep = DecayReputation(gamma=0.1, initial=0.7)
@@ -73,7 +76,7 @@ class TestDecayReputation:
 
     def test_update_all(self):
         rep = DecayReputation(gamma=0.5)
-        out = rep.update_all({0: True, 1: False, 2: None})
+        out = rep.update_all([0, 1, 2], [True, False, None])
         assert out[0] == 0.5 and out[1] == 0.0 and out[2] == 0.0
 
     def test_bounded_in_unit_interval(self):
@@ -140,3 +143,73 @@ class TestTheorem1:
             rep_a.update(0, bool(rng_a.random() < 0.5))
             rep_b.update(0, bool(rng_b.random() < 0.5))
         assert rep_a.reputation(0) == pytest.approx(rep_b.reputation(0), abs=1e-10)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestTableMatchesScalarOracle:
+    """The array table against the literal per-worker Eq. 8-10, bit for bit:
+    cohorts change between rounds, workers leave and re-enter, some only
+    ever have uncertain events, and SLM periods reset."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rounds=st.lists(
+            st.dictionaries(
+                st.integers(0, 11),
+                st.sampled_from([True, False, None]),
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        gamma=st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.7]),
+        initial=st.sampled_from([0.0, 0.5, 1.0]),
+        slm=st.booleans(),
+        alphas=st.sampled_from([(1.0, 1.0, 1.0), (2.0, 1.0, 0.5)]),
+        period=st.integers(1, 4),
+        as_array=st.booleans(),
+        data=st.data(),
+    )
+    def test_rounds_match_the_oracle(
+        self, rounds, gamma, initial, slm, alphas, period, as_array, data
+    ):
+        from repro.core import FIFLConfig, FIFLMechanism
+
+        from tests.core.reference import ScalarDecay, ScalarSLM
+
+        table = DecayReputation(gamma, initial, alphas if slm else None)
+        decay, period_slm = ScalarDecay(gamma, initial), ScalarSLM(*alphas)
+        for t, outcomes in enumerate(rounds, start=1):
+            ids = list(outcomes)
+            got = table.update_all(
+                np.array(ids, dtype=np.int64) if as_array else ids,
+                list(outcomes.values()),
+            )
+            want = [decay.update(w, o) for w, o in outcomes.items()]
+            if slm:
+                for w, o in outcomes.items():
+                    period_slm.record(w, o)
+                want = [period_slm.reputation(w) for w in ids]
+                if t % period == 0:
+                    table.reset_period()
+                    period_slm.reset_period()
+            assert _bits(got) == _bits(want)
+            reps = decay.reputations()
+            assert table.reputations() == reps
+            assert list(table.reputations()) == sorted(reps)
+            for w in range(12):
+                assert _bits(table.reputation(w)) == _bits(decay.reputation(w))
+                counted = period_slm.counts(w) if slm else (0, 0, 0)
+                assert table.counts(w) == counted
+
+        # S4.5 re-selection ranks the table by (-reputation, id)
+        mech = FIFLMechanism(FIFLConfig(gamma=gamma))
+        mech.reputation = table
+        exclude = data.draw(st.sets(st.integers(0, 11)), label="exclude")
+        eligible = {w: r for w, r in reps.items() if w not in exclude}
+        for m in range(1, len(eligible) + 1):
+            ranked = sorted(eligible, key=lambda w: (-eligible[w], w))
+            assert mech.recommend_servers(m, exclude=exclude) == sorted(ranked[:m])

@@ -139,6 +139,13 @@ THRESHOLD = 0.0
 ATTACKER = 3
 
 
+def reputation_round(rep, outcomes: dict) -> dict:
+    """One round of ``{worker: outcome}`` through a reputation table, as
+    the ``{worker: reputation}`` map a FIFL ledger record carries."""
+    values = rep.update_all(list(outcomes), list(outcomes.values()))
+    return dict(zip(outcomes, values.tolist()))
+
+
 def run_traced(rounds=ROUNDS, *, with_ledger=True, audit=True, seed=0):
     """One seeded attacker federation under a fresh deterministic hub.
 

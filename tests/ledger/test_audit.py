@@ -9,7 +9,7 @@ from repro.nn import build_logreg
 from repro.population import WorkerPopulation
 from repro.telemetry import JsonlSink, Telemetry, read_trace, set_telemetry
 
-from tests.helpers import N_CLASSES, N_FEATURES, make_federation
+from tests.helpers import N_CLASSES, N_FEATURES, make_federation, reputation_round
 
 GAMMA = 0.2
 
@@ -19,7 +19,7 @@ def build_chain(outcomes_per_round, gamma=GAMMA, signer="server-A"):
     chain = Blockchain()
     rep = DecayReputation(gamma=gamma)
     for t, outcomes in enumerate(outcomes_per_round):
-        reps = rep.update_all(outcomes)
+        reps = reputation_round(rep, outcomes)
         chain.append(
             {"round": t, "accepted": outcomes, "reputations": reps},
             signer=signer,
@@ -177,9 +177,9 @@ class TestEdgeCases:
         assert restored.is_intact()
 
         rep = DecayReputation(gamma=GAMMA)
-        rep.update_all({0: True})
-        rep.update_all({0: False})
-        reps = rep.update_all({0: True})
+        rep.update(0, True)
+        rep.update(0, False)
+        reps = reputation_round(rep, {0: True})
         blk = restored.append(
             {"round": 2, "accepted": {0: True}, "reputations": reps},
             signer="server-A",

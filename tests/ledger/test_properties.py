@@ -18,6 +18,7 @@ from repro.ledger import (
 )
 from repro.telemetry import MemorySink, Telemetry, TickClock, encode_event, set_telemetry
 
+from tests.helpers import reputation_round
 from tests.ledger.reference import (
     reference_block_hash,
     reference_canonicalize,
@@ -113,7 +114,7 @@ def _build_chain(rounds, overrides):
     chain = Blockchain()
     rep = DecayReputation(gamma=GAMMA)
     for t, outcomes in enumerate(rounds):
-        reps = rep.update_all(outcomes)
+        reps = reputation_round(rep, outcomes)
         for w, value in overrides.get(t, {}).items():
             if w in reps:
                 reps[w] = value

@@ -65,10 +65,12 @@ class TestTamperedLedgerAudit:
         from repro.core import DecayReputation
         from repro.ledger import Blockchain
 
+        from tests.helpers import reputation_round
+
         chain = Blockchain()
         rep = DecayReputation(gamma=GAMMA)
         for t, outcomes in enumerate(outcomes_per_round):
-            reps = rep.update_all(outcomes)
+            reps = reputation_round(rep, outcomes)
             chain.append(
                 {"round": t, "accepted": outcomes, "reputations": reps},
                 signer=signer,

@@ -119,7 +119,7 @@ class TestDifferentials:
         for ra, rb in zip(hist_a.rounds, hist_b.rounds):
             assert ra.accepted == rb.accepted
             assert ra.grad_norm == rb.grad_norm
-        assert mech_a.reputation._rep == mech_b.reputation._rep
+        assert mech_a.reputation.reputations() == mech_b.reputation.reputations()
 
     def test_full_cohort_matches_static_fig09_attackers(self):
         attackers = {

@@ -3,20 +3,33 @@ full fold.
 
 ``FederationService`` keeps the ``record_digest`` of every in-memory
 round record beside ``history.rounds`` and chains the stored digests,
-so ``history_digest()`` must equal
-:func:`repro.service.snapshot.history_digest` folded over every record
-the service ever absorbed, whatever the tail length, whenever it is
-called, and across a capture and restore of the service state.
+so ``history_digest()`` must equal :func:`history_digest`, the literal
+fold of ``chain_digest`` over every record the service ever absorbed,
+whatever the tail length, whenever it is called, and across a capture
+and restore of the service state.
 """
 
 import pickle
 
 from hypothesis import given, settings, strategies as st
 
-from repro.service import FederationService, history_digest
-from repro.service.snapshot import capture_state, capture_telemetry
+from repro.service import FederationService
+from repro.service.snapshot import (
+    capture_state,
+    capture_telemetry,
+    chain_digest,
+    record_digest,
+)
 from repro.service.cli import make_preset
 from repro.telemetry import MemorySink, Telemetry, TickClock, set_telemetry
+
+
+def history_digest(records, rolling: str = "") -> str:
+    """The oracle: chain every record's digest onto ``rolling``, in order."""
+    h = rolling
+    for rec in records:
+        h = chain_digest(h, record_digest(rec))
+    return h
 
 
 def _parent_anchor(service) -> str:

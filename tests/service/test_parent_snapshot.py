@@ -30,6 +30,8 @@ from repro.telemetry import (
 )
 
 FIXTURE = Path(__file__).parents[1] / "fixtures" / "snapshot-v1"
+#: the same run written in today's format (v2: one reputation table)
+FIXTURE_V2 = Path(__file__).parents[1] / "fixtures" / "snapshot-v2"
 SNAPSHOT = "snapshot-00000003"
 
 
@@ -100,9 +102,9 @@ def test_parent_snapshot_restores_streams_and_next_round(tmp_path, uploads):
 
 
 def test_snapshot_bytes_are_unchanged(tmp_path):
-    """The same seeded run writes the fixture's bytes today (format v1)."""
+    """The same seeded run writes the v2 fixture's bytes today."""
     write_fixture(tmp_path)
-    for blob in sorted((FIXTURE / SNAPSHOT).iterdir()):
+    for blob in sorted((FIXTURE_V2 / SNAPSHOT).iterdir()):
         assert (tmp_path / SNAPSHOT / blob.name).read_bytes() == blob.read_bytes(), (
             blob.name
         )

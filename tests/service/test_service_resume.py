@@ -9,12 +9,14 @@ way a new process would, and must continue the clean run's sequence
 numbering from the snapshot alone.
 """
 
+import pickle
 import signal
 
 import pytest
 
 from repro.service import FederationService, SnapshotError, list_snapshots
 from repro.service.cli import make_preset
+from repro.service.snapshot import load_snapshot
 from repro.telemetry import (
     MemorySink,
     Telemetry,
@@ -132,6 +134,27 @@ class TestHistoryCompaction:
         assert len(service.history.rounds) == 3
         assert service._rounds_folded == ROUNDS - 3
         assert service.history_digest() == full["history"]
+
+    def test_tail_bounds_the_pickled_mechanism_state(self, tmp_path):
+        # service.py: memory over many rounds is bounded by history_tail,
+        # so the mechanism state a checkpoint pickles at round 2k (its
+        # reputation table, and the whole mechanism capture) is within
+        # 10% of round k's
+        set_telemetry(_fresh_hub())
+        k = 12
+        cfg = make_preset(
+            "sim-churn", rounds=2 * k, checkpoint_every=k, history_tail=3
+        )
+        FederationService(cfg, tmp_path).run()
+        sizes = []
+        for snap in list_snapshots(tmp_path):
+            mech = load_snapshot(snap)[1]["mechanism"]
+            sizes.append(
+                (len(pickle.dumps(mech["reputation"])), len(pickle.dumps(mech)))
+            )
+        (rep_k, mech_k), (rep_2k, mech_2k) = sizes
+        assert abs(rep_2k - rep_k) <= 0.1 * rep_k, sizes
+        assert abs(mech_2k - mech_k) <= 0.1 * mech_k, sizes
 
 
 class TestSignals:

@@ -85,8 +85,9 @@ class TestExperimentConfigDifferential:
             fed.scaled(scenario=FaultScenario.none()), attackers, with_fifl=True
         )
         _assert_histories_identical(h1, h2)
-        for wid in range(fed.num_workers):
-            assert m1.reputation_history(wid) == m2.reputation_history(wid)
+        assert [r.reputations for r in m1.records] == [
+            r.reputations for r in m2.records
+        ]
 
     def test_fig11_config(self):
         fed = _scaled(fig11_config(), drop_prob=0.1)
@@ -96,5 +97,6 @@ class TestExperimentConfigDifferential:
             fed.scaled(scenario=FaultScenario.none()), attackers, with_fifl=True
         )
         _assert_histories_identical(h1, h2)
-        for wid in range(fed.num_workers):
-            assert m1.reputation_history(wid) == m2.reputation_history(wid)
+        assert [r.reputations for r in m1.records] == [
+            r.reputations for r in m2.records
+        ]

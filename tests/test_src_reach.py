@@ -1,8 +1,12 @@
 """Every public name in ``src/repro`` is reached by the program itself.
 
-An ``ast`` sweep: each public top-level function or class must be named
-by another ``src`` module (a package ``__init__`` re-export does not
-count), or by its own module outside its definition. A name that only
+An ``ast`` sweep: each public top-level function or class must be reached
+by another ``src`` module, or named by its own module outside its
+definition. Names resolve by module: another module reaches
+``pkg.mod.f`` by importing it (through any package re-export, though a
+package ``__init__`` re-export alone does not count) or by an attribute
+``m.f`` where an import binds ``m`` to ``pkg.mod``. An ``.f`` on any
+other object (``history.accuracy``) reaches nothing. A name that only
 tests name belongs under ``tests/`` as an oracle or tool, or nowhere.
 The allow-list holds the public API that, by design, only callers
 outside ``src`` reach (CLI-less entry points, bench-only attackers).
@@ -31,6 +35,7 @@ ALLOWED = {
     "fairness_coefficient": "the paper's fairness coefficient (S4.4)",
     "theorem1_fixed_point": "the paper's Theorem 1 reputation fixed point",
     "share_entropy": "metrics API: entropy of a reward-share vector",
+    "gini": "metrics API: Gini coefficient of a reward vector",
     # bench-only comparisons the paper-claims benches run
     "LossBasedDetector": "exact loss-based detection, the S4.1 ablation bench",
     "trimmed_mean": "robust-aggregation comparison beside median and Krum",
@@ -55,42 +60,117 @@ def _public_defs(tree):
     ]
 
 
-def _names(tree, skip=None):
-    """Identifiers a module names in code: loads, attributes, imports."""
-    out = set()
-    for node in ast.walk(tree):
-        if skip is not None and getattr(node, "lineno", 0) in skip:
-            continue
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-    return out
+def _existing(target: Path) -> Path | None:
+    """The module file for a dotted target: ``pkg/__init__.py`` or ``mod.py``."""
+    if target.is_dir():
+        return target / "__init__.py"
+    if target.with_suffix(".py").is_file():
+        return target.with_suffix(".py")
+    return None
 
 
-def _imported(tree):
+def _module_path(path: Path, node: ast.ImportFrom) -> Path | None:
+    """The ``src`` module a ``from … import`` in ``path`` reads from."""
+    if node.level:
+        base = path.parents[node.level - 1]
+    elif (node.module or "").split(".")[0] == SRC.name:
+        base = SRC.parent
+    else:
+        return None  # outside src
+    return _existing(base.joinpath(*(node.module or "").split(".")) if node.module else base)
+
+
+def _submodule(module: Path, name: str) -> Path | None:
+    """``module.name`` when that is itself a ``src`` module."""
+    if module.name != "__init__.py":
+        return None
+    return _existing(module.parent / name)
+
+
+class _Bindings:
+    """What each top-level name of one module is bound to by its imports:
+    a ``src`` module, or a name imported from one."""
+
+    def __init__(self, path: Path, tree: ast.Module):
+        self.modules: dict[str, Path] = {}
+        self.names: dict[str, tuple[Path, str]] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] != SRC.name:
+                        continue
+                    if alias.asname:
+                        target = _existing(SRC.parent.joinpath(*alias.name.split(".")))
+                        if target is not None:
+                            self.modules[alias.asname] = target
+                    else:
+                        self.modules[SRC.name] = SRC / "__init__.py"
+            elif isinstance(node, ast.ImportFrom):
+                source = _module_path(path, node)
+                if source is None:
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    sub = _submodule(source, alias.name)
+                    if sub is not None:
+                        self.modules[bound] = sub
+                    else:
+                        self.names[bound] = (source, alias.name)
+
+
+def _reaches(modules):
+    """Every ``(module, name)`` another module reaches by an import or by
+    an attribute of an imported ``src`` module, resolved through
+    re-exports to the module that defines the name."""
+    bindings = {path: _Bindings(path, tree) for path, tree in modules}
+
+    def resolve(module: Path, name: str, seen=()) -> tuple[Path, str]:
+        imported = bindings[module].names.get(name) if module in bindings else None
+        if imported is None or (module, name) in seen:
+            return module, name
+        return resolve(*imported, seen=(*seen, (module, name)))
+
+    def module_of(expr, b: _Bindings) -> Path | None:
+        if isinstance(expr, ast.Name):
+            return b.modules.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            base = module_of(expr.value, b)
+            return None if base is None else _submodule(base, expr.attr)
+        return None
+
+    reached: dict[Path, set[tuple[Path, str]]] = {}
+    for path, tree in modules:
+        b = bindings[path]
+        out = reached.setdefault(path, set())
+        if path.name != "__init__.py":  # a package re-export does not count
+            out |= {resolve(*src) for src in b.names.values()}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                base = module_of(node.value, b)
+                if base is not None:
+                    out.add(resolve(base, node.attr))
+    return reached
+
+
+def _own_names(tree, skip):
+    """Identifiers a module loads in code outside the lines ``skip``."""
     return {
-        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and getattr(node, "lineno", 0) not in skip
     }
 
 
 def unreached():
     modules = list(_modules())
-    elsewhere = {}
-    for path, tree in modules:
-        names = _names(tree)
-        if path.name != "__init__.py":
-            names |= _imported(tree)
-        elsewhere[path] = names
+    reached = _reaches(modules)
     missing = []
     for path, tree in modules:
-        others = set().union(*(n for p, n in elsewhere.items() if p != path))
+        others = set().union(*(r for p, r in reached.items() if p != path))
         for node in _public_defs(tree):
-            if node.name in others:
+            if (path, node.name) in others:
                 continue
             inside = set(range(node.lineno, node.end_lineno + 1))
-            if node.name in _names(tree, skip=inside):
+            if node.name in _own_names(tree, inside):
                 continue
             missing.append(f"{path.relative_to(SRC.parent)}::{node.name}")
     return missing
